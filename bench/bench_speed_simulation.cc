@@ -478,13 +478,14 @@ makeQuadSeeds(std::uint64_t seed)
 }
 
 /**
- * Fragment hot path, per-quad shading step as the simulator executes
- * it. Legacy shape (the seed's): fresh zero-initialized QuadState per
- * quad (~2.6 KB), write the varyings, one field-decoded interpreter
- * entry per quad. Overhauled shape: a reused QuadState arena reset
- * through the decode-time clear plan, varyings written, then one
- * batched pre-decoded runQuads() entry for the whole arena — the
- * structure of GpuSimulator::flushShadeBatchSerial.
+ * Fragment hot path, per-quad shading step. Legacy shape (the seed's):
+ * fresh zero-initialized QuadState per quad (~2.6 KB), write the
+ * varyings, one field-decoded interpreter entry per quad. Overhauled
+ * shape: QuadStates reset through the decode-time clear plan, varyings
+ * written, then one batched pre-decoded runQuads() entry for the whole
+ * arena. The simulator's tile workers reuse one QuadState and shade
+ * each quad through runQuad(), so this measures the interpreter's
+ * per-quad cost without the per-entry overhead.
  */
 InterpBenchResult
 measureQuadInterp(const shader::Program &program, int passes,

@@ -4,16 +4,16 @@
  *
  * One process-global pool (ThreadPool::global()) is sized from the
  * WC3D_THREADS environment knob (default: hardware concurrency; 1 =
- * fully sequential legacy behaviour). Work is submitted through
- * TaskGroup, a wait-group whose wait() *helps*: while its tasks are
+ * fully sequential). Work is submitted through TaskGroup, a
+ * wait-group whose wait() *helps*: while its tasks are
  * outstanding the waiting thread pops and executes tasks of the same
  * group instead of blocking, so nested parallelism (experiment-level
  * fan-out whose runs internally shard shading work onto the same pool)
  * cannot deadlock and never idles the waiter.
  *
  * Determinism contract: the pool only distributes *pure* work; every
- * consumer shards its state per worker slot (see stats/shard.hh) and
- * reduces in submission order, so results are bit-identical for any
+ * consumer shards its state per worker slot (indexed by currentSlot())
+ * and reduces in a fixed order, so results are bit-identical for any
  * thread count. See DESIGN.md "Threading model".
  */
 
@@ -39,7 +39,7 @@ class TaskGroup;
  * A pool of size N owns N-1 OS threads; the Nth participant is the
  * thread that waits on a TaskGroup (it helps while waiting), so
  * ThreadPool(1) owns no threads at all and every task runs inline at
- * submission — the exact legacy sequential path.
+ * submission, in submission order.
  */
 class ThreadPool
 {

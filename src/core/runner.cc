@@ -169,22 +169,18 @@ std::string
 cachePath(const MicroSpec &spec)
 {
     std::string dir = envString("WC3D_CACHE_DIR", ".wc3d-cache");
-    // The legacy (WC3D_TILED=0) back-end orders framebuffer writebacks
-    // differently, so its traffic bytes may legitimately differ from
-    // the tiled default; keep the two result sets apart. Tile size and
-    // thread count do NOT key the cache: results are bit-identical
-    // across both by construction.
-    const char *backend = envInt("WC3D_TILED", 1) != 0 ? "" : "_legacy";
+    // Tile size, thread count and shader executor do NOT key the cache:
+    // results are bit-identical across all of them by construction.
     // Non-default shapes (frame window, cache geometry, HZ mode...)
-    // get a fingerprint suffix; the default keeps the legacy filename.
+    // get a fingerprint suffix; the default keeps the plain filename.
     std::uint64_t fp = spec.cacheFingerprint();
     std::string suffix =
         fp ? format("_s%016llx", static_cast<unsigned long long>(fp))
            : std::string();
-    return format("%s/%s_f%d_%dx%d%s%s_v%d.txt", dir.c_str(),
+    return format("%s/%s_f%d_%dx%d%s_v%d.txt", dir.c_str(),
                   sanitize(spec.id).c_str(), spec.frames,
-                  spec.config.width, spec.config.height, backend,
-                  suffix.c_str(), kCacheSchema);
+                  spec.config.width, spec.config.height, suffix.c_str(),
+                  kCacheSchema);
 }
 
 std::string

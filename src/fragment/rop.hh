@@ -44,16 +44,6 @@ class ColorUnit
     const ColorStats &stats() const { return _stats; }
     void resetStats() { _stats = ColorStats(); }
 
-    /** Fold a worker-private unit's statistics into this one's. */
-    void
-    mergeStats(const ColorStats &s)
-    {
-        _stats.quadsIn += s.quadsIn;
-        _stats.quadsMasked += s.quadsMasked;
-        _stats.quadsBlended += s.quadsBlended;
-        _stats.fragmentsBlended += s.fragmentsBlended;
-    }
-
     /** Defer surface-cache accesses to @p sink (see ZStencilUnit). */
     void setAccessSink(SurfaceAccessSink *sink) { _sink = sink; }
 

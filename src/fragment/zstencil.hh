@@ -145,17 +145,6 @@ class ZStencilUnit
     const ZStencilStats &stats() const { return _stats; }
     void resetStats() { _stats = ZStencilStats(); }
 
-    /** Fold a worker-private unit's statistics into this one's. */
-    void
-    mergeStats(const ZStencilStats &s)
-    {
-        _stats.quadsIn += s.quadsIn;
-        _stats.quadsRemoved += s.quadsRemoved;
-        _stats.fragmentsIn += s.fragmentsIn;
-        _stats.fragmentsPassed += s.fragmentsPassed;
-        _stats.fullQuadsIn += s.fullQuadsIn;
-    }
-
     /**
      * Defer surface-cache accesses to @p sink (null restores direct
      * access). Word reads/writes still hit the surface immediately —

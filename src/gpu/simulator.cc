@@ -3,31 +3,23 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/threadpool.hh"
+#include "fragment/rop.hh"
 #include "geom/assembly.hh"
 #include "geom/viewport.hh"
 #include "shader/decoded.hh"
-#include "stats/shard.hh"
+#include "shader/interp.hh"
 
 namespace wc3d::gpu {
 
 namespace {
 
-/** Quads staged before a bulk shade pass is launched. */
-constexpr std::size_t kShadeChunk = 4096;
-
-/** Quads shaded per interpreter entry on the serial path. Kept small
- *  enough that the QuadState arena (~2.6 KB per quad) stays cache
- *  resident between the prepare, shade and resolve passes. */
-constexpr std::size_t kSerialShadeChunk = 256;
-
 /**
  * Snapshot of the interpreter + sampler statistics a shading step is
  * charged against. Capture before and after, subtract, and fold the
- * difference into the pipeline counters (or a staged quad's outputs).
+ * difference into the pipeline counters.
  */
 struct SamplerStatsDelta
 {
@@ -164,121 +156,6 @@ struct GpuSimulator::QuadContextInfo
     std::uint32_t fpInputMask = 0;
 };
 
-/** Triangle state a staged quad refers back to. */
-struct GpuSimulator::PendingTri
-{
-    raster::TriangleSetup setup;
-    bool backFace = false;
-};
-
-/**
- * Per-quad metadata staged for a bulk shade pass; the quad's geometry
- * (position, coverage, depths, barycentrics) lives at the same index in
- * ShadeBatch::quads. The in-order collection phase fills the top group;
- * the shade phase fills the outputs; the in-order resolve phase
- * consumes both.
- */
-struct GpuSimulator::PendingQuad
-{
-    enum class Action : std::uint8_t
-    {
-        Shade,     ///< early-z survivor awaiting shading + blend
-        ShadeLate, ///< late-z draw: HZ/z&stencil resolved after shading
-        MaskDrop,  ///< colour-mask removal, kept for colour-order replay
-    };
-
-    std::int32_t tri = 0;  ///< index into ShadeBatch::tris
-    Action action = Action::Shade;
-    std::uint8_t live = 0; ///< lanes alive entering the shade stage
-
-    /** @name Worker outputs (parallel path only) */
-    /// @{
-    std::uint8_t killMask = 0;
-    std::uint16_t slot = 0;       ///< worker shard holding our blocks
-    std::uint32_t blockBegin = 0; ///< range in that shard's block log
-    std::uint32_t blockCount = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t texInstructions = 0;
-    std::uint64_t texRequests = 0;
-    std::uint64_t bilinears = 0;
-    Vec4 colors[4];
-    /// @}
-};
-
-/**
- * In-order staging area for one draw (flushed in chunks at triangle
- * boundaries). quads and meta grow in lockstep: index i of one matches
- * index i of the other. Both keep their capacity across draws.
- */
-struct GpuSimulator::ShadeBatch
-{
-    std::vector<PendingTri> tris;
-    raster::QuadBatch quads;        ///< SoA quad geometry
-    std::vector<PendingQuad> meta;  ///< actions + shade outputs
-};
-
-/**
- * Per-worker shard: a private interpreter and sampler plus a log of the
- * texture-cache block accesses sampling would have performed. Workers
- * never touch the shared texture cache; the resolve phase replays each
- * quad's logged accesses into it in submission order, so residency,
- * hit rates and memory traffic match the sequential execution exactly.
- */
-struct GpuSimulator::ShadeWorker final : shader::TextureSampleHandler,
-                                         tex::TexelAccessListener
-{
-    struct Block
-    {
-        const tex::Texture2D *texture = nullptr;
-        std::int32_t level = 0;
-        std::int32_t bx = 0;
-        std::int32_t by = 0;
-        std::int32_t refs = 0;
-    };
-
-    shader::Interpreter interp;
-    tex::Sampler sampler;
-    const api::DrawCall *call = nullptr;
-    std::vector<Block> blocks;
-    shader::QuadState quad; ///< reusable shading state (clear-plan reset)
-
-    ShadeWorker() { sampler.setListener(this); }
-
-    void
-    begin(const api::DrawCall *c)
-    {
-        call = c;
-        blocks.clear();
-    }
-
-    /** Mirror of TextureUnit::sampleQuad over the draw's bindings. */
-    void
-    sampleQuad(int unit, const Vec4 coords[4], float lod_bias,
-               Vec4 out[4]) override
-    {
-        WC3D_ASSERT(unit >= 0 && unit < shader::kMaxSamplers);
-        const tex::Texture2D *texture =
-            call->textures[static_cast<std::size_t>(unit)];
-        if (!texture) {
-            // Unbound unit: sample opaque black, like a disabled stage.
-            for (int l = 0; l < 4; ++l)
-                out[l] = {0.0f, 0.0f, 0.0f, 1.0f};
-            return;
-        }
-        sampler.sampleQuad(*texture,
-                           call->state.samplers[static_cast<std::size_t>(
-                               unit)],
-                           coords, lod_bias, out);
-    }
-
-    void
-    blockAccess(const tex::Texture2D &texture, int level, int bx, int by,
-                int refs) override
-    {
-        blocks.push_back({&texture, level, bx, by, refs});
-    }
-};
-
 /**
  * One binned post-geometry triangle, in draw order. seq (its index in
  * _tiledTris) plus the traversal key of a quad totally orders the
@@ -367,14 +244,13 @@ struct GpuSimulator::TileOutput
 };
 
 /**
- * Per-worker-slot execution state for tile work items. Mirrors
- * ShadeWorker (private interpreter + sampler + texture-block recording)
- * and adds private z/colour units whose cache accesses are rerouted to
- * the current tile's log, private stats shards for every statistic a
- * tile touches, and a private rasterizer for the tile-clipped walk.
- * The word reads/writes the units perform hit the shared surfaces
- * directly — safe, because a tile's pixels belong to exactly one work
- * item and a slot runs one work item at a time.
+ * Per-worker-slot execution state for tile work items: a private
+ * interpreter and sampler whose texture-block accesses are logged, z and
+ * colour units whose cache accesses are rerouted to the current tile's
+ * log, private counter and HZ stats shards, and a private rasterizer for
+ * the tile-clipped walk. The word reads/writes the units perform hit the
+ * shared surfaces directly — safe, because a tile's pixels belong to
+ * exactly one work item and a slot runs one work item at a time.
  */
 struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
                                       tex::TexelAccessListener
@@ -403,7 +279,7 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     tex::Sampler sampler;
     shader::QuadState quad;        ///< reusable shading state
     raster::QuadBatch quads;       ///< per-(triangle, tile) arena
-    raster::Rasterizer raster;     ///< tile-clipped traversal + stats
+    raster::Rasterizer raster;     ///< tile-clipped traversal
     frag::ZStencilUnit zUnit;
     frag::ColorUnit colorUnit;
     DepthSink depthSink;
@@ -433,7 +309,7 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
              static_cast<std::uint8_t>(no_fetch ? 2 : (is_write ? 1 : 0))});
     }
 
-    /** Mirror of TextureUnit::sampleQuad over the draw's bindings. */
+    /** Sample through the draw's own texture and sampler bindings. */
     void
     sampleQuad(int unit, const Vec4 coords[4], float lod_bias,
                Vec4 out_colors[4]) override
@@ -467,15 +343,11 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
       _color(frag::SurfaceKind::Color, memsys::Client::Color, config.width,
              config.height, config.colorCache, &_memory),
       _hz(config.width, config.height),
-      _rasterizer(config.width, config.height),
       _tileGrid(config.width, config.height,
                 raster::resolveTileSize(config.tileSize)),
-      _tiled(envInt("WC3D_TILED", 1) != 0),
       _vertexCache(config.vertexCacheEntries),
       _vertexCacheData(static_cast<std::size_t>(config.vertexCacheEntries)),
-      _texUnit(config.textureCache, &_memory),
-      _zUnit(&_depth),
-      _colorUnit(&_color)
+      _texCache(config.textureCache, &_memory)
 {
     _depth.fastClear(frag::packDepthStencil(1.0f, 0));
     _color.fastClear(0xff000000u);
@@ -551,45 +423,7 @@ GpuSimulator::clear(const api::ClearCmd &cmd)
 }
 
 void
-GpuSimulator::shadeVerticesSerial(const api::DrawCall &call)
-{
-    WC3D_PROF_SCOPE("geom.vertex");
-    const auto &vertices = call.vertices->vertices;
-    int stride = call.vertices->strideBytes();
-    int bytes_per_index = api::indexTypeBytes(call.indexData->type);
-    const shader::Program &vp = *call.vertexProgram;
-    shader::LaneState lane; // reused across the draw's vertices
-
-    for (std::uint32_t i = 0; i < call.indexCount; ++i) {
-        std::uint32_t index =
-            call.indexData->indices[call.firstIndex + i];
-        _memory.read(memsys::Client::Vertex,
-                     static_cast<std::uint64_t>(bytes_per_index));
-        int slot = _vertexCache.lookup(index);
-        if (slot >= 0) {
-            ++_counters.vertexCacheHits;
-            _stream[i] = _vertexCacheData[static_cast<std::size_t>(slot)];
-            continue;
-        }
-        ++_counters.vertexCacheMisses;
-        if (index >= vertices.size()) {
-            warn("gpu: index %u out of range, clamping", index);
-            index = static_cast<std::uint32_t>(vertices.size() - 1);
-        }
-        _memory.read(memsys::Client::Vertex,
-                     static_cast<std::uint64_t>(stride));
-        geom::TransformedVertex tv = shadeVertex(vp, vertices[index],
-                                                 _interp, lane);
-        _counters.vertexInstructions +=
-            static_cast<std::uint64_t>(vp.instructionCount());
-        slot = _vertexCache.insert(index);
-        _vertexCacheData[static_cast<std::size_t>(slot)] = tv;
-        _stream[i] = tv;
-    }
-}
-
-void
-GpuSimulator::shadeVerticesParallel(const api::DrawCall &call)
+GpuSimulator::shadeVertices(const api::DrawCall &call)
 {
     WC3D_PROF_SCOPE("geom.vertex");
     const auto &vertices = call.vertices->vertices;
@@ -598,10 +432,10 @@ GpuSimulator::shadeVerticesParallel(const api::DrawCall &call)
     const shader::Program &vp = *call.vertexProgram;
 
     // Pass 1 (in order): replay the vertex cache and memory accounting
-    // exactly as the serial path would, turning each miss into a pure
-    // shading job and each hit into a reference to the job that filled
-    // its slot. Cache behaviour does not depend on shading results, so
-    // the FIFO sequence is identical to the sequential execution.
+    // index by index, turning each miss into a pure shading job and
+    // each hit into a reference to the job that filled its slot. Cache
+    // behaviour does not depend on shading results, so the FIFO
+    // sequence is fixed before any vertex is shaded.
     std::vector<std::uint32_t> job_vertex; // job -> (clamped) source index
     std::vector<std::uint32_t> stream_job(call.indexCount);
     std::vector<std::uint32_t> slot_job(
@@ -635,8 +469,8 @@ GpuSimulator::shadeVerticesParallel(const api::DrawCall &call)
         stream_job[i] = job;
     }
 
-    // Pass 2 (parallel): shade the misses. The interpreter is pure, so
-    // job results are independent of scheduling.
+    // Pass 2 (on the pool, inline at 1 thread): shade the misses. The
+    // interpreter is pure, so job results are independent of scheduling.
     std::vector<geom::TransformedVertex> shaded(job_vertex.size());
     parallelForRanges(
         ThreadPool::global(), job_vertex.size(),
@@ -671,8 +505,6 @@ GpuSimulator::draw(const api::DrawCall &call)
                   static_cast<std::uint64_t>(call.indexCount) *
                       bytes_per_index);
 
-    const bool parallel = ThreadPool::global().threads() > 1;
-
     // Pre-decode and pre-compile both bound programs on the submitting
     // thread, before any worker can race the lazily cached decode/JIT
     // forms (the pool's queue provides the happens-before for the
@@ -685,10 +517,7 @@ GpuSimulator::draw(const api::DrawCall &call)
     // --- Vertex stage -----------------------------------------------
     _vertexCache.invalidate(); // indices are batch-relative
     _stream.resize(call.indexCount);
-    if (parallel)
-        shadeVerticesParallel(call);
-    else
-        shadeVerticesSerial(call);
+    shadeVertices(call);
     _counters.indices += call.indexCount;
 
     // --- Primitive assembly + clip/cull + traversal -----------------
@@ -707,92 +536,12 @@ GpuSimulator::draw(const api::DrawCall &call)
     info.colorMaskOff = !call.state.blend.colorWriteMask;
     info.fpInputMask = fp_dec.inputReadMask();
 
-    // Bind this draw's textures into the texture unit.
-    for (int u = 0; u < shader::kMaxSamplers; ++u) {
-        if (call.textures[u]) {
-            _texUnit.bind(u, call.textures[u], call.state.samplers[u]);
-        } else {
-            _texUnit.unbind(u);
-        }
-    }
-
-    geom::Viewport vp_rect{0, 0, _config.width, _config.height};
-
-    if (_tiled) {
-        drawTiled(call, info);
-        return;
-    }
-
-    // Legacy (WC3D_TILED=0) per-draw shard-and-resolve back-end.
-    // Serial late-z (KIL) draws are the one flow that cannot defer
-    // shading: each quad's late z&stencil writes feed the HZ tests of
-    // the quads after it, and an HZ-culled quad must never touch the
-    // texture cache. Everything else stages quads into the batch and
-    // shades them in bulk.
-    const bool late_serial = !parallel && !info.earlyZ;
-
-    if (!_batch)
-        _batch = std::make_unique<ShadeBatch>();
-    _batch->tris.clear();
-    _batch->quads.clear();
-    _batch->meta.clear();
-
-    WC3D_PROF_SCOPE("raster.traverse");
-    for (const geom::AssembledTriangle &tri : _assembled) {
-        geom::TransformedVertex verts[3] = {_stream[tri.v[0]],
-                                            _stream[tri.v[1]],
-                                            _stream[tri.v[2]]};
-        _clippedTris.clear();
-        geom::TriangleFate fate =
-            _clipCull.process(verts, call.state.cullMode, _clippedTris);
-        switch (fate) {
-          case geom::TriangleFate::Clipped:
-            ++_counters.trianglesClipped;
-            continue;
-          case geom::TriangleFate::Culled:
-            ++_counters.trianglesCulled;
-            continue;
-          case geom::TriangleFate::Traversed:
-            ++_counters.trianglesTraversed;
-            break;
-        }
-
-        for (const auto &clip_tri : _clippedTris) {
-            // Facing decides the two-sided stencil face (NDC y-up,
-            // counter-clockwise = front).
-            float area = geom::projectedSignedArea(
-                clip_tri[0].clip, clip_tri[1].clip, clip_tri[2].clip);
-            info.backFace = area < 0.0f;
-
-            geom::ScreenTriangle screen =
-                geom::toScreenTriangle(clip_tri, vp_rect);
-            raster::TriangleSetup setup = raster::setupTriangle(
-                screen, _config.width, _config.height);
-            if (!setup.valid)
-                continue;
-            _triQuads.clear();
-            _rasterizer.rasterize(setup, _triQuads);
-            if (late_serial) {
-                for (std::size_t q = 0; q < _triQuads.size(); ++q)
-                    shadeAndResolveQuad(_triQuads.ref(q), setup, info);
-                continue;
-            }
-            _batch->tris.push_back({setup, info.backFace});
-            int cur_tri = static_cast<int>(_batch->tris.size()) - 1;
-            for (std::size_t q = 0; q < _triQuads.size(); ++q)
-                collectQuad(*_batch, _triQuads.ref(q), cur_tri, info);
-            if (_batch->meta.size() >= kShadeChunk) {
-                flushShadeBatch(*_batch, info, parallel);
-                _batch->tris.clear();
-            }
-        }
-    }
-    if (!late_serial)
-        flushShadeBatch(*_batch, info, parallel);
+    drawTiled(call, info);
 }
 
 void
-GpuSimulator::drawTiled(const api::DrawCall &call, QuadContextInfo &info)
+GpuSimulator::drawTiled(const api::DrawCall &call,
+                        const QuadContextInfo &info)
 {
     geom::Viewport vp_rect{0, 0, _config.width, _config.height};
     if (_tileOut.size() < static_cast<std::size_t>(_tileGrid.tiles()))
@@ -857,7 +606,6 @@ GpuSimulator::drawTiled(const api::DrawCall &call, QuadContextInfo &info)
                 }
             }
         }
-        _rasterizer.noteTriangles(_tiledTris.size());
     }
 
     if (_activeTiles.empty()) {
@@ -958,7 +706,7 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
 
     // --- Hierarchical Z (the shared arrays are tile-exclusive) -------
     bool hz_accepted = false;
-    switch (hzTestQuad(info, quad, &exec.hzStats)) {
+    switch (hzTestQuad(info, quad, exec.hzStats)) {
       case HzOutcome::Culled:
         ++ctr.quadsRemovedHz;
         return;
@@ -1052,12 +800,6 @@ GpuSimulator::mergeTileResults()
         exec.counters = PipelineCounters{};
         _hz.mergeStats(exec.hzStats);
         exec.hzStats = raster::HzStats{};
-        _rasterizer.mergeStats(exec.raster.stats());
-        exec.raster.resetStats();
-        _zUnit.mergeStats(exec.zUnit.stats());
-        exec.zUnit.resetStats();
-        _colorUnit.mergeStats(exec.colorUnit.stats());
-        exec.colorUnit.resetStats();
     }
 
     // Replay the deferred cache accesses in reconstructed submission
@@ -1140,15 +882,14 @@ GpuSimulator::replayQuadRec(const TileOutput &out, std::size_t rec)
     }
     for (std::uint32_t i = 0; i < r.texCount; ++i) {
         const TileOutput::TexEvent &e = out.tex[r.texBegin + i];
-        _texUnit.cache().blockAccess(*e.texture, e.level, e.bx, e.by,
-                                     e.refs);
+        _texCache.blockAccess(*e.texture, e.level, e.bx, e.by, e.refs);
     }
 }
 
 GpuSimulator::HzOutcome
 GpuSimulator::hzTestQuad(const QuadContextInfo &info,
                          const raster::QuadRef &quad,
-                         raster::HzStats *hz_stats)
+                         raster::HzStats &hz_stats)
 {
     if (!info.hzOk)
         return HzOutcome::Pass;
@@ -1170,11 +911,7 @@ GpuSimulator::hzTestQuad(const QuadContextInfo &info,
         (ds.depthFunc == frag::CompareFunc::Less ||
          ds.depthFunc == frag::CompareFunc::LEqual);
     if (accept_ok) {
-        raster::HzResult r =
-            hz_stats
-                ? _hz.testQuadRange(quad.x, quad.y, zmin, zmax, *hz_stats)
-                : _hz.testQuadRange(quad.x, quad.y, zmin, zmax);
-        switch (r) {
+        switch (_hz.testQuadRange(quad.x, quad.y, zmin, zmax, hz_stats)) {
           case raster::HzResult::Culled:
             return HzOutcome::Culled;
           case raster::HzResult::Accepted:
@@ -1183,10 +920,7 @@ GpuSimulator::hzTestQuad(const QuadContextInfo &info,
             return HzOutcome::Pass;
         }
     }
-    bool may_pass = hz_stats
-                        ? _hz.testQuad(quad.x, quad.y, zmin, *hz_stats)
-                        : _hz.testQuad(quad.x, quad.y, zmin);
-    if (!may_pass)
+    if (!_hz.testQuad(quad.x, quad.y, zmin, hz_stats))
         return HzOutcome::Culled;
     return HzOutcome::Pass;
 }
@@ -1228,408 +962,6 @@ GpuSimulator::zStencilQuad(const QuadContextInfo &info,
         }
     }
     return any;
-}
-
-void
-GpuSimulator::shadeAndResolveQuad(const raster::QuadRef &quad,
-                                  const raster::TriangleSetup &setup,
-                                  const QuadContextInfo &info)
-{
-    const api::DrawCall &call = *info.call;
-
-    ++_counters.rasterQuads;
-    if (quad.full())
-        ++_counters.rasterFullQuads;
-    _counters.rasterFragments +=
-        static_cast<std::uint64_t>(quad.coveredCount());
-
-    std::uint8_t live = quad.coverage;
-
-    // --- Hierarchical Z ---------------------------------------------
-    bool hz_accepted = false;
-    switch (hzTestQuad(info, quad)) {
-      case HzOutcome::Culled:
-        ++_counters.quadsRemovedHz;
-        return;
-      case HzOutcome::Accepted:
-        hz_accepted = true;
-        break;
-      case HzOutcome::Pass:
-        break;
-    }
-
-    bool z_applied = false;
-
-    // --- Early z & stencil ------------------------------------------
-    if (info.earlyZ) {
-        z_applied = true;
-        if (!zStencilQuad(info, quad, live, hz_accepted)) {
-            ++_counters.quadsRemovedZStencil;
-            return;
-        }
-    }
-
-    // --- Colour-mask shortcut ----------------------------------------
-    // Quads whose colour writes are masked and whose shader has no side
-    // effects skip shading entirely and are dropped at the colour stage
-    // (the Doom3/Quake4 stencil-volume flow: high z overdraw, low
-    // shading overdraw, large "Color Mask" removal share).
-    if (info.colorMaskOff && !info.usesKill) {
-        Vec4 dummy[4] = {};
-        _colorUnit.writeQuad(call.state.blend, quad.x, quad.y, dummy,
-                             live);
-        ++_counters.quadsRemovedColorMask;
-        return;
-    }
-
-    // --- Fragment shading --------------------------------------------
-    ++_counters.shadedQuads;
-    _counters.shadedFragments +=
-        static_cast<std::uint64_t>(std::popcount(live));
-
-    shader::QuadState &qs = _serialQuad;
-    prepareQuadState(qs, call.fragmentProgram->decoded(), info.fpInputMask,
-                     setup, quad, live);
-
-    auto before = SamplerStatsDelta::capture(_interp, _texUnit.sampler());
-    _interp.runQuad(*call.fragmentProgram, qs, &_texUnit);
-    SamplerStatsDelta::capture(_interp, _texUnit.sampler())
-        .since(before)
-        .chargeTo(_counters);
-
-    // --- Alpha test (shader KIL, as in ATTILA) -----------------------
-    for (int l = 0; l < 4; ++l) {
-        if (qs.lanes[l].killed)
-            live &= static_cast<std::uint8_t>(~(1u << l));
-    }
-    if (live == 0) {
-        ++_counters.quadsRemovedAlpha;
-        return;
-    }
-
-    // --- Late z & stencil --------------------------------------------
-    if (!z_applied) {
-        if (!zStencilQuad(info, quad, live, false)) {
-            ++_counters.quadsRemovedZStencil;
-            return;
-        }
-    }
-
-    // --- Colour write / blend ----------------------------------------
-    Vec4 colors[4];
-    for (int l = 0; l < 4; ++l)
-        colors[l] = qs.lanes[l].outputs[0];
-    bool updated = _colorUnit.writeQuad(call.state.blend, quad.x, quad.y,
-                                        colors, live);
-    if (updated) {
-        ++_counters.quadsBlended;
-        _counters.blendedFragments +=
-            static_cast<std::uint64_t>(std::popcount(live));
-    } else {
-        ++_counters.quadsRemovedColorMask;
-    }
-}
-
-void
-GpuSimulator::collectQuad(ShadeBatch &batch, const raster::QuadRef &quad,
-                          int tri, const QuadContextInfo &info)
-{
-    ++_counters.rasterQuads;
-    if (quad.full())
-        ++_counters.rasterFullQuads;
-    _counters.rasterFragments +=
-        static_cast<std::uint64_t>(quad.coveredCount());
-
-    PendingQuad p;
-    p.tri = tri;
-
-    if (!info.earlyZ) {
-        // Late-z draw (KIL): in the serial pipeline the HZ test and
-        // z&stencil run against state updated by earlier quads' *late*
-        // z writes, so both are deferred to the in-order resolve phase;
-        // shading is speculative (pure, so discarding is free).
-        p.action = PendingQuad::Action::ShadeLate;
-        p.live = quad.coverage;
-        batch.quads.append(quad);
-        batch.meta.push_back(p);
-        return;
-    }
-
-    // Early-z draw: HZ and z&stencil mutate their structures during
-    // collection, in quad submission order — exactly the serial
-    // sequence, because shading (deferred) never touches them.
-    std::uint8_t live = quad.coverage;
-    bool hz_accepted = false;
-    switch (hzTestQuad(info, quad)) {
-      case HzOutcome::Culled:
-        ++_counters.quadsRemovedHz;
-        return;
-      case HzOutcome::Accepted:
-        hz_accepted = true;
-        break;
-      case HzOutcome::Pass:
-        break;
-    }
-    if (!zStencilQuad(info, quad, live, hz_accepted)) {
-        ++_counters.quadsRemovedZStencil;
-        return;
-    }
-    if (info.colorMaskOff && !info.usesKill) {
-        // No shading needed, but the colour-surface access must happen
-        // at this quad's position in the colour stream: stage it.
-        p.action = PendingQuad::Action::MaskDrop;
-        p.live = live;
-        batch.quads.append(quad);
-        batch.meta.push_back(p);
-        return;
-    }
-    p.action = PendingQuad::Action::Shade;
-    p.live = live;
-    batch.quads.append(quad);
-    batch.meta.push_back(p);
-}
-
-void
-GpuSimulator::shadeQuadWorker(ShadeWorker &worker, const ShadeBatch &batch,
-                              PendingQuad &pending,
-                              const raster::QuadRef &quad,
-                              const QuadContextInfo &info)
-{
-    const api::DrawCall &call = *info.call;
-    const raster::TriangleSetup &setup =
-        batch.tris[static_cast<std::size_t>(pending.tri)].setup;
-
-    shader::QuadState &qs = worker.quad;
-    prepareQuadState(qs, call.fragmentProgram->decoded(), info.fpInputMask,
-                     setup, quad, pending.live);
-
-    auto before = SamplerStatsDelta::capture(worker.interp, worker.sampler);
-    pending.blockBegin = static_cast<std::uint32_t>(worker.blocks.size());
-    worker.interp.runQuad(*call.fragmentProgram, qs, &worker);
-    pending.blockCount =
-        static_cast<std::uint32_t>(worker.blocks.size()) -
-        pending.blockBegin;
-    SamplerStatsDelta d =
-        SamplerStatsDelta::capture(worker.interp, worker.sampler)
-            .since(before);
-
-    pending.instructions = d.instructions;
-    pending.texInstructions = d.texInstructions;
-    pending.texRequests = d.requests;
-    pending.bilinears = d.bilinears;
-
-    pending.killMask = 0;
-    for (int l = 0; l < 4; ++l) {
-        if (qs.lanes[l].killed)
-            pending.killMask |= static_cast<std::uint8_t>(1u << l);
-        pending.colors[l] = qs.lanes[l].outputs[0];
-    }
-}
-
-void
-GpuSimulator::resolvePendingQuad(const ShadeWorker &worker,
-                                 const ShadeBatch &batch,
-                                 PendingQuad &pending,
-                                 const raster::QuadRef &quad,
-                                 QuadContextInfo &info)
-{
-    const api::DrawCall &call = *info.call;
-    info.backFace =
-        batch.tris[static_cast<std::size_t>(pending.tri)].backFace;
-
-    if (pending.action == PendingQuad::Action::MaskDrop) {
-        Vec4 dummy[4] = {};
-        _colorUnit.writeQuad(call.state.blend, quad.x, quad.y, dummy,
-                             pending.live);
-        ++_counters.quadsRemovedColorMask;
-        return;
-    }
-
-    if (pending.action == PendingQuad::Action::ShadeLate) {
-        // Deferred HZ test: earlier quads' late z&stencil already
-        // resolved, so the HZ state matches the serial sequence. A cull
-        // discards the speculative shading results entirely.
-        if (hzTestQuad(info, quad) == HzOutcome::Culled) {
-            ++_counters.quadsRemovedHz;
-            return;
-        }
-    }
-
-    ++_counters.shadedQuads;
-    _counters.shadedFragments +=
-        static_cast<std::uint64_t>(std::popcount(pending.live));
-    _counters.fragmentInstructions += pending.instructions;
-    _counters.fragmentTexInstructions += pending.texInstructions;
-    _counters.textureRequests += pending.texRequests;
-    _counters.bilinearSamples += pending.bilinears;
-
-    // Replay the recorded texture-cache accesses in submission order.
-    for (std::uint32_t b = 0; b < pending.blockCount; ++b) {
-        const ShadeWorker::Block &blk =
-            worker.blocks[pending.blockBegin + b];
-        _texUnit.cache().blockAccess(*blk.texture, blk.level, blk.bx,
-                                     blk.by, blk.refs);
-    }
-
-    std::uint8_t live =
-        pending.live & static_cast<std::uint8_t>(~pending.killMask);
-    if (live == 0) {
-        ++_counters.quadsRemovedAlpha;
-        return;
-    }
-
-    if (pending.action == PendingQuad::Action::ShadeLate) {
-        if (!zStencilQuad(info, quad, live, false)) {
-            ++_counters.quadsRemovedZStencil;
-            return;
-        }
-    }
-
-    bool updated = _colorUnit.writeQuad(call.state.blend, quad.x, quad.y,
-                                        pending.colors, live);
-    if (updated) {
-        ++_counters.quadsBlended;
-        _counters.blendedFragments +=
-            static_cast<std::uint64_t>(std::popcount(live));
-    } else {
-        ++_counters.quadsRemovedColorMask;
-    }
-}
-
-void
-GpuSimulator::flushShadeBatch(ShadeBatch &batch, QuadContextInfo &info,
-                              bool parallel)
-{
-    if (batch.meta.empty()) {
-        batch.quads.clear();
-        return;
-    }
-    if (!parallel) {
-        flushShadeBatchSerial(batch, info);
-        return;
-    }
-    ThreadPool &pool = ThreadPool::global();
-
-    // Phase 1 (parallel): run the pure shading work. Each worker slot
-    // owns a private interpreter/sampler shard and a block log; a quad
-    // records which shard served it so the resolve phase can find its
-    // texture accesses.
-    stats::ShardSet<ShadeWorker> workers(pool);
-    for (int s = 0; s < workers.size(); ++s)
-        workers.shard(s).begin(info.call);
-    {
-        WC3D_PROF_SCOPE("fragment.shade");
-        parallelFor(pool, batch.meta.size(),
-                    [&](int slot, std::size_t i) {
-                        PendingQuad &p = batch.meta[i];
-                        if (p.action == PendingQuad::Action::MaskDrop)
-                            return;
-                        p.slot = static_cast<std::uint16_t>(slot);
-                        shadeQuadWorker(workers.shard(slot), batch, p,
-                                        batch.quads.ref(i), info);
-                    });
-    }
-
-    // Phase 2 (in order): fold worker results back into the shared
-    // pipeline state in exact submission order.
-    {
-        WC3D_PROF_SCOPE("fragment.resolve");
-        for (std::size_t i = 0; i < batch.meta.size(); ++i) {
-            PendingQuad &p = batch.meta[i];
-            resolvePendingQuad(workers.shard(p.slot), batch, p,
-                               batch.quads.ref(i), info);
-        }
-    }
-    batch.quads.clear();
-    batch.meta.clear();
-}
-
-void
-GpuSimulator::flushShadeBatchSerial(ShadeBatch &batch, QuadContextInfo &info)
-{
-    // Single-thread bulk shading. Only early-z draws reach this path
-    // (serial late-z draws interleave strictly, see draw()), so every
-    // staged Shade quad has already survived HZ and z&stencil: its
-    // texture accesses definitely happen, in staging order, which keeps
-    // the texture-cache stream identical to per-quad execution. Colour
-    // writes (blend and MaskDrop) are replayed in staging order too.
-    const api::DrawCall &call = *info.call;
-    const shader::Program &fp = *call.fragmentProgram;
-    const shader::DecodedProgram &dec = fp.decoded();
-
-    if (_quadArena.size() < kSerialShadeChunk)
-        _quadArena.resize(kSerialShadeChunk);
-
-    std::size_t next = 0;    // next meta index to resolve
-    std::size_t filled = 0;  // arena states prepared but not yet shaded
-
-    // Shade the prepared arena states in one interpreter entry, then
-    // resolve every staged quad up to and including @p upto in order.
-    auto shadeAndResolveUpTo = [&](std::size_t upto) {
-        if (filled > 0) {
-            WC3D_PROF_SCOPE("fragment.shade");
-            auto before =
-                SamplerStatsDelta::capture(_interp, _texUnit.sampler());
-            _interp.runQuads(fp, _quadArena.data(), filled, &_texUnit);
-            SamplerStatsDelta::capture(_interp, _texUnit.sampler())
-                .since(before)
-                .chargeTo(_counters);
-        }
-        std::size_t k = 0; // arena cursor: k-th Shade quad in the chunk
-        for (; next <= upto; ++next) {
-            PendingQuad &p = batch.meta[next];
-            raster::QuadRef quad = batch.quads.ref(next);
-            if (p.action == PendingQuad::Action::MaskDrop) {
-                Vec4 dummy[4] = {};
-                _colorUnit.writeQuad(call.state.blend, quad.x, quad.y,
-                                     dummy, p.live);
-                ++_counters.quadsRemovedColorMask;
-                continue;
-            }
-            const shader::QuadState &qs = _quadArena[k++];
-            ++_counters.shadedQuads;
-            _counters.shadedFragments +=
-                static_cast<std::uint64_t>(std::popcount(p.live));
-            std::uint8_t live = p.live;
-            for (int l = 0; l < 4; ++l) {
-                if (qs.lanes[l].killed)
-                    live &= static_cast<std::uint8_t>(~(1u << l));
-            }
-            if (live == 0) {
-                ++_counters.quadsRemovedAlpha;
-                continue;
-            }
-            Vec4 colors[4];
-            for (int l = 0; l < 4; ++l)
-                colors[l] = qs.lanes[l].outputs[0];
-            bool updated = _colorUnit.writeQuad(call.state.blend, quad.x,
-                                                quad.y, colors, live);
-            if (updated) {
-                ++_counters.quadsBlended;
-                _counters.blendedFragments +=
-                    static_cast<std::uint64_t>(std::popcount(live));
-            } else {
-                ++_counters.quadsRemovedColorMask;
-            }
-        }
-        filled = 0;
-    };
-
-    for (std::size_t i = 0; i < batch.meta.size(); ++i) {
-        const PendingQuad &p = batch.meta[i];
-        if (p.action != PendingQuad::Action::Shade)
-            continue;
-        const raster::TriangleSetup &setup =
-            batch.tris[static_cast<std::size_t>(p.tri)].setup;
-        prepareQuadState(_quadArena[filled++], dec, info.fpInputMask,
-                         setup, batch.quads.ref(i), p.live);
-        if (filled == kSerialShadeChunk)
-            shadeAndResolveUpTo(i);
-    }
-    shadeAndResolveUpTo(batch.meta.size() - 1);
-
-    batch.quads.clear();
-    batch.meta.clear();
 }
 
 void

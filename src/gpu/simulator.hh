@@ -29,8 +29,10 @@
  * submitting thread in reconstructed submission order, making counters,
  * cache statistics and traffic bytes bit-identical at every thread
  * count and tile size (see DESIGN.md "Tile-parallel pipeline").
- * WC3D_TILED=0 falls back to the former per-draw shard-and-resolve
- * scheme. Vertex shading is sharded across workers as before.
+ * Vertex shading runs on the same pool: the vertex cache is replayed in
+ * index order first, then the misses are shaded in parallel chunks. At
+ * WC3D_THREADS=1 every work item runs inline on the submitting thread,
+ * so one code path serves all thread counts.
  */
 
 #ifndef WC3D_GPU_SIMULATOR_HH
@@ -40,7 +42,7 @@
 #include <vector>
 
 #include "api/device.hh"
-#include "fragment/rop.hh"
+#include "fragment/framebuffer.hh"
 #include "fragment/zstencil.hh"
 #include "geom/vertexcache.hh"
 #include "gpu/config.hh"
@@ -48,8 +50,8 @@
 #include "raster/hz.hh"
 #include "raster/rasterizer.hh"
 #include "raster/tilegrid.hh"
-#include "shader/interp.hh"
 #include "stats/series.hh"
+#include "texture/texcache.hh"
 
 namespace wc3d::gpu {
 
@@ -95,9 +97,9 @@ class GpuSimulator : public api::DrawSink
     const memsys::CacheStats &colorCacheStats() const
     { return _color.cacheStats(); }
     const memsys::CacheStats &texL0Stats() const
-    { return _texUnit.cache().l0Stats(); }
+    { return _texCache.l0Stats(); }
     const memsys::CacheStats &texL1Stats() const
-    { return _texUnit.cache().l1Stats(); }
+    { return _texCache.l1Stats(); }
     /// @}
 
     const memsys::MemoryController &memory() const { return _memory; }
@@ -114,10 +116,6 @@ class GpuSimulator : public api::DrawSink
 
   private:
     struct QuadContextInfo;
-    struct PendingTri;   ///< setup + facing kept alive for a shade batch
-    struct PendingQuad;  ///< one staged quad's action + worker outputs
-    struct ShadeBatch;   ///< in-order quad/triangle staging area
-    struct ShadeWorker;  ///< per-slot interpreter/sampler/recorder shard
     struct TiledTri;     ///< binned triangle (setup + facing + tile range)
     struct TileOutput;   ///< per-tile quad stream + deferred access logs
     struct TileExec;     ///< per-slot tile-worker execution state
@@ -125,27 +123,21 @@ class GpuSimulator : public api::DrawSink
     /** Outcome of the Hierarchical-Z stage for one quad. */
     enum class HzOutcome : std::uint8_t { Culled, Accepted, Pass };
 
-    /** @name Stages shared by all fragment paths. Tile workers pass
-     *  their private stats shard / unit / counters; the defaults are
-     *  the submit-thread members. */
+    /** @name Per-quad stages, run by tile workers on their private
+     *  stats shard, z & stencil unit and counters. */
     /// @{
     HzOutcome hzTestQuad(const QuadContextInfo &info,
                          const raster::QuadRef &quad,
-                         raster::HzStats *hz_stats = nullptr);
-    bool zStencilQuad(const QuadContextInfo &info,
-                      const raster::QuadRef &quad, std::uint8_t &mask,
-                      bool hz_accepted)
-    { return zStencilQuad(info, quad, mask, hz_accepted, _zUnit,
-                          _counters); }
+                         raster::HzStats &hz_stats);
     bool zStencilQuad(const QuadContextInfo &info,
                       const raster::QuadRef &quad, std::uint8_t &mask,
                       bool hz_accepted, frag::ZStencilUnit &z_unit,
                       PipelineCounters &counters);
     /// @}
 
-    /** @name Tile-parallel back-end (the default raster/shade/ROP path) */
+    /** @name Tile-parallel raster/shade/ROP back-end */
     /// @{
-    void drawTiled(const api::DrawCall &call, QuadContextInfo &info);
+    void drawTiled(const api::DrawCall &call, const QuadContextInfo &info);
     void processTile(TileExec &exec, TileOutput &out,
                      const raster::TileRect &rect,
                      const QuadContextInfo &base_info);
@@ -157,32 +149,7 @@ class GpuSimulator : public api::DrawSink
     void replayQuadRec(const TileOutput &out, std::size_t rec);
     /// @}
 
-    /** @name Serial (WC3D_THREADS=1) path */
-    /// @{
-    void shadeVerticesSerial(const api::DrawCall &call);
-    void shadeAndResolveQuad(const raster::QuadRef &quad,
-                             const raster::TriangleSetup &setup,
-                             const QuadContextInfo &info);
-    /// @}
-
-    /** @name Batched fragment path (staged in order, shaded in bulk) */
-    /// @{
-    void shadeVerticesParallel(const api::DrawCall &call);
-    void collectQuad(ShadeBatch &batch, const raster::QuadRef &quad,
-                     int tri, const QuadContextInfo &info);
-    static void shadeQuadWorker(ShadeWorker &worker, const ShadeBatch &batch,
-                                PendingQuad &pending,
-                                const raster::QuadRef &quad,
-                                const QuadContextInfo &info);
-    void resolvePendingQuad(const ShadeWorker &worker,
-                            const ShadeBatch &batch, PendingQuad &pending,
-                            const raster::QuadRef &quad,
-                            QuadContextInfo &info);
-    void flushShadeBatch(ShadeBatch &batch, QuadContextInfo &info,
-                         bool parallel);
-    void flushShadeBatchSerial(ShadeBatch &batch, QuadContextInfo &info);
-    /// @}
-
+    void shadeVertices(const api::DrawCall &call);
     void recordFrame();
 
     GpuConfig _config;
@@ -190,16 +157,11 @@ class GpuSimulator : public api::DrawSink
     frag::CachedSurface _depth;
     frag::CachedSurface _color;
     raster::HierarchicalZ _hz;
-    raster::Rasterizer _rasterizer;
     raster::TileGrid _tileGrid;
-    bool _tiled; ///< tile-parallel back-end on (WC3D_TILED, default 1)
     geom::ClipCull _clipCull;
     geom::VertexCache _vertexCache;
     std::vector<geom::TransformedVertex> _vertexCacheData;
-    shader::Interpreter _interp;
-    tex::TextureUnit _texUnit;
-    frag::ZStencilUnit _zUnit;
-    frag::ColorUnit _colorUnit;
+    tex::TextureCache _texCache;
 
     PipelineCounters _counters;
     PipelineCounters _frameStart;
@@ -210,10 +172,6 @@ class GpuSimulator : public api::DrawSink
     std::vector<geom::TransformedVertex> _stream;
     std::vector<geom::AssembledTriangle> _assembled;
     std::vector<std::array<geom::TransformedVertex, 3>> _clippedTris;
-    std::unique_ptr<ShadeBatch> _batch; ///< fragment staging, reused
-    raster::QuadBatch _triQuads;        ///< per-triangle traversal arena
-    shader::QuadState _serialQuad;      ///< late-z per-quad shading state
-    std::vector<shader::QuadState> _quadArena; ///< serial bulk-shade states
 
     // Tile-parallel per-draw state, reused across draws.
     std::vector<TiledTri> _tiledTris;   ///< binned triangles, draw order

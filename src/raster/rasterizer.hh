@@ -212,7 +212,7 @@ class Rasterizer
      * every quad of the full walk exactly once, and summing the
      * per-tile statistics reproduces rasterize()'s counts — except
      * `triangles`, which tile traversal never bumps (a triangle spans
-     * many tiles; the binning pass counts it once via noteTriangles()).
+     * many tiles).
      */
     template <typename Fn>
     void
@@ -242,12 +242,6 @@ class Rasterizer
 
     const RasterStats &stats() const { return _stats; }
     void resetStats() { _stats = RasterStats(); }
-
-    /** Fold a tile worker's traversal statistics into this one's. */
-    void mergeStats(const RasterStats &s) { _stats += s; }
-
-    /** Count triangles binned for tile traversal (see rasterizeTile). */
-    void noteTriangles(std::uint64_t n) { _stats.triangles += n; }
 
     int width() const { return _width; }
     int height() const { return _height; }

@@ -106,6 +106,15 @@ TEST(Runner, CachePathEncodesKey)
     EXPECT_NE(p.find("doom3_trdemo2"), std::string::npos);
     EXPECT_NE(p.find("f7"), std::string::npos);
     EXPECT_NE(p.find("640x480"), std::string::npos);
+
+    // Default-shape file names are stable, so existing caches stay valid.
+    const char *dir = std::getenv("WC3D_CACHE_DIR");
+    std::string saved = dir ? dir : "";
+    unsetenv("WC3D_CACHE_DIR");
+    EXPECT_EQ(cachePath("doom3/trdemo2", 7, 640, 480),
+              ".wc3d-cache/doom3_trdemo2_f7_640x480_v5.txt");
+    if (dir)
+        setenv("WC3D_CACHE_DIR", saved.c_str(), 1);
 }
 
 TEST(Tables, WorkloadsListsAllTwelve)

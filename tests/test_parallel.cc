@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the parallel execution layer: thread-pool semantics,
- * per-slot sharding, and the headline determinism contract — a full
- * simulated game produces bit-identical statistics at WC3D_THREADS=1
- * and WC3D_THREADS=4.
+ * Tests for the parallel execution layer: thread-pool semantics and the
+ * headline determinism contract — a full simulated game produces
+ * bit-identical statistics at every WC3D_THREADS value and tile size.
  */
 
 #include <atomic>
@@ -17,7 +16,6 @@
 #include "common/threadpool.hh"
 #include "core/runner.hh"
 #include "shader/jit/jit.hh"
-#include "stats/shard.hh"
 #include "workloads/games.hh"
 
 using namespace wc3d;
@@ -72,23 +70,6 @@ TEST(ThreadPool, NestedGroupsDoNotDeadlock)
     EXPECT_EQ(total.load(), 8 * 50);
 }
 
-TEST(ThreadPool, ShardsReduceInSlotOrder)
-{
-    ThreadPool pool(4);
-    stats::ShardSet<std::vector<std::size_t>> shards(pool);
-    ASSERT_EQ(shards.size(), 4);
-    parallelFor(pool, 400, [&shards](int slot, std::size_t i) {
-        shards.shard(slot).push_back(i);
-    });
-    auto sum = shards.reduce(std::size_t{0},
-                             [](std::size_t &acc,
-                                const std::vector<std::size_t> &s) {
-                                 for (std::size_t v : s)
-                                     acc += v;
-                             });
-    EXPECT_EQ(sum, 400u * 399u / 2);
-}
-
 TEST(ThreadPool, ConfiguredThreadsHonoursEnvironment)
 {
     setenv("WC3D_THREADS", "3", 1);
@@ -122,13 +103,12 @@ expectCacheEqual(const memsys::CacheStats &a, const memsys::CacheStats &b,
 
 /**
  * Assert two runs of the same workload are bit-identical: every
- * counter, every cache model, and (when @p compare_traffic) every
- * per-client traffic byte and per-frame series sample.
+ * counter, every cache model, every per-client traffic byte and every
+ * per-frame series sample.
  */
 void
 expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
-                       const std::string &label,
-                       bool compare_traffic = true)
+                       const std::string &label)
 {
     SCOPED_TRACE(label);
     const gpu::PipelineCounters &a = run.counters;
@@ -166,9 +146,6 @@ expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
     expectCacheEqual(run.texL0, ref.texL0, "tex L0");
     expectCacheEqual(run.texL1, ref.texL1, "tex L1");
 
-    if (!compare_traffic)
-        return;
-
     // Per-client memory traffic, byte for byte.
     for (int i = 0; i < memsys::kNumClients; ++i) {
         EXPECT_EQ(a.traffic.readBytes[i], b.traffic.readBytes[i])
@@ -189,13 +166,6 @@ expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
 }
 
 } // namespace
-
-TEST(Determinism, ParallelRunIsBitIdenticalToSequential)
-{
-    MicroRun serial = simulateAt(1);
-    MicroRun parallel = simulateAt(4);
-    expectRunsBitIdentical(parallel, serial, "4 threads vs 1 thread");
-}
 
 TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
 {
@@ -221,39 +191,14 @@ TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
     }
 }
 
-TEST(Determinism, TiledMatchesLegacyBackEndEventCounts)
-{
-    // The legacy shard-and-resolve back-end must agree with the tiled
-    // one on every event count and cache hit/miss stream. Traffic
-    // BYTES are excluded: the tiled path analyses writeback
-    // compressibility at end-of-draw word state, the legacy path
-    // mid-draw, so block encodings (not event counts) can differ.
-    MicroRun tiled = simulateAt(1);
-    setenv("WC3D_TILED", "0", 1);
-    MicroRun legacy = simulateAt(1);
-    unsetenv("WC3D_TILED");
-    expectRunsBitIdentical(tiled, legacy, "tiled vs legacy back-end",
-                           /*compare_traffic=*/false);
-}
-
-TEST(Determinism, LegacyRunIsBitIdenticalToSequential)
-{
-    setenv("WC3D_TILED", "0", 1);
-    MicroRun serial = simulateAt(1);
-    MicroRun parallel = simulateAt(4);
-    unsetenv("WC3D_TILED");
-    expectRunsBitIdentical(parallel, serial,
-                           "legacy 4 threads vs 1 thread");
-}
-
 TEST(Determinism, JitMatchesDecodedAcrossAllTimedemos)
 {
     // The shader JIT's acceptance contract: every one of the twelve
     // timedemos produces bit-identical pipeline statistics whether the
     // shaders run through the native kernels or the decoded
-    // interpreter, at 1 and 4 threads with the tiled back-end on. One
-    // decoded reference per game; the cache must stay off or a cached
-    // run would short-circuit the comparison.
+    // interpreter, at 1 and 4 threads. One decoded reference per game;
+    // the cache must stay off or a cached run would short-circuit the
+    // comparison.
     if (!shader::jit::available())
         GTEST_SKIP() << "host cannot run the x86-64 JIT";
 
