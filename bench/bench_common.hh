@@ -13,8 +13,7 @@
  *
  * Environment: WC3D_FRAMES (microarch), WC3D_API_FRAMES (API tables),
  * WC3D_FIG_FRAMES (figure series), WC3D_NO_CACHE, WC3D_CACHE_DIR,
- * WC3D_FIG_DIR (CSV output directory, default "wc3d-figures"),
- * WC3D_BENCH_JSON (perf-trajectory file, default "BENCH_speed.json").
+ * WC3D_FIG_DIR (CSV output directory, default "wc3d-figures").
  */
 
 #ifndef WC3D_BENCH_COMMON_HH
@@ -95,53 +94,6 @@ writeCsv(const std::string &name, const std::string &csv)
     }
 }
 
-/** Warm-up runs before any timed measurement (WC3D_BENCH_WARMUP). */
-inline int
-benchWarmupRuns()
-{
-    return envInt("WC3D_BENCH_WARMUP", 1);
-}
-
-/** Timed repetitions per measurement; the minimum is reported
- *  (WC3D_BENCH_REPS). */
-inline int
-benchTimedRuns()
-{
-    return envInt("WC3D_BENCH_REPS", 3);
-}
-
-/**
- * Stable wall-clock measurement for manually timed regions: run @p fn
- * @p warmup times untimed (caches, allocator pools and the branch
- * predictor settle), then @p reps times timed, and return the minimum.
- * The minimum — not the mean — is the low-noise estimator for a
- * deterministic workload: every source of variance (scheduling,
- * frequency ramp, interrupts) only ever adds time.
- *
- * Defaults come from WC3D_BENCH_WARMUP / WC3D_BENCH_REPS so CI can
- * trade precision for wall clock without code changes.
- */
-template <typename Fn>
-inline double
-stableSeconds(Fn &&fn, int warmup = -1, int reps = -1)
-{
-    if (warmup < 0)
-        warmup = benchWarmupRuns();
-    if (reps < 1)
-        reps = benchTimedRuns();
-    for (int i = 0; i < warmup; ++i)
-        fn();
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps; ++i) {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
-
 /** First "model name" line of /proc/cpuinfo, or "unknown". */
 inline std::string
 cpuModelName()
@@ -169,9 +121,8 @@ cpuModelName()
 }
 
 /**
- * Host fingerprint stored alongside wall times so a comparison tool
- * (examples/bench_gate.cpp) can tell whether absolute seconds from two
- * documents are comparable at all.
+ * Host fingerprint stored alongside wall times (bench/e2e), so a reader
+ * can tell whether absolute seconds from two documents are comparable.
  */
 inline json::Value
 hostFingerprint()
@@ -182,89 +133,6 @@ hostFingerprint()
              json::Value::number(static_cast<int>(
                  std::thread::hardware_concurrency())));
     return host;
-}
-
-/** Path of the shared perf-trajectory document. */
-inline std::string
-benchJsonPath()
-{
-    return envString("WC3D_BENCH_JSON", "BENCH_speed.json");
-}
-
-/**
- * Load BENCH_speed.json, or a fresh skeleton when it is missing or
- * unreadable (a corrupt file is replaced, never fatal for a bench).
- */
-inline json::Value
-loadBenchJson()
-{
-    json::Value doc;
-    std::string error;
-    const json::Value *schema = nullptr;
-    if (json::parseFile(benchJsonPath(), doc, &error))
-        schema = doc.find("schema");
-    if (!schema || schema->asString() != "wc3d-bench-speed-v1") {
-        doc = json::Value::object();
-        doc.set("schema", json::Value::str("wc3d-bench-speed-v1"));
-        doc.set("benches", json::Value::object());
-    }
-    if (!doc.find("benches"))
-        doc.set("benches", json::Value::object());
-    return doc;
-}
-
-/**
- * Atomically rewrite BENCH_speed.json with @p doc. The write goes
- * through the faultio-checked durable helper, so a short write or
- * ENOSPC surfaces as a structured warning here and the previous
- * document survives intact — the bench never gates against a
- * truncated baseline.
- */
-inline void
-storeBenchJson(const json::Value &doc)
-{
-    std::string error;
-    if (!json::writeFileAtomic(benchJsonPath(),
-                               doc.serialize(1) + "\n", &error)) {
-        std::fprintf(stderr, "bench: cannot write %s: %s\n",
-                     benchJsonPath().c_str(), error.c_str());
-    }
-}
-
-/**
- * Record one whole-binary wall time under benches.<name>, bumping its
- * cumulative run count, and report the previously recorded time.
- */
-inline void
-recordBenchWallTime(const std::string &name, double seconds)
-{
-    json::Value doc = loadBenchJson();
-    json::Value benches = *doc.find("benches"); // copy; set() replaces
-    double previous = 0.0;
-    std::uint64_t runs = 0;
-    if (const json::Value *old = benches.find(name)) {
-        if (const json::Value *s = old->find("wall_seconds"))
-            previous = s->asDouble();
-        if (const json::Value *r = old->find("runs"))
-            runs = r->asU64();
-    }
-    json::Value entry = json::Value::object();
-    entry.set("wall_seconds", json::Value::number(seconds));
-    entry.set("runs", json::Value::number(runs + 1));
-    benches.set(name, std::move(entry));
-    doc.set("benches", std::move(benches));
-    storeBenchJson(doc);
-    if (previous > 0.0) {
-        std::printf("bench wall time: %.3fs (previous %.3fs, %+.1f%%) "
-                    "-> %s\n",
-                    seconds, previous,
-                    (seconds - previous) / previous * 100.0,
-                    benchJsonPath().c_str());
-    } else {
-        std::printf("bench wall time: %.3fs -> %s\n", seconds,
-                    benchJsonPath().c_str());
-    }
-    std::fflush(stdout);
 }
 
 /**
@@ -293,40 +161,22 @@ patchedBenchArgs(int *argc, char **argv)
     return ptrs.data();
 }
 
-/** argv[0] without directories — the benches.<name> key. */
-inline std::string
-benchName(const char *argv0)
-{
-    std::string name = argv0 ? argv0 : "bench";
-    std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos)
-        name = name.substr(slash + 1);
-    return name.empty() ? "bench" : name;
-}
-
 } // namespace wc3d::bench
 
 /**
  * Standard main: print the deliverable first, then run benchmarks (with
- * a default warm-up period injected for every case), and record the
- * binary's wall clock in BENCH_speed.json.
+ * a default warm-up period injected for every case).
  */
 #define WC3D_BENCH_MAIN(print_fn)                                        \
     int                                                                  \
     main(int argc, char **argv)                                          \
     {                                                                    \
-        auto wc3d_bench_start = std::chrono::steady_clock::now();        \
         char **wc3d_bench_argv =                                         \
             ::wc3d::bench::patchedBenchArgs(&argc, argv);                \
         ::benchmark::Initialize(&argc, wc3d_bench_argv);                 \
         print_fn();                                                      \
         ::benchmark::RunSpecifiedBenchmarks();                           \
         ::benchmark::Shutdown();                                         \
-        std::chrono::duration<double> wc3d_bench_elapsed =               \
-            std::chrono::steady_clock::now() - wc3d_bench_start;         \
-        ::wc3d::bench::recordBenchWallTime(                              \
-            ::wc3d::bench::benchName(argc > 0 ? argv[0] : nullptr),      \
-            wc3d_bench_elapsed.count());                                 \
         return 0;                                                        \
     }
 

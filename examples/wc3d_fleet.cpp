@@ -14,8 +14,9 @@
  * The store directory defaults to WC3D_FLEET_DIR (".wc3d-fleet").
  * Exit codes are a CI contract: 0 = ok, 1 = operational error,
  * 2 = usage, 3 = regression (query --regress) or store inconsistency
- * (check) detected — so `wc3d-fleet query --regress BASE CUR` gates a
- * pipeline the way bench_gate gates wall time.
+ * (check) detected — so `wc3d-fleet query --regress BASE CUR` can fail
+ * a CI step on counter drift. --threshold takes a finite relative bound
+ * >= 0 (0.05 = 5%); anything else ("5%", "junk") is a usage error.
  */
 
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "fleet/query.hh"
 #include "fleet/report.hh"
@@ -39,15 +41,17 @@ usage()
     std::fprintf(
         stderr,
         "usage: wc3d-fleet [--dir DIR] COMMAND\n"
-        "  ingest FILE...                  add metrics/serve/bench "
-        "documents\n"
+        "  ingest FILE...                  add metrics/serve "
+        "manifests\n"
         "  list                            show every index entry\n"
         "  query --phases SEQ              per-stage time breakdown\n"
         "  query --counters SEQ [--prefix P]\n"
         "                                  flattened counter view\n"
         "  query --regress BASE CUR [--threshold F] [--prefix P]\n"
         "                                  counter drift gate (exit 3 "
-        "on drift)\n"
+        "on drift);\n"
+        "                                  F is a relative bound >= 0, "
+        "default 0.05\n"
         "  report [--out PATH]             self-contained HTML report\n"
         "  check [--repair]                store consistency (exit 3 "
         "on problems);\n"
@@ -337,7 +341,8 @@ main(int argc, char **argv)
                     return usage();
                 mode = arg + 2;
             } else if (std::strcmp(arg, "--threshold") == 0 && val) {
-                threshold = std::atof(val);
+                if (!parseDouble(val, &threshold) || threshold < 0.0)
+                    return usage();
                 ++i;
             } else if (std::strcmp(arg, "--prefix") == 0 && val) {
                 prefix = val;

@@ -48,26 +48,18 @@ envInt(const char *name, int fallback)
     return static_cast<int>(parsed);
 }
 
-double
-envDouble(const char *name, double fallback)
+bool
+parseDouble(const char *text, double *out)
 {
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    errno = 0;
+    if (!text || !*text)
+        return false;
     char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v || !restIsSpace(end)) {
-        warn("%s='%s' is not a number; using default %g", name, v,
-             fallback);
-        return fallback;
-    }
-    if (errno == ERANGE && (parsed == HUGE_VAL || parsed == -HUGE_VAL)) {
-        warn("%s='%s' overflows a double; using default %g", name, v,
-             fallback);
-        return fallback;
-    }
-    return parsed;
+    double parsed = std::strtod(text, &end);
+    // Overflow comes back as +-HUGE_VAL, i.e. not finite.
+    if (end == text || *end != '\0' || !std::isfinite(parsed))
+        return false;
+    *out = parsed;
+    return true;
 }
 
 std::string

@@ -1,7 +1,8 @@
 /**
  * @file
  * Environment-variable helpers used by benches to scale run lengths
- * (e.g. WC3D_FRAMES) without recompiling.
+ * (e.g. WC3D_FRAMES) without recompiling, and the strict number parser
+ * command-line flags share with them.
  */
 
 #ifndef WC3D_COMMON_ENV_HH
@@ -19,10 +20,11 @@ namespace wc3d {
 int envInt(const char *name, int fallback);
 
 /**
- * @return the floating-point value of env var @p name, or @p fallback.
- * Trailing garbage and overflow are rejected with a warning.
+ * Strictly parse @p text as a finite double into @p out.
+ * @return false, leaving @p out untouched, for an empty string,
+ * trailing characters ("5%", "2.25x", "1 "), overflow, inf or nan.
  */
-double envDouble(const char *name, double fallback);
+bool parseDouble(const char *text, double *out);
 
 /** @return the value of env var @p name, or @p fallback. */
 std::string envString(const char *name, const std::string &fallback);

@@ -626,7 +626,7 @@ writeFileAtomic(const std::string &path, const std::string &content,
                 std::string *error)
 {
     // Delegates to the faultio-checked durable writer so every JSON
-    // artifact (metrics, runmeta, bench documents, fleet index/blobs)
+    // artifact (metrics, runmeta, fleet index/blobs)
     // gets fsync discipline and structured short-write/ENOSPC errors.
     return wc3d::atomicWriteFile(path, content, error);
 }

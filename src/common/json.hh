@@ -2,10 +2,10 @@
  * @file
  * Minimal JSON document model, writer and parser. Backs the
  * observability layer: Chrome trace export (common/prof), the run
- * metrics manifest (core/runmeta) and the BENCH_speed.json perf
- * trajectory. Numbers keep their integer width (counters are exact
- * uint64, not doubles); object member order is preserved so exported
- * documents are deterministic and diffable.
+ * metrics manifest (core/runmeta), the fleet store (fleet/) and the
+ * bench/e2e results document. Numbers keep their integer width
+ * (counters are exact uint64, not doubles); object member order is
+ * preserved so exported documents are deterministic and diffable.
  */
 
 #ifndef WC3D_COMMON_JSON_HH

@@ -12,8 +12,8 @@
  * canonical JSON document: config (frames, threads, cache hits/misses,
  * git describe), phase wall-clocks, one record per run (full
  * PipelineCounters / ApiStats / cache models) and a complete dump of
- * the registry. BENCH_*.json consumers and CI trend tracking read this
- * artifact; tests/test_observability.cc validates its schema.
+ * the registry. The fleet store (fleet/) and CI trend tracking read
+ * this artifact; tests/test_observability.cc validates its schema.
  */
 
 #ifndef WC3D_CORE_RUNMETA_HH

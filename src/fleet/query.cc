@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/strutil.hh"
-
 namespace wc3d::fleet {
 
 namespace {
@@ -79,36 +77,6 @@ flattenServe(const json::Value &doc,
     }
 }
 
-void
-flattenBench(const json::Value &doc,
-             std::vector<std::pair<std::string, double>> &out)
-{
-    const json::Value *benches = doc.find("benches");
-    if (benches && benches->isObject()) {
-        for (const auto &kv : benches->members()) {
-            const json::Value *wall = kv.second.find("wall_seconds");
-            if (wall && wall->isNumber())
-                put(out, "bench." + kv.first + ".wall_seconds",
-                    wall->asDouble());
-        }
-    }
-    const json::Value *sim = doc.find("speed_simulation");
-    const json::Value *sweep = sim ? sim->find("sweep") : nullptr;
-    if (sweep && sweep->isArray()) {
-        for (const json::Value &point : sweep->items()) {
-            const json::Value *threads = point.find("threads");
-            const json::Value *fps = point.find("frames_per_sec");
-            if (threads && threads->isNumber() && fps &&
-                fps->isNumber())
-                put(out,
-                    format("bench.sweep.t%llu.frames_per_sec",
-                           static_cast<unsigned long long>(
-                               threads->asU64())),
-                    fps->asDouble());
-        }
-    }
-}
-
 } // namespace
 
 std::vector<StageBreakdown>
@@ -152,9 +120,6 @@ flattenCounters(const json::Value &doc, Kind kind)
         break;
       case Kind::Serve:
         flattenServe(doc, out);
-        break;
-      case Kind::Bench:
-        flattenBench(doc, out);
         break;
     }
     std::sort(out.begin(), out.end());

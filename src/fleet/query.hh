@@ -3,8 +3,8 @@
  * Fleet-level queries over the store: per-stage time breakdowns,
  * flattened counter views of every artifact kind, and counter-drift
  * comparison between any two entries with a configurable threshold —
- * the regression gate behind `wc3d-fleet query --regress` (exit
- * non-zero on drift, the way bench_gate gates wall time).
+ * the regression gate behind `wc3d-fleet query --regress` (exit 3 on
+ * drift, so a CI step can fail on a counter that moved).
  */
 
 #ifndef WC3D_FLEET_QUERY_HH
@@ -27,15 +27,14 @@ struct StageBreakdown
 };
 
 /** Phases of a metrics document, descending by seconds. Empty for
- *  serve/bench documents (they carry no phase clock). */
+ *  serve documents (they carry no phase clock). */
 std::vector<StageBreakdown> stageBreakdown(const json::Value &doc);
 
 /**
  * Flatten @p doc into comparable (name, value) pairs, sorted by name:
  *  - metrics: every registry counter, plus derived
  *    "<...>.cache.<c>.hitRate" rates (hits/accesses);
- *  - serve:   lifetime counters under "serve.";
- *  - bench:   bench wall clocks and sweep frames/sec under "bench.".
+ *  - serve:   lifetime counters under "serve.".
  */
 std::vector<std::pair<std::string, double>>
 flattenCounters(const json::Value &doc, Kind kind);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/strutil.hh"
 #include "fleet/query.hh"
@@ -20,30 +19,18 @@ struct LoadedEntry
     std::vector<StageBreakdown> stages;
 };
 
+/** Summed run seconds of a metrics manifest (0 for serve ones). */
 double
 entryTotalSeconds(const json::Value &doc, Kind kind)
 {
     double total = 0.0;
-    if (kind == Kind::Metrics) {
-        const json::Value *runs = doc.find("runs");
-        if (runs && runs->isArray()) {
-            for (const json::Value &run : runs->items()) {
-                const json::Value *seconds = run.find("seconds");
-                if (seconds && seconds->isNumber())
-                    total += seconds->asDouble();
-            }
-        }
-        return total;
-    }
-    if (kind == Kind::Bench) {
-        const json::Value *benches = doc.find("benches");
-        if (benches && benches->isObject()) {
-            for (const auto &kv : benches->members()) {
-                const json::Value *wall =
-                    kv.second.find("wall_seconds");
-                if (wall && wall->isNumber())
-                    total += wall->asDouble();
-            }
+    const json::Value *runs =
+        kind == Kind::Metrics ? doc.find("runs") : nullptr;
+    if (runs && runs->isArray()) {
+        for (const json::Value &run : runs->items()) {
+            const json::Value *seconds = run.find("seconds");
+            if (seconds && seconds->isNumber())
+                total += seconds->asDouble();
         }
     }
     return total;
@@ -59,15 +46,6 @@ phaseColor(const std::string &name)
         h *= 16777619u;
     }
     return format("hsl(%u,62%%,52%%)", h % 360u);
-}
-
-/** Heatmap cell color: cold blue (0) to warm yellow-green (1). */
-std::string
-heatColor(double t)
-{
-    t = std::clamp(t, 0.0, 1.0);
-    return format("hsl(%d,70%%,%d%%)", 220 - static_cast<int>(160 * t),
-                  35 + static_cast<int>(25 * t));
 }
 
 std::string
@@ -100,15 +78,15 @@ sectionHeading(std::string &html, const char *title)
     html += "</h2>\n";
 }
 
-/** Perf trajectory: one dot per entry in insertion order, polyline
- *  per artifact kind, y = total run wall-clock. */
+/** Perf trajectory: one dot per metrics entry in insertion order,
+ *  joined by a polyline, y = total run wall-clock. */
 void
 renderTrajectory(std::string &html,
                  const std::vector<LoadedEntry> &loaded)
 {
     std::vector<const LoadedEntry *> points;
     for (const LoadedEntry &e : loaded) {
-        if (e.index->kind != Kind::Serve && e.totalSeconds > 0.0)
+        if (e.index->kind == Kind::Metrics && e.totalSeconds > 0.0)
             points.push_back(&e);
     }
     sectionHeading(html, "Perf trajectory");
@@ -143,29 +121,19 @@ renderTrajectory(std::string &html,
                        "class=\"ylab\">%s</text>\n",
                        ml - 6, y + 4, fmtSeconds(v).c_str());
     }
-    for (Kind kind : {Kind::Metrics, Kind::Bench}) {
-        std::string line;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (points[i]->index->kind != kind)
-                continue;
-            line += format("%.1f,%.1f ", xpos(i),
-                           ypos(points[i]->totalSeconds));
-        }
-        if (!line.empty())
-            html += format("<polyline points=\"%s\" class=\"line "
-                           "line-%s\"/>\n",
-                           line.c_str(), kindName(kind));
-    }
+    std::string line;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        line += format("%.1f,%.1f ", xpos(i), ypos(points[i]->totalSeconds));
+    html += format("<polyline points=\"%s\" class=\"line\"/>\n",
+                   line.c_str());
     for (std::size_t i = 0; i < points.size(); ++i) {
         const LoadedEntry *p = points[i];
         html += format(
-            "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"4\" class=\"dot "
-            "dot-%s\"><title>#%llu %s (%s): %s</title></circle>\n",
+            "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"4\" class=\"dot\">"
+            "<title>#%llu %s: %s</title></circle>\n",
             xpos(i), ypos(p->totalSeconds),
-            kindName(p->index->kind),
             static_cast<unsigned long long>(p->index->seq),
             htmlEscape(p->index->git).c_str(),
-            kindName(p->index->kind),
             fmtSeconds(p->totalSeconds).c_str());
         html += format("<text x=\"%.1f\" y=\"%d\" "
                        "class=\"xlab\">#%llu</text>\n",
@@ -239,101 +207,6 @@ renderStages(std::string &html,
                        phaseColor(name).c_str(),
                        htmlEscape(name).c_str());
     html += "</p>\n";
-}
-
-/** Thread-sweep heatmap: rows = bench entries, columns = thread
- *  counts, color = frames/sec normalized over the grid. */
-void
-renderSweep(std::string &html,
-            const std::vector<LoadedEntry> &loaded)
-{
-    struct SweepRow
-    {
-        const LoadedEntry *entry;
-        std::map<std::uint64_t, double> fps; // threads -> fps
-    };
-    std::vector<SweepRow> rows;
-    std::vector<std::uint64_t> columns;
-    double fmin = 0.0, fmax = 0.0;
-    bool first = true;
-    for (const LoadedEntry &e : loaded) {
-        if (e.index->kind != Kind::Bench)
-            continue;
-        const json::Value *sim = e.doc.find("speed_simulation");
-        const json::Value *sweep = sim ? sim->find("sweep") : nullptr;
-        if (!sweep || !sweep->isArray() || sweep->size() == 0)
-            continue;
-        SweepRow row{&e, {}};
-        for (const json::Value &point : sweep->items()) {
-            const json::Value *threads = point.find("threads");
-            const json::Value *fps = point.find("frames_per_sec");
-            if (!threads || !threads->isNumber() || !fps ||
-                !fps->isNumber())
-                continue;
-            std::uint64_t t = threads->asU64();
-            double v = fps->asDouble();
-            row.fps[t] = v;
-            if (std::find(columns.begin(), columns.end(), t) ==
-                columns.end())
-                columns.push_back(t);
-            if (first || v < fmin)
-                fmin = v;
-            if (first || v > fmax)
-                fmax = v;
-            first = false;
-        }
-        if (!row.fps.empty())
-            rows.push_back(std::move(row));
-    }
-    sectionHeading(html, "Thread-sweep heatmap");
-    if (rows.empty()) {
-        html += "<p class=\"empty\">No bench documents with a thread "
-                "sweep ingested yet.</p>\n";
-        return;
-    }
-    std::sort(columns.begin(), columns.end());
-    const int cell_w = 84, cell_h = 30, label_w = 130;
-    int w = label_w + cell_w * static_cast<int>(columns.size()) + 8;
-    int h = cell_h * (static_cast<int>(rows.size()) + 1) + 8;
-    html += format("<svg viewBox=\"0 0 %d %d\" role=\"img\">\n", w, h);
-    for (std::size_t c = 0; c < columns.size(); ++c)
-        html += format("<text x=\"%d\" y=\"20\" class=\"xlab\">%llu "
-                       "thread(s)</text>\n",
-                       label_w + static_cast<int>(c) * cell_w +
-                           cell_w / 2,
-                       static_cast<unsigned long long>(columns[c]));
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        int y = cell_h * (static_cast<int>(r) + 1) + 4;
-        html += format("<text x=\"%d\" y=\"%d\" "
-                       "class=\"ylab\">#%llu %s</text>\n",
-                       label_w - 6, y + 19,
-                       static_cast<unsigned long long>(
-                           rows[r].entry->index->seq),
-                       htmlEscape(rows[r].entry->index->git).c_str());
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            auto it = rows[r].fps.find(columns[c]);
-            int x = label_w + static_cast<int>(c) * cell_w;
-            if (it == rows[r].fps.end()) {
-                html += format("<rect x=\"%d\" y=\"%d\" width=\"%d\" "
-                               "height=\"%d\" class=\"cell-empty\"/>\n",
-                               x, y, cell_w - 3, cell_h - 3);
-                continue;
-            }
-            double t = fmax > fmin
-                           ? (it->second - fmin) / (fmax - fmin)
-                           : 1.0;
-            html += format(
-                "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
-                "fill=\"%s\"><title>%.3f frames/s</title></rect>\n",
-                x, y, cell_w - 3, cell_h - 3, heatColor(t).c_str(),
-                it->second);
-            html += format("<text x=\"%d\" y=\"%d\" "
-                           "class=\"cell\">%.2f</text>\n",
-                           x + (cell_w - 3) / 2, y + cell_h / 2 + 4,
-                           it->second);
-        }
-    }
-    html += "</svg>\n";
 }
 
 void
@@ -453,13 +326,11 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
         "svg{width:100%;height:auto;background:#fafaff;"
         "border:1px solid #e0e0ee;border-radius:4px}\n"
         ".grid{stroke:#e4e4f0;stroke-width:1}\n"
-        ".line{fill:none;stroke-width:2}\n"
-        ".line-metrics{stroke:#4466cc}.line-bench{stroke:#cc7722}\n"
-        ".dot-metrics{fill:#4466cc}.dot-bench{fill:#cc7722}\n"
+        ".line{fill:none;stroke-width:2;stroke:#4466cc}\n"
+        ".dot{fill:#4466cc}\n"
         ".ylab{font:11px sans-serif;fill:#556;text-anchor:end}\n"
         ".xlab{font:11px sans-serif;fill:#556;text-anchor:middle}\n"
-        ".cell{font:11px sans-serif;fill:#fff;text-anchor:middle}\n"
-        ".cell-empty{fill:#eee}\n"
+
         ".legend span{margin-right:1em;white-space:nowrap}\n"
         ".legend i{display:inline-block;width:10px;height:10px;"
         "margin-right:4px;border-radius:2px}\n"
@@ -506,7 +377,6 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
 
     renderTrajectory(html, loaded);
     renderStages(html, loaded);
-    renderSweep(html, loaded);
     renderServe(html, loaded);
 
     html += "</body>\n</html>\n";

@@ -2,10 +2,9 @@
  * @file
  * Static HTML report over a fleet store: one self-contained page —
  * inline CSS and inline SVG, no scripts, no external assets — with
- * the perf trajectory across ingested runs, per-stage stacked bars
- * for every metrics manifest, a thread-sweep heatmap from the bench
- * documents and the serve-daemon counter table. `wc3d-fleet report`
- * writes it; CI uploads it as an artifact.
+ * the perf trajectory across ingested metrics manifests, per-stage
+ * stacked bars for each of them and the serve-daemon counter table.
+ * `wc3d-fleet report` writes it; CI uploads it as an artifact.
  */
 
 #ifndef WC3D_FLEET_REPORT_HH

@@ -138,39 +138,6 @@ describeDocument(const json::Value &doc, Kind kind)
         e.demos = serveDemos(doc);
         break;
       }
-      case Kind::Bench: {
-        json::Value knobs = json::Value::object();
-        const json::Value *sweep = doc.find("speed_simulation");
-        if (sweep) {
-            knobs.set("game", member(*sweep, "game"));
-            knobs.set("frames", member(*sweep, "frames"));
-            knobs.set("width", member(*sweep, "width"));
-            knobs.set("height", member(*sweep, "height"));
-        }
-        e.config = contentHash(knobs.serialize(0));
-        if (sweep) {
-            const json::Value *game = sweep->find("game");
-            if (game && game->isString())
-                e.demos.push_back(game->asString());
-        }
-        // BENCH_speed.json's host block predates hostInfoJson(); fall
-        // back to its cpu/threads shape for a usable fingerprint.
-        if (e.host == "unknown") {
-            const json::Value *host = doc.find("host");
-            const json::Value *cpu =
-                host ? host->find("cpu") : nullptr;
-            const json::Value *threads =
-                host ? host->find("threads") : nullptr;
-            if (cpu && cpu->isString() && !cpu->asString().empty()) {
-                e.host = format(
-                    "%s/%llu", cpu->asString().c_str(),
-                    static_cast<unsigned long long>(
-                        threads && threads->isNumber() ? threads->asU64()
-                                                       : 0));
-            }
-        }
-        break;
-      }
     }
     return e;
 }
@@ -219,8 +186,6 @@ entryFromJson(const json::Value &v, IndexEntry &out,
         out.kind = Kind::Metrics;
     else if (kind->asString() == kindName(Kind::Serve))
         out.kind = Kind::Serve;
-    else if (kind->asString() == kindName(Kind::Bench))
-        out.kind = Kind::Bench;
     else
         return bad(format("entry.kind '%s' unknown",
                           kind->asString().c_str()));
@@ -254,8 +219,6 @@ kindName(Kind kind)
         return "metrics";
       case Kind::Serve:
         return "serve";
-      case Kind::Bench:
-        return "bench";
     }
     return "unknown";
 }
@@ -299,12 +262,6 @@ classifyDocument(const json::Value &doc, Kind *kind,
         if (!validateServeMetrics(doc, &error))
             return bad(error);
         *kind = Kind::Serve;
-        return true;
-    }
-    if (tag == "wc3d-bench-speed-v1") {
-        if (!validateBenchSpeed(doc, &error))
-            return bad(error);
-        *kind = Kind::Bench;
         return true;
     }
     return bad(format("unknown schema tag '%s'", tag.c_str()));
@@ -367,49 +324,6 @@ validateServeMetrics(const json::Value &doc, std::string *error)
     return true;
 }
 
-bool
-validateBenchSpeed(const json::Value &doc, std::string *error)
-{
-    auto fail = [&](const std::string &why) {
-        if (error)
-            *error = "bench speed: " + why;
-        return false;
-    };
-    if (!doc.isObject())
-        return fail("document is not an object");
-    const json::Value *schema = doc.find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "wc3d-bench-speed-v1")
-        return fail("missing or wrong schema tag "
-                    "(want 'wc3d-bench-speed-v1')");
-    const json::Value *benches = doc.find("benches");
-    if (!benches || !benches->isObject())
-        return fail("missing benches object");
-    for (const auto &kv : benches->members()) {
-        const json::Value *wall = kv.second.find("wall_seconds");
-        if (!kv.second.isObject() || !wall || !wall->isNumber())
-            return fail(format("bench '%s' lacks wall_seconds",
-                               kv.first.c_str()));
-    }
-    const json::Value *sim = doc.find("speed_simulation");
-    if (sim) {
-        const json::Value *sweep = sim->find("sweep");
-        if (!sim->isObject() || !sweep || !sweep->isArray())
-            return fail("speed_simulation lacks sweep array");
-        for (std::size_t i = 0; i < sweep->size(); ++i) {
-            const json::Value &point = sweep->at(i);
-            const json::Value *threads = point.find("threads");
-            const json::Value *fps = point.find("frames_per_sec");
-            if (!point.isObject() || !threads ||
-                !threads->isNumber() || !fps || !fps->isNumber())
-                return fail(format(
-                    "sweep point %zu lacks threads/frames_per_sec",
-                    i));
-        }
-    }
-    return true;
-}
-
 std::string
 FleetStore::indexPath() const
 {
@@ -460,6 +374,8 @@ FleetStore::open(FleetError *err)
     const json::Value *entries = index.find("entries");
     if (!entries || !entries->isArray())
         return fail(indexPath(), "missing entries array");
+    // Entries go live only once the whole index has parsed.
+    std::vector<IndexEntry> loaded;
     std::uint64_t prev_seq = 0;
     for (std::size_t i = 0; i < entries->size(); ++i) {
         IndexEntry e;
@@ -472,8 +388,9 @@ FleetStore::open(FleetError *err)
                         format("entry %zu: seq %llu out of order", i,
                                static_cast<unsigned long long>(e.seq)));
         prev_seq = e.seq;
-        _entries.push_back(std::move(e));
+        loaded.push_back(std::move(e));
     }
+    _entries = std::move(loaded);
     return true;
 }
 

@@ -2,13 +2,12 @@
  * @file
  * The fleet metrics store: a content-addressed, insertion-ordered
  * on-disk database of observability artifacts — `wc3d-metrics-v1`
- * manifests (WC3D_METRICS_OUT), `wc3d-serve-metrics-v1` manifests
- * (the serving daemon) and `wc3d-bench-speed-v1` documents
- * (BENCH_speed.json). One run = one immutable blob; the index keys
+ * manifests (WC3D_METRICS_OUT) and `wc3d-serve-metrics-v1` manifests
+ * (the serving daemon). One run = one immutable blob; the index keys
  * every blob by (git describe, config fingerprint, demo set, host
  * fingerprint) so fleet-level questions — "did the texture-cache hit
- * rate drift between these two commits?", "how does the thread sweep
- * look across hosts?" — become simple queries (fleet/query.hh).
+ * rate drift between these two commits?" — become simple queries
+ * (fleet/query.hh).
  *
  * Layout under the store directory (WC3D_FLEET_DIR, default
  * `.wc3d-fleet`):
@@ -56,7 +55,6 @@ enum class Kind
 {
     Metrics, ///< wc3d-metrics-v1 (core/runmeta)
     Serve,   ///< wc3d-serve-metrics-v1 (serve/daemon)
-    Bench,   ///< wc3d-bench-speed-v1 (BENCH_speed.json)
 };
 
 const char *kindName(Kind kind);
@@ -160,9 +158,6 @@ bool classifyDocument(const json::Value &doc, Kind *kind,
 
 /** Structural validation of a wc3d-serve-metrics-v1 manifest. */
 bool validateServeMetrics(const json::Value &doc, std::string *error);
-
-/** Structural validation of a wc3d-bench-speed-v1 document. */
-bool validateBenchSpeed(const json::Value &doc, std::string *error);
 
 } // namespace wc3d::fleet
 

@@ -92,7 +92,7 @@ struct InterpStats
  * runLegacy()/runQuadLegacy() entry points execute the original
  * field-by-field interpreter over shader::Instruction; they are kept as
  * the bit-exact reference for differential tests and as the baseline
- * for the hot-path speedup benchmarks.
+ * in the bench_interp microbenchmark.
  */
 class Interpreter
 {

@@ -217,23 +217,24 @@ TEST(Env, IntRejectsOutOfRange)
     unsetenv("WC3D_TEST_ENV");
 }
 
+// parseDouble backs `wc3d-fleet query --threshold`, where "5%" read
+// as 5.0 would silently widen the drift bound to 500%.
 TEST(Env, DoubleParseAndReject)
 {
-    unsetenv("WC3D_TEST_ENV");
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 1.5);
-    setenv("WC3D_TEST_ENV", "2.25", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 2.25);
-    setenv("WC3D_TEST_ENV", "2.25x", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 1.5);
-    setenv("WC3D_TEST_ENV", "junk", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 1.5);
-    setenv("WC3D_TEST_ENV", "1e999", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 1.5);
-    setenv("WC3D_TEST_ENV", "-1e999", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), 1.5);
-    setenv("WC3D_TEST_ENV", " -0.5 ", 1);
-    EXPECT_DOUBLE_EQ(envDouble("WC3D_TEST_ENV", 1.5), -0.5);
-    unsetenv("WC3D_TEST_ENV");
+    double v = 1.5;
+    EXPECT_TRUE(parseDouble("2.25", &v));
+    EXPECT_DOUBLE_EQ(v, 2.25);
+    EXPECT_TRUE(parseDouble("-0.5", &v));
+    EXPECT_DOUBLE_EQ(v, -0.5);
+    EXPECT_TRUE(parseDouble("1e-3", &v));
+    EXPECT_DOUBLE_EQ(v, 1e-3);
+    for (const char *bad : {"", "2.25x", "5%", "junk", "1e999", "-1e999",
+                            "inf", "nan", " -0.5 "}) {
+        v = 1.5;
+        EXPECT_FALSE(parseDouble(bad, &v)) << "'" << bad << "'";
+        EXPECT_DOUBLE_EQ(v, 1.5) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseDouble(nullptr, &v));
 }
 
 TEST(Env, StringFallback)

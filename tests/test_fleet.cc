@@ -146,39 +146,6 @@ serveDoc(std::uint64_t done)
     return doc;
 }
 
-/** Minimal valid wc3d-bench-speed-v1 document. */
-json::Value
-benchDoc(double wall, double fps4)
-{
-    json::Value doc = json::Value::object();
-    doc.set("schema", json::Value::str("wc3d-bench-speed-v1"));
-    doc.set("git", json::Value::str("v1-bench"));
-    json::Value benches = json::Value::object();
-    json::Value b = json::Value::object();
-    b.set("wall_seconds", json::Value::number(wall));
-    benches.set("speed_simulation", std::move(b));
-    doc.set("benches", std::move(benches));
-    json::Value sim = json::Value::object();
-    sim.set("game", json::Value::str("doom3/trdemo2"));
-    sim.set("frames", json::Value::number(std::uint64_t(4)));
-    json::Value sweep = json::Value::array();
-    for (std::uint64_t threads : {std::uint64_t(1), std::uint64_t(4)}) {
-        json::Value point = json::Value::object();
-        point.set("threads", json::Value::number(threads));
-        point.set("frames_per_sec",
-                  json::Value::number(threads == 1 ? fps4 / 3.0
-                                                   : fps4));
-        sweep.push(std::move(point));
-    }
-    sim.set("sweep", std::move(sweep));
-    doc.set("speed_simulation", std::move(sim));
-    json::Value host = json::Value::object();
-    host.set("cpu", json::Value::str("test-cpu"));
-    host.set("threads", json::Value::number(std::uint64_t(8)));
-    doc.set("host", std::move(host));
-    return doc;
-}
-
 } // namespace
 
 TEST(Fleet, IngestDedupesByContentAndSurvivesReopen)
@@ -260,7 +227,6 @@ TEST(Fleet, IngestRejectsInvalidDocumentsWithStructuredErrors)
         "[1,2,3]",
         "{\"schema\":\"wc3d-metrics-v1\",\"config\":{}}",
         "{\"schema\":\"wc3d-serve-metrics-v1\"}",
-        "{\"schema\":\"wc3d-bench-speed-v1\"}",
     };
     for (const char *text : bad) {
         json::Value doc;
@@ -299,20 +265,18 @@ TEST(Fleet, ClassifiesAllThreeArtifactKinds)
     ASSERT_EQ(store.ingestDocument(serveDoc(5), "s", &err),
               FleetStore::IngestResult::Added)
         << err.describe();
-    ASSERT_EQ(store.ingestDocument(benchDoc(10.0, 40.0), "b", &err),
-              FleetStore::IngestResult::Added)
-        << err.describe();
-    ASSERT_EQ(store.entries().size(), 3u);
+    ASSERT_EQ(store.entries().size(), 2u);
     EXPECT_EQ(store.entries()[0].kind, Kind::Metrics);
     EXPECT_EQ(store.entries()[1].kind, Kind::Serve);
-    EXPECT_EQ(store.entries()[2].kind, Kind::Bench);
-    // Serve demos come from the job list, bench from the sweep game;
-    // the bench host falls back to its cpu/threads block.
+    EXPECT_STREQ(kindName(Kind::Metrics), "metrics");
+    EXPECT_STREQ(kindName(Kind::Serve), "serve");
+    // Metrics demos come from the run list, serve demos from the job
+    // list; serve git sits at the top level, metrics git in config.
+    ASSERT_EQ(store.entries()[0].demos.size(), 1u);
+    EXPECT_EQ(store.entries()[0].demos[0], "doom3/trdemo2");
+    EXPECT_EQ(store.entry(1)->git, "g");
     ASSERT_EQ(store.entries()[1].demos.size(), 1u);
     EXPECT_EQ(store.entries()[1].demos[0], "quake4/demo4");
-    ASSERT_EQ(store.entries()[2].demos.size(), 1u);
-    EXPECT_EQ(store.entries()[2].demos[0], "doom3/trdemo2");
-    EXPECT_EQ(store.entries()[2].host, "test-cpu/8");
     EXPECT_EQ(store.entry(2)->git, "v1-serve");
     EXPECT_EQ(store.entry(99), nullptr);
     removeStore(dir);
@@ -359,19 +323,10 @@ TEST(Fleet, FlattenDerivesRatesAndCoversEveryKind)
     }
     EXPECT_TRUE(found_done);
     EXPECT_TRUE(found_p50);
-
-    auto bench = flattenCounters(benchDoc(10.0, 40.0), Kind::Bench);
-    bool found_wall = false, found_fps = false;
-    for (const auto &kv : bench) {
-        if (kv.first == "bench.speed_simulation.wall_seconds" &&
-            kv.second == 10.0)
-            found_wall = true;
-        if (kv.first == "bench.sweep.t4.frames_per_sec" &&
-            kv.second == 40.0)
-            found_fps = true;
-    }
-    EXPECT_TRUE(found_wall);
-    EXPECT_TRUE(found_fps);
+    // Serve counters all live under "serve.", sorted by name.
+    for (const auto &kv : serve)
+        EXPECT_EQ(kv.first.rfind("serve.", 0), 0u) << kv.first;
+    EXPECT_TRUE(std::is_sorted(serve.begin(), serve.end()));
 }
 
 TEST(Fleet, RegressionGateFlagsDriftBeyondThreshold)
@@ -473,7 +428,7 @@ TEST(Fleet, RepairQuarantinesEvidenceAndDropsBrokenEntries)
               FleetStore::IngestResult::Added);
     ASSERT_EQ(store.ingestDocument(serveDoc(3), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(benchDoc(10.0, 40.0), "u", &err),
+    ASSERT_EQ(store.ingestDocument(metricsDoc("v2", 2, 2, 2), "u", &err),
               FleetStore::IngestResult::Added);
     const std::string tampered_blob = store.entries()[0].blob;
     const std::string missing_blob = store.entries()[1].blob;
@@ -508,7 +463,8 @@ TEST(Fleet, RepairQuarantinesEvidenceAndDropsBrokenEntries)
         << (problems.empty() ? "" : problems.front());
     ASSERT_EQ(store.entries().size(), 1u);
     EXPECT_EQ(store.entries()[0].seq, surviving_seq);
-    EXPECT_EQ(store.entries()[0].kind, Kind::Bench);
+    EXPECT_EQ(store.entries()[0].kind, Kind::Metrics);
+    EXPECT_EQ(store.entries()[0].git, "v2");
 
     // Evidence preserved, not deleted: both bad blobs moved to
     // quarantine/ and are gone from blobs/.
@@ -594,6 +550,54 @@ TEST(Fleet, OpenRejectsCorruptIndexButNotAbsentOne)
     removeStore(dir);
 }
 
+// The store knows two dialects. A wc3d-bench-speed-v1 document is
+// refused like any other unknown tag, with the tag in the reason.
+TEST(Fleet, IngestRejectsBenchSpeedDocumentAsUnknownSchema)
+{
+    std::string dir = storeDir("bench_doc");
+    removeStore(dir);
+    FleetStore store(dir);
+    FleetError err;
+    ASSERT_TRUE(store.open(&err));
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse("{\"schema\":\"wc3d-bench-speed-v1\","
+                            "\"benches\":{\"b\":{\"wall_seconds\":1}}}",
+                            doc, &error))
+        << error;
+    EXPECT_EQ(store.ingestDocument(doc, "unit", &err),
+              FleetStore::IngestResult::Error);
+    EXPECT_EQ(err.path, "unit");
+    EXPECT_EQ(err.reason, "unknown schema tag 'wc3d-bench-speed-v1'");
+    EXPECT_TRUE(store.entries().empty());
+    removeStore(dir);
+}
+
+// An index entry of a kind the store does not know ("bench") makes
+// open() fail with an error naming the index file and the entry.
+TEST(Fleet, OpenRejectsIndexEntryOfUnknownKind)
+{
+    std::string dir = storeDir("old_kind");
+    removeStore(dir);
+    ASSERT_TRUE(makeDirs(dir));
+    std::string error;
+    ASSERT_TRUE(json::writeFileAtomic(
+        dir + "/index.json",
+        "{\"schema\":\"wc3d-fleet-index-v1\",\"entries\":["
+        "{\"seq\":1,\"kind\":\"metrics\",\"blob\":"
+        "\"0123456789abcdef\"},"
+        "{\"seq\":2,\"kind\":\"bench\",\"blob\":"
+        "\"fedcba9876543210\"}]}",
+        &error));
+    FleetStore store(dir);
+    FleetError err;
+    EXPECT_FALSE(store.open(&err));
+    EXPECT_EQ(err.path, dir + "/index.json");
+    EXPECT_EQ(err.reason, "entry 1: entry.kind 'bench' unknown");
+    EXPECT_TRUE(store.entries().empty());
+    removeStore(dir);
+}
+
 TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
 {
     std::string dir = storeDir("report");
@@ -609,8 +613,6 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
               FleetStore::IngestResult::Added);
     ASSERT_EQ(store.ingestDocument(serveDoc(7), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(benchDoc(12.5, 32.0), "u", &err),
-              FleetStore::IngestResult::Added);
 
     std::string html = renderHtmlReport(store, &err);
     ASSERT_FALSE(html.empty()) << err.describe();
@@ -620,9 +622,11 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
     EXPECT_EQ(html.find("<script"), std::string::npos);
     EXPECT_EQ(html.find("http://"), std::string::npos);
     EXPECT_EQ(html.find("https://"), std::string::npos);
-    // Every section rendered: trajectory, stages, sweep, serve.
-    EXPECT_NE(html.find("raster"), std::string::npos);
+    // Every section rendered: runs, trajectory, stages, serve.
     EXPECT_NE(html.find("doom3/trdemo2"), std::string::npos);
+    EXPECT_NE(html.find("<polyline"), std::string::npos);
+    EXPECT_NE(html.find("raster"), std::string::npos);
+    EXPECT_NE(html.find("Serve-daemon runs"), std::string::npos);
     // The hostile git string arrived escaped.
     EXPECT_EQ(html.find("v1<script>"), std::string::npos);
     EXPECT_NE(html.find("v1&lt;script&gt;"), std::string::npos);
