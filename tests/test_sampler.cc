@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+#include <vector>
+
 #include "memory/controller.hh"
 #include "texture/texcache.hh"
 
@@ -213,6 +217,262 @@ TEST(Sampler, SampledColorMatchesFlatTexture)
         EXPECT_NEAR(out[l].x, 80.0f / 255.0f, 0.02f);
         EXPECT_NEAR(out[l].w, 200.0f / 255.0f, 0.02f);
     }
+}
+
+namespace {
+
+/** One block access as the sampler reports it to its listener. */
+struct BlockRef
+{
+    int level, bx, by, refs;
+
+    bool
+    operator==(const BlockRef &o) const
+    {
+        return level == o.level && bx == o.bx && by == o.by &&
+               refs == o.refs;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const BlockRef &b)
+{
+    return os << "{" << b.level << ", " << b.bx << ", " << b.by << ", "
+              << b.refs << "}";
+}
+
+/** Records the exact block stream a Sampler emits. */
+struct RecordingListener final : TexelAccessListener
+{
+    std::vector<BlockRef> blocks;
+
+    void
+    blockAccess(const Texture2D &, int level, int bx, int by,
+                int refs) override
+    {
+        blocks.push_back({level, bx, by, refs});
+    }
+};
+
+/** FNV-1a over a block stream, for streams too long to spell out. */
+std::uint64_t
+digest(const std::vector<BlockRef> &blocks)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const BlockRef &b : blocks) {
+        for (int v : {b.level, b.bx, b.by, b.refs}) {
+            h ^= static_cast<std::uint32_t>(v);
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** FNV-1a over the bit patterns of four sampled colours. */
+std::uint64_t
+digest(const Vec4 out[4])
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int l = 0; l < 4; ++l) {
+        for (float f : {out[l].x, out[l].y, out[l].z, out[l].w}) {
+            std::uint32_t bits;
+            std::memcpy(&bits, &f, sizeof bits);
+            h ^= bits;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** What one sampleQuad call emitted. */
+struct QuadStream
+{
+    std::vector<BlockRef> blocks;
+    SampleStats stats;
+    std::uint64_t colours = 0;
+};
+
+/** Sample one quad of a uniform uv gradient (texel units of
+ *  @p texture's base level) and record everything it emitted. */
+QuadStream
+streamOf(const Texture2D &texture, SamplerState state, Vec2 base_texels,
+         Vec2 ddx_texels, Vec2 ddy_texels, float lod_bias = 0.0f)
+{
+    float w = static_cast<float>(texture.width());
+    float h = static_cast<float>(texture.height());
+    Vec4 coords[4];
+    quadCoords(coords, {base_texels.x / w, base_texels.y / h},
+               {ddx_texels.x / w, ddx_texels.y / h},
+               {ddy_texels.x / w, ddy_texels.y / h});
+    RecordingListener rec;
+    Sampler s;
+    s.setListener(&rec);
+    Vec4 out[4];
+    s.sampleQuad(texture, state, coords, lod_bias, out);
+    return {rec.blocks, s.stats(), digest(out)};
+}
+
+void
+expectStats(const SampleStats &s, std::uint64_t requests,
+            std::uint64_t bilinears, std::uint64_t texels,
+            double aniso_sum, std::uint64_t aniso_requests)
+{
+    EXPECT_EQ(s.requests, requests);
+    EXPECT_EQ(s.bilinearSamples, bilinears);
+    EXPECT_EQ(s.texelReads, texels);
+    EXPECT_EQ(s.anisoRatioSum, aniso_sum);
+    EXPECT_EQ(s.anisoRequests, aniso_requests);
+}
+
+SamplerState
+bilinear(TexWrap wrap = TexWrap::Repeat)
+{
+    SamplerState st;
+    st.filter = TexFilter::Bilinear;
+    st.wrap = wrap;
+    return st;
+}
+
+/** 64x64 RGBA8 noise: 16x16 blocks at level 0, 7 levels. */
+const Texture2D &
+noise64()
+{
+    static const Texture2D t =
+        Texture2D::noise("n64", 64, 7, TexFormat::RGBA8);
+    return t;
+}
+
+} // namespace
+
+// The block stream below is the texture cache's whole input: these
+// cases pin it access by access (level, bx, by, refs in emission
+// order) together with the sample statistics and sampled colours.
+// Texel coordinates: a lane at texel position p has its bilinear
+// footprint at floor(p - 0.5) and floor(p - 0.5) + 1.
+
+TEST(SamplerStream, FootprintInsideOneBlock)
+{
+    QuadStream q = streamOf(noise64(), bilinear(), {5.75f, 5.75f},
+                            {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 1, 1, 16}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 1953946738902969575ull);
+}
+
+TEST(SamplerStream, FootprintStraddlesHorizontally)
+{
+    QuadStream q = streamOf(noise64(), bilinear(), {7.75f, 5.75f},
+                            {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 1, 1, 4}, {0, 2, 1, 12}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 17024473905554948938ull);
+}
+
+TEST(SamplerStream, FootprintStraddlesVertically)
+{
+    QuadStream q = streamOf(noise64(), bilinear(), {5.75f, 7.75f},
+                            {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 1, 1, 4}, {0, 1, 2, 12}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 14062135928945654646ull);
+}
+
+TEST(SamplerStream, FootprintStraddlesBothAxes)
+{
+    QuadStream q = streamOf(noise64(), bilinear(), {7.75f, 7.75f},
+                            {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 1, 1, 1}, {0, 2, 1, 3}, {0, 1, 2, 3}, {0, 2, 2, 9}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 5420185214000751315ull);
+}
+
+TEST(SamplerStream, RepeatWrapsRightAndBottomEdgesToBlockZero)
+{
+    QuadStream q = streamOf(noise64(), bilinear(), {63.75f, 63.75f},
+                            {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 15, 15, 1}, {0, 0, 15, 3}, {0, 15, 0, 3}, {0, 0, 0, 9}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 18419086327046806348ull);
+}
+
+TEST(SamplerStream, ClampHoldsTheEdgeBlock)
+{
+    QuadStream q = streamOf(noise64(), bilinear(TexWrap::Clamp),
+                            {63.75f, 63.75f}, {1, 0}, {0, 1});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{0, 15, 15, 16}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 13002985554878534189ull);
+}
+
+TEST(SamplerStream, OneByOneMipLevel)
+{
+    // A 64-texel footprint selects level 6, a single 1x1 texel.
+    QuadStream q = streamOf(noise64(), bilinear(), {20.0f, 30.0f},
+                            {64, 0}, {0, 64});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{6, 0, 0, 16}}));
+    expectStats(q.stats, 4, 4, 16, 0.0, 0);
+    EXPECT_EQ(q.colours, 4652161285917797477ull);
+}
+
+TEST(SamplerStream, TrilinearAcrossTwoLevels)
+{
+    SamplerState st;
+    st.filter = TexFilter::Trilinear;
+    // A 2.8-texel footprint: lod ~1.49, levels 1 and 2.
+    QuadStream q = streamOf(noise64(), st, {30.0f, 18.0f}, {2.8f, 0},
+                            {0, 2.8f});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{{1, 3, 2, 12}, {2, 1, 1, 8}, {2, 2, 1, 8}, {1, 4, 2, 4}}));
+    expectStats(q.stats, 4, 8, 32, 0.0, 0);
+    EXPECT_EQ(q.colours, 17912069340218208441ull);
+}
+
+TEST(SamplerStream, Anisotropic16x)
+{
+    SamplerState st;
+    st.filter = TexFilter::Anisotropic;
+    st.maxAniso = 16;
+    QuadStream q = streamOf(noise64(), st, {21.0f, 40.5f}, {24, 0},
+                            {0, 1.5f});
+    EXPECT_EQ(q.blocks, (std::vector<BlockRef>{
+        {0, 2, 10, 16}, {1, 1, 4, 9},   {1, 1, 5, 27},  {0, 3, 10, 20},
+        {0, 4, 10, 24}, {1, 2, 4, 11},  {1, 2, 5, 33},  {0, 5, 10, 20},
+        {1, 3, 4, 11},  {1, 3, 5, 33},  {0, 6, 10, 20}, {0, 7, 10, 24},
+        {0, 8, 10, 20}, {1, 4, 4, 10},  {1, 4, 5, 30},  {0, 9, 10, 20},
+        {0, 10, 10, 24}, {1, 5, 4, 11}, {1, 5, 5, 33},  {0, 11, 10, 20},
+        {1, 6, 4, 11},  {1, 6, 5, 33},  {0, 12, 10, 20}, {0, 13, 10, 24},
+        {0, 14, 10, 4}, {1, 7, 4, 1},   {1, 7, 5, 3}}));
+    expectStats(q.stats, 4, 128, 512, 16.0, 1);
+    EXPECT_EQ(q.colours, 11816095845427820065ull);
+}
+
+TEST(SamplerStream, QuadOverflowingTheBlockSetForwardsSingleTaps)
+{
+    // 256x256: 64x64 blocks; the bias forces level 0. Each lane takes
+    // 16 probes 8 texels apart in u; lanes are 128 texels apart in u
+    // and 6 in v. Every footprint of lanes 0 and 1 straddles a block
+    // corner: 32 x 4 distinct blocks fill the per-quad set. Lanes 2
+    // and 3 straddle only a vertical block edge, so each of their
+    // footprints overflows as four single taps alternating between its
+    // two blocks.
+    static const Texture2D big =
+        Texture2D::noise("n256", 256, 11, TexFormat::RGBA8);
+    SamplerState st;
+    st.filter = TexFilter::Anisotropic;
+    st.maxAniso = 16;
+    QuadStream q = streamOf(big, st, {12.0f, 7.75f}, {128, 0}, {0, 6},
+                            -8.0f);
+    ASSERT_EQ(q.blocks.size(), 256u);
+    // Lanes 2 and 3 come first, forwarded while sampling, tap by tap.
+    EXPECT_EQ(std::vector<BlockRef>(q.blocks.begin(), q.blocks.begin() + 8),
+              (std::vector<BlockRef>{{0, 51, 3, 1}, {0, 52, 3, 1},
+                                     {0, 51, 3, 1}, {0, 52, 3, 1},
+                                     {0, 53, 3, 1}, {0, 54, 3, 1},
+                                     {0, 53, 3, 1}, {0, 54, 3, 1}}));
+    for (const BlockRef &b : q.blocks)
+        EXPECT_EQ(b.refs, 1);
+    EXPECT_EQ(digest(q.blocks), 10626239675837455397ull);
+    expectStats(q.stats, 4, 64, 256, 16.0, 1);
+    EXPECT_EQ(q.colours, 5755756949287273794ull);
 }
 
 TEST(TexCache, HitsOnRepeatedBlock)
