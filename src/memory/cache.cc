@@ -1,111 +1,165 @@
 #include "memory/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/log.hh"
 
 namespace wc3d::memsys {
 
-namespace {
-bool
-isPow2(int v)
-{
-    return v > 0 && (v & (v - 1)) == 0;
-}
-} // namespace
-
-CacheModel::CacheModel(int ways, int sets, int line_size, Replacement policy)
-    : _ways(ways), _sets(sets), _lineSize(line_size), _policy(policy),
-      _lines(static_cast<std::size_t>(ways) * sets)
+CacheModel::CacheModel(int ways, int sets, int line_size)
+    : _ways(ways), _sets(sets), _lineSize(line_size),
+      _lineShift(std::countr_zero(static_cast<unsigned>(line_size))),
+      _lines(static_cast<std::size_t>(ways) * sets),
+      _setState(static_cast<std::size_t>(sets))
 {
     WC3D_ASSERT(ways > 0);
-    WC3D_ASSERT(isPow2(sets));
-    WC3D_ASSERT(isPow2(line_size));
+    WC3D_ASSERT(std::has_single_bit(static_cast<unsigned>(sets)));
+    WC3D_ASSERT(std::has_single_bit(static_cast<unsigned>(line_size)));
+    // At most a quarter of the index slots are ever occupied, which
+    // keeps linear-probe chains short.
+    std::size_t slots = std::bit_ceil(std::max<std::size_t>(
+        4, 4 * _lines.size()));
+    _index.resize(slots);
+    _indexShift = 64 - std::countr_zero(slots);
 }
 
-CacheModel::Line *
-CacheModel::findLine(std::uint64_t line_number)
+std::int32_t
+CacheModel::findLine(std::uint64_t tag) const
 {
-    std::size_t set = static_cast<std::size_t>(line_number) & (_sets - 1);
-    Line *base = &_lines[set * _ways];
-    for (int w = 0; w < _ways; ++w) {
-        if (base[w].valid && base[w].tag == line_number)
-            return &base[w];
+    std::size_t mask = _index.size() - 1;
+    for (std::size_t i = home(tag);; i = (i + 1) & mask) {
+        const Slot &slot = _index[i];
+        if (slot.line < 0)
+            return -1;
+        if (slot.tag == tag)
+            return slot.line;
     }
-    return nullptr;
 }
 
-CacheModel::Line &
-CacheModel::victimLine(std::uint64_t line_number)
+void
+CacheModel::indexInsert(std::uint64_t tag, std::int32_t line)
 {
-    std::size_t set = static_cast<std::size_t>(line_number) & (_sets - 1);
-    Line *base = &_lines[set * _ways];
-    Line *victim = &base[0];
-    for (int w = 0; w < _ways; ++w) {
-        if (!base[w].valid)
-            return base[w];
-        if (base[w].stamp < victim->stamp)
-            victim = &base[w];
+    std::size_t mask = _index.size() - 1;
+    std::size_t i = home(tag);
+    while (_index[i].line >= 0)
+        i = (i + 1) & mask;
+    _index[i] = {tag, line};
+}
+
+void
+CacheModel::indexErase(std::uint64_t tag)
+{
+    std::size_t mask = _index.size() - 1;
+    std::size_t hole = home(tag);
+    while (_index[hole].line < 0 || _index[hole].tag != tag)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless that would move it before its home slot.
+    for (std::size_t j = (hole + 1) & mask; _index[j].line >= 0;
+         j = (j + 1) & mask) {
+        std::size_t h = home(_index[j].tag);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            _index[hole] = _index[j];
+            hole = j;
+        }
     }
-    return *victim;
+    _index[hole].line = -1;
+}
+
+void
+CacheModel::unlink(SetState &set, std::int32_t line)
+{
+    Line &l = _lines[static_cast<std::size_t>(line)];
+    if (l.prev >= 0)
+        _lines[static_cast<std::size_t>(l.prev)].next = l.next;
+    else
+        set.head = l.next;
+    if (l.next >= 0)
+        _lines[static_cast<std::size_t>(l.next)].prev = l.prev;
+    else
+        set.tail = l.prev;
+}
+
+void
+CacheModel::pushFront(SetState &set, std::int32_t line)
+{
+    Line &l = _lines[static_cast<std::size_t>(line)];
+    l.prev = -1;
+    l.next = set.head;
+    if (set.head >= 0)
+        _lines[static_cast<std::size_t>(set.head)].prev = line;
+    else
+        set.tail = line;
+    set.head = line;
 }
 
 CacheAccessResult
 CacheModel::access(std::uint64_t address, bool is_write)
 {
     CacheAccessResult result;
-    std::uint64_t line_number = address / _lineSize;
-    ++_tick;
+    std::uint64_t tag = address >> _lineShift;
+    std::size_t set_index = static_cast<std::size_t>(tag) & (_sets - 1);
+    SetState &set = _setState[set_index];
     ++_stats.accesses;
 
-    if (Line *line = findLine(line_number)) {
+    // A hit on the set's most recent line leaves the recency order as
+    // it is.
+    if (set.head >= 0 &&
+        _lines[static_cast<std::size_t>(set.head)].tag == tag) {
         result.hit = true;
         ++_stats.hits;
         if (is_write)
-            line->dirty = true;
-        if (_policy == Replacement::LRU)
-            line->stamp = _tick;
+            _lines[static_cast<std::size_t>(set.head)].dirty = true;
+        return result;
+    }
+
+    std::int32_t line = findLine(tag);
+    if (line >= 0) {
+        result.hit = true;
+        ++_stats.hits;
+        if (is_write)
+            _lines[static_cast<std::size_t>(line)].dirty = true;
+        unlink(set, line);
+        pushFront(set, line);
         return result;
     }
 
     ++_stats.misses;
-    Line &victim = victimLine(line_number);
-    if (victim.valid && victim.dirty) {
-        result.writeback = true;
-        result.writebackAddress = victim.tag * _lineSize;
-        ++_stats.writebacks;
+    if (set.valid < _ways) {
+        line = static_cast<std::int32_t>(set_index) * _ways + set.valid;
+        ++set.valid;
+    } else {
+        line = set.tail;
+        const Line &victim = _lines[static_cast<std::size_t>(line)];
+        if (victim.dirty) {
+            result.writeback = true;
+            result.writebackAddress = victim.tag << _lineShift;
+            ++_stats.writebacks;
+        }
+        indexErase(victim.tag);
+        unlink(set, line);
     }
-    victim.valid = true;
-    victim.dirty = is_write;
-    victim.tag = line_number;
-    victim.stamp = _tick;
-    result.fillAddress = line_number * _lineSize;
+    Line &fill = _lines[static_cast<std::size_t>(line)];
+    fill.tag = tag;
+    fill.dirty = is_write;
+    indexInsert(tag, line);
+    pushFront(set, line);
+    result.fillAddress = tag << _lineShift;
     return result;
 }
 
 bool
 CacheModel::contains(std::uint64_t address) const
 {
-    std::uint64_t line_number = address / _lineSize;
-    std::size_t set = static_cast<std::size_t>(line_number) & (_sets - 1);
-    const Line *base = &_lines[set * _ways];
-    for (int w = 0; w < _ways; ++w) {
-        if (base[w].valid && base[w].tag == line_number)
-            return true;
-    }
-    return false;
+    return findLine(address >> _lineShift) >= 0;
 }
 
 void
 CacheModel::invalidateAll()
 {
-    for (auto &line : _lines)
-        line = Line();
-}
-
-void
-CacheModel::invalidateLine(std::uint64_t address)
-{
-    if (Line *line = findLine(address / _lineSize))
-        *line = Line();
+    std::fill(_setState.begin(), _setState.end(), SetState());
+    std::fill(_index.begin(), _index.end(), Slot());
 }
 
 } // namespace wc3d::memsys

@@ -14,13 +14,6 @@
 
 namespace wc3d::memsys {
 
-/** Replacement policies supported by CacheModel. */
-enum class Replacement
-{
-    LRU,
-    FIFO,
-};
-
 /** Outcome of a cache access, including any victim writeback. */
 struct CacheAccessResult
 {
@@ -51,11 +44,19 @@ struct CacheStats
 };
 
 /**
- * A set-associative, write-back, write-allocate cache tag model.
+ * A set-associative, write-back, write-allocate LRU cache tag model.
  *
  * Geometry follows the paper's Table XIV notation: "64w x 256B" is a
  * 64-way single-set (fully associative) cache of 256-byte lines;
  * "16w x 16s x 64B" is 16 ways x 16 sets of 64-byte lines.
+ *
+ * Every operation is O(1) in the associativity: a tag index (open
+ * addressing over the whole cache) finds a resident line, and each set
+ * keeps its valid lines on an intrusive list from most to least
+ * recently touched. A set fills its ways in ascending order and only
+ * invalidateAll() empties them, so its invalid ways are always the
+ * suffix [valid count, ways): a miss installs into the lowest invalid
+ * way while one exists, else it evicts the least recently touched line.
  */
 class CacheModel
 {
@@ -64,13 +65,11 @@ class CacheModel
      * @param ways      associativity (> 0)
      * @param sets      number of sets (power of two)
      * @param line_size line size in bytes (power of two)
-     * @param policy    replacement policy
      */
-    CacheModel(int ways, int sets, int line_size,
-               Replacement policy = Replacement::LRU);
+    CacheModel(int ways, int sets, int line_size);
 
     /**
-     * Access @p address. On a miss the LRU/FIFO victim is evicted and the
+     * Access @p address. On a miss the LRU victim is evicted and the
      * line containing the address is installed. @p is_write marks the line
      * dirty on hit or after fill.
      */
@@ -81,27 +80,27 @@ class CacheModel
 
     /**
      * Write back every dirty line (end-of-frame flush), invoking
-     * @p writeback_cb with each dirty line address. Lines stay resident
-     * but clean.
+     * @p writeback_cb with each dirty line address in ascending
+     * (set, way) order. Lines stay resident but clean.
      */
     template <typename Fn>
     void
     flushDirty(Fn &&writeback_cb)
     {
-        for (auto &line : _lines) {
-            if (line.valid && line.dirty) {
-                writeback_cb(line.tag * _lineSize);
-                line.dirty = false;
-                ++_stats.writebacks;
+        for (std::size_t set = 0; set < _setState.size(); ++set) {
+            Line *base = &_lines[set * static_cast<std::size_t>(_ways)];
+            for (int w = 0; w < _setState[set].valid; ++w) {
+                if (base[w].dirty) {
+                    writeback_cb(base[w].tag << _lineShift);
+                    base[w].dirty = false;
+                    ++_stats.writebacks;
+                }
             }
         }
     }
 
     /** Invalidate everything without writebacks (e.g. after fast clear). */
     void invalidateAll();
-
-    /** Invalidate the line holding @p address if resident (no writeback). */
-    void invalidateLine(std::uint64_t address);
 
     /**
      * Credit @p hits accesses that were filtered before reaching the
@@ -131,23 +130,52 @@ class CacheModel
     }
 
   private:
+    /** A resident line; prev/next link its set's recency list. */
     struct Line
     {
-        bool valid = false;
+        std::uint64_t tag = 0; // full line number (address >> lineShift)
+        std::int32_t prev = -1; // more recently touched line, or -1
+        std::int32_t next = -1; // less recently touched line, or -1
         bool dirty = false;
-        std::uint64_t tag = 0;     // full line number (address / lineSize)
-        std::uint64_t stamp = 0;   // LRU: last touch; FIFO: install time
     };
 
-    Line *findLine(std::uint64_t line_number);
-    Line &victimLine(std::uint64_t line_number);
+    /** One set: ways [0, valid) hold lines, head is the MRU line and
+     *  tail the LRU line (indices into _lines). */
+    struct SetState
+    {
+        std::int32_t valid = 0;
+        std::int32_t head = -1;
+        std::int32_t tail = -1;
+    };
+
+    /** Tag index slot; line == -1 marks an empty slot. */
+    struct Slot
+    {
+        std::uint64_t tag = 0;
+        std::int32_t line = -1;
+    };
+
+    std::size_t
+    home(std::uint64_t tag) const
+    {
+        return static_cast<std::size_t>(
+            (tag * 0x9e3779b97f4a7c15ull) >> _indexShift);
+    }
+
+    std::int32_t findLine(std::uint64_t tag) const;
+    void indexInsert(std::uint64_t tag, std::int32_t line);
+    void indexErase(std::uint64_t tag);
+    void unlink(SetState &set, std::int32_t line);
+    void pushFront(SetState &set, std::int32_t line);
 
     int _ways;
     int _sets;
     int _lineSize;
-    Replacement _policy;
-    std::uint64_t _tick = 0;
-    std::vector<Line> _lines;
+    int _lineShift;
+    int _indexShift;
+    std::vector<Line> _lines;        // set-major: set * ways + way
+    std::vector<SetState> _setState;
+    std::vector<Slot> _index;        // power-of-two size, linear probing
     CacheStats _stats;
 };
 
