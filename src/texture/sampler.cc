@@ -31,26 +31,56 @@ toVec4(Rgba8 c)
 } // namespace
 
 void
-Sampler::noteBlock(const Texture2D &texture, int level, int x, int y)
+Sampler::noteBlock(const Texture2D &texture, int level, int bx, int by,
+                   int refs)
 {
-    int bx = x / kBlockDim;
-    int by = y / kBlockDim;
     std::uint64_t key = (static_cast<std::uint64_t>(level) << 48) |
                         (static_cast<std::uint64_t>(by) << 24) |
                         static_cast<std::uint64_t>(bx);
     for (int i = 0; i < _blockCount; ++i) {
         if (_blockSet[i] == key) {
-            ++_blockRefs[i];
+            _blockRefs[i] += static_cast<std::uint32_t>(refs);
             return;
         }
     }
     if (_blockCount < kMaxQuadBlocks) {
         _blockSet[_blockCount] = key;
-        _blockRefs[_blockCount] = 1;
+        _blockRefs[_blockCount] = static_cast<std::uint32_t>(refs);
         ++_blockCount;
     } else if (_listener) {
         // Overflow: forward immediately rather than losing the access.
-        _listener->blockAccess(texture, level, bx, by, 1);
+        for (int i = 0; i < refs; ++i)
+            _listener->blockAccess(texture, level, bx, by, 1);
+    }
+}
+
+void
+Sampler::noteFootprint(const Texture2D &texture, int level, int xa, int xb,
+                       int ya, int yb)
+{
+    int bxa = xa / kBlockDim;
+    int bxb = xb / kBlockDim;
+    int bya = ya / kBlockDim;
+    int byb = yb / kBlockDim;
+    if (_blockCount > kMaxQuadBlocks - 4) {
+        // The set may overflow: note tap by tap, in tap order, so each
+        // block that no longer fits is forwarded one tap at a time.
+        noteBlock(texture, level, bxa, bya, 1);
+        noteBlock(texture, level, bxb, bya, 1);
+        noteBlock(texture, level, bxa, byb, 1);
+        noteBlock(texture, level, bxb, byb, 1);
+        return;
+    }
+    // Each distinct block once, in first-touch order, with its taps.
+    int taps_x = bxa == bxb ? 2 : 1; // taps per block along a row
+    int taps_y = bya == byb ? 2 : 1; // taps per block along a column
+    noteBlock(texture, level, bxa, bya, taps_x * taps_y);
+    if (bxb != bxa)
+        noteBlock(texture, level, bxb, bya, taps_y);
+    if (byb != bya) {
+        noteBlock(texture, level, bxa, byb, taps_x);
+        if (bxb != bxa)
+            noteBlock(texture, level, bxb, byb, 1);
     }
 }
 
@@ -74,21 +104,23 @@ Vec4
 Sampler::nearestFetch(const Texture2D &texture, TexWrap wrap, int level,
                       Vec2 uv)
 {
-    int w = texture.levelWidth(level);
-    int h = texture.levelHeight(level);
-    int x = wrapCoord(static_cast<int>(std::floor(uv.x * w)), w, wrap);
-    int y = wrapCoord(static_cast<int>(std::floor(uv.y * h)), h, wrap);
+    Texture2D::LevelView view = texture.levelView(level);
+    int x = wrapCoord(static_cast<int>(std::floor(uv.x * view.width)),
+                      view.width, wrap);
+    int y = wrapCoord(static_cast<int>(std::floor(uv.y * view.height)),
+                      view.height, wrap);
     ++_stats.texelReads;
-    noteBlock(texture, level, x, y);
-    return toVec4(texture.texel(level, x, y));
+    noteBlock(texture, level, x / kBlockDim, y / kBlockDim, 1);
+    return toVec4(view.at(x, y));
 }
 
 Vec4
 Sampler::bilinearFetch(const Texture2D &texture, TexWrap wrap, int level,
                        Vec2 uv)
 {
-    int w = texture.levelWidth(level);
-    int h = texture.levelHeight(level);
+    Texture2D::LevelView view = texture.levelView(level);
+    int w = view.width;
+    int h = view.height;
     float fx = uv.x * w - 0.5f;
     float fy = uv.y * h - 0.5f;
     int x0 = static_cast<int>(std::floor(fx));
@@ -102,15 +134,12 @@ Sampler::bilinearFetch(const Texture2D &texture, TexWrap wrap, int level,
 
     ++_stats.bilinearSamples;
     _stats.texelReads += 4;
-    noteBlock(texture, level, xa, ya);
-    noteBlock(texture, level, xb, ya);
-    noteBlock(texture, level, xa, yb);
-    noteBlock(texture, level, xb, yb);
+    noteFootprint(texture, level, xa, xb, ya, yb);
 
-    Vec4 c00 = toVec4(texture.texel(level, xa, ya));
-    Vec4 c10 = toVec4(texture.texel(level, xb, ya));
-    Vec4 c01 = toVec4(texture.texel(level, xa, yb));
-    Vec4 c11 = toVec4(texture.texel(level, xb, yb));
+    Vec4 c00 = toVec4(view.at(xa, ya));
+    Vec4 c10 = toVec4(view.at(xb, ya));
+    Vec4 c01 = toVec4(view.at(xa, yb));
+    Vec4 c11 = toVec4(view.at(xb, yb));
     return lerp(lerp(c00, c10, tx), lerp(c01, c11, tx), ty);
 }
 

@@ -129,7 +129,12 @@ class Sampler
     Vec4 filteredFetch(const Texture2D &texture, const SamplerState &state,
                        Vec2 uv, float lod);
 
-    void noteBlock(const Texture2D &texture, int level, int x, int y);
+    /** Note the blocks a bilinear footprint's four taps touch. */
+    void noteFootprint(const Texture2D &texture, int level, int xa, int xb,
+                       int ya, int yb);
+    /** Note @p refs taps on block (bx, by) of @p level. */
+    void noteBlock(const Texture2D &texture, int level, int bx, int by,
+                   int refs);
     void flushBlockSet(const Texture2D &texture);
 
     TexelAccessListener *_listener = nullptr;

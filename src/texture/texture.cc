@@ -120,25 +120,6 @@ Texture2D::buildLevels(const Image &base)
     }
 }
 
-const Texture2D::Level &
-Texture2D::level(int l) const
-{
-    WC3D_ASSERT(l >= 0 && l < levels());
-    return _levels[static_cast<std::size_t>(l)];
-}
-
-int
-Texture2D::levelWidth(int l) const
-{
-    return level(l).width;
-}
-
-int
-Texture2D::levelHeight(int l) const
-{
-    return level(l).height;
-}
-
 int
 Texture2D::levelBlocksX(int l) const
 {

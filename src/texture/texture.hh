@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/image.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "memory/controller.hh"
 #include "texture/format.hh"
@@ -60,8 +61,30 @@ class Texture2D
     int height() const { return _height; }
     int levels() const { return static_cast<int>(_levels.size()); }
 
-    int levelWidth(int level) const;
-    int levelHeight(int level) const;
+    int levelWidth(int l) const { return level(l).width; }
+    int levelHeight(int l) const { return level(l).height; }
+
+    /** Decoded texels of one level, row-major, for coordinates that
+     *  are already wrapped or clamped into the level. */
+    struct LevelView
+    {
+        const Rgba8 *texels;
+        int width;
+        int height;
+
+        Rgba8
+        at(int x, int y) const
+        {
+            return texels[static_cast<std::size_t>(y) * width + x];
+        }
+    };
+
+    LevelView
+    levelView(int l) const
+    {
+        const Level &lvl = level(l);
+        return {lvl.decoded.data(), lvl.width, lvl.height};
+    }
 
     /** Blocks across / down at @p level (4-texel blocks, padded). */
     int levelBlocksX(int level) const;
@@ -104,7 +127,13 @@ class Texture2D
     };
 
     void buildLevels(const Image &base);
-    const Level &level(int l) const;
+
+    const Level &
+    level(int l) const
+    {
+        WC3D_ASSERT(l >= 0 && l < levels());
+        return _levels[static_cast<std::size_t>(l)];
+    }
 
     std::string _name;
     TexFormat _format = TexFormat::RGBA8;
