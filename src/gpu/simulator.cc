@@ -190,15 +190,15 @@ struct GpuSimulator::TileOutput
         std::uint8_t kind = 0;    ///< 0 read, 1 write, 2 no-fetch write
     };
 
-    /** One deferred texture-cache block access. */
+    /** One deferred texture-cache block access, by the block's L0 and
+     *  L1 addresses (computed by the tile worker). */
     struct TexEvent
     {
-        const tex::Texture2D *texture = nullptr;
-        std::int32_t level = 0;
-        std::int32_t bx = 0;
-        std::int32_t by = 0;
+        std::uint64_t virtualAddress = 0; ///< L0 (decompressed) space
+        std::uint64_t memoryAddress = 0;  ///< L1/GDDR (stored) space
         std::int32_t refs = 0;
     };
+    static_assert(sizeof(TexEvent) <= 24);
 
     /**
      * One processed quad that logged at least one deferred access. Per
@@ -332,7 +332,8 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     blockAccess(const tex::Texture2D &texture, int level, int bx, int by,
                 int refs) override
     {
-        out->tex.push_back({&texture, level, bx, by, refs});
+        out->tex.push_back({texture.blockVirtualAddress(level, bx, by),
+                            texture.blockMemAddress(level, bx, by), refs});
     }
 };
 
@@ -882,7 +883,7 @@ GpuSimulator::replayQuadRec(const TileOutput &out, std::size_t rec)
     }
     for (std::uint32_t i = 0; i < r.texCount; ++i) {
         const TileOutput::TexEvent &e = out.tex[r.texBegin + i];
-        _texCache.blockAccess(*e.texture, e.level, e.bx, e.by, e.refs);
+        _texCache.accessBlock(e.virtualAddress, e.memoryAddress, e.refs);
     }
 }
 

@@ -18,8 +18,15 @@ TextureCache::blockAccess(const Texture2D &texture, int level, int bx,
                           int by, int refs)
 {
     WC3D_ASSERT(texture.memoryBound());
-    std::uint64_t vaddr = texture.blockVirtualAddress(level, bx, by);
-    auto r0 = _l0.access(vaddr, false);
+    accessBlock(texture.blockVirtualAddress(level, bx, by),
+                texture.blockMemAddress(level, bx, by), refs);
+}
+
+void
+TextureCache::accessBlock(std::uint64_t virtual_address,
+                          std::uint64_t memory_address, int refs)
+{
+    auto r0 = _l0.access(virtual_address, false);
     // The quad's further taps of the same block are guaranteed hits;
     // credit them so hit rates use per-tap semantics.
     if (refs > 1)
@@ -30,8 +37,7 @@ TextureCache::blockAccess(const Texture2D &texture, int level, int bx,
     // L0 fill: fetch the compressed block through L1. A 4x4 block is at
     // most one L1 line (8/16B DXT, 64B RGBA8), so a single access
     // suffices.
-    std::uint64_t maddr = texture.blockMemAddress(level, bx, by);
-    auto r1 = _l1.access(maddr, false);
+    auto r1 = _l1.access(memory_address, false);
     if (!r1.hit && _memory)
         _memory->read(memsys::Client::Texture,
                       static_cast<std::uint64_t>(_l1.lineSize()));

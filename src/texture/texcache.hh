@@ -44,8 +44,19 @@ class TextureCache : public TexelAccessListener
     TextureCache(const TexCacheConfig &config,
                  memsys::MemoryController *memory);
 
+    /** Resolve block (bx, by) of @p level to its two addresses and
+     *  access it (see accessBlock). */
     void blockAccess(const Texture2D &texture, int level, int bx,
                      int by, int refs) override;
+
+    /**
+     * Access one 4x4 block, referenced by @p refs taps of one quad, by
+     * its L0 (decompressed) address @p virtual_address and its L1
+     * (stored) address @p memory_address, as given by
+     * Texture2D::blockVirtualAddress / blockMemAddress.
+     */
+    void accessBlock(std::uint64_t virtual_address,
+                     std::uint64_t memory_address, int refs);
 
     const memsys::CacheStats &l0Stats() const { return _l0.stats(); }
     const memsys::CacheStats &l1Stats() const { return _l1.stats(); }
