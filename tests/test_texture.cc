@@ -4,6 +4,10 @@
  * constructors, memory layout and address disjointness.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "memory/controller.hh"
@@ -137,4 +141,104 @@ TEST(Texture, NoiseDeterministicBySeed)
     for (int i = 0; i < 32 && !differs; ++i)
         differs = a.texel(0, i, i).r != c.texel(0, i, i).r;
     EXPECT_TRUE(differs);
+}
+
+namespace {
+
+/** FNV-1a over every level's decoded texels, then storageBytes(). */
+std::uint64_t
+contentHash(const Texture2D &t)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint8_t byte) {
+        h ^= byte;
+        h *= 1099511628211ull;
+    };
+    for (int l = 0; l < t.levels(); ++l) {
+        Texture2D::LevelView v = t.levelView(l);
+        for (int i = 0; i < v.width * v.height; ++i) {
+            mix(v.texels[i].r);
+            mix(v.texels[i].g);
+            mix(v.texels[i].b);
+            mix(v.texels[i].a);
+        }
+    }
+    for (int i = 0; i < 8; ++i)
+        mix(static_cast<std::uint8_t>(t.storageBytes() >> (8 * i)));
+    return h;
+}
+
+} // namespace
+
+// Locks the generated texture bytes (every level, after the DXT round
+// trip) so a faster generator or codec must be bit-exact.
+TEST(Texture, ContentPinned)
+{
+    const char *kinds[] = {"checker", "noise", "noise_alpha", "gradient"};
+    const TexFormat formats[] = {TexFormat::RGBA8, TexFormat::DXT1,
+                                 TexFormat::DXT3, TexFormat::DXT5};
+    const int sizes[] = {1, 4, 64, 512};
+    const std::uint64_t expected[4][4][4] = {
+        { // checker
+         {0x90282d1ee18d8f78ull, 0x2424d76bd69eb44eull,
+          0x363f65c13791c995ull, 0xb6ce9fc3defa86e8ull}, // RGBA8
+         {0xa326dcad1f942aaaull, 0x8d1274677a0d74abull,
+          0xb6cd9f1356a30929ull, 0xdcfb1cbdefef1e7bull}, // DXT1
+         {0x9afd14f5770e7bb2ull, 0xafcd606157767b7cull,
+          0x9d7dd26dab6fcafbull, 0xd3882fd2b54f66e6ull}, // DXT3
+         {0x9afd14f5770e7bb2ull, 0xbdd3c482a6d098d9ull,
+          0xffb42899a34fe13aull, 0xef07e3963696c997ull}, // DXT5
+        },
+        { // noise
+         {0x864f70d7e2537585ull, 0x7c0ef440fd7baa94ull,
+          0xb083b1cfaf58b520ull, 0xc413441cc441b49eull}, // RGBA8
+         {0xa221f21763b9cb06ull, 0xe533cf43090f8e5aull,
+          0x3aa2f45f3aecfa05ull, 0x3f7c0305cf333891ull}, // DXT1
+         {0x89a49af06a28be1eull, 0xccb6781c0f7e8172ull,
+          0x3919e5ef286895a8ull, 0x099ba411ed24ff67ull}, // DXT3
+         {0x89a49af06a28be1eull, 0xccb6781c0f7e8172ull,
+          0x3919e5ef286895a8ull, 0x099ba411ed24ff67ull}, // DXT5
+        },
+        { // noise_alpha
+         {0x032299f3d25ed3d9ull, 0xf796ccc8bc30387bull,
+          0xc4c1e5cdd6e5d65cull, 0x7aa65b7f6ab737abull}, // RGBA8
+         {0x4c3de922748ab59dull, 0x01f698c924245270ull,
+          0xa35321f70a09c1e7ull, 0xdac319bc7c287ec8ull}, // DXT1
+         {0xa318655023fc77ecull, 0xf17e369e5bf81519ull,
+          0x08891cb26efc7b96ull, 0x97121fe10887494full}, // DXT3
+         {0x653fbaf7f20a14aaull, 0x006eef57474ae96bull,
+          0x3b536351757b59bfull, 0x1163d2a8a3a42404ull}, // DXT5
+        },
+        { // gradient
+         {0x90282d1ee18d8f78ull, 0x113687775f608a32ull,
+          0xb4593b06b9462126ull, 0x1d55bb7c0e396c69ull}, // RGBA8
+         {0xa326dcad1f942aaaull, 0xb2c763ba572d3f8full,
+          0xee8b25463d280b5dull, 0x0ccffad8e72a4b11ull}, // DXT1
+         {0x9afd14f5770e7bb2ull, 0x635d409a554d41e8ull,
+          0x21e917daebf36957ull, 0xaa8751551791b734ull}, // DXT3
+         {0x9afd14f5770e7bb2ull, 0x0a4bec41a3d97f81ull,
+          0xebac95970036f837ull, 0xc500f0bf4d5ff96full}, // DXT5
+        },
+    };
+    const Rgba8 a{230, 120, 30, 255}, b{20, 60, 200, 90};
+    for (int k = 0; k < 4; ++k) {
+        for (int f = 0; f < 4; ++f) {
+            for (int s = 0; s < 4; ++s) {
+                int size = sizes[s];
+                std::string kind = kinds[k];
+                Texture2D t =
+                    kind == "checker"
+                        ? Texture2D::checkerboard("t", size,
+                                                  std::max(1, size / 8), a,
+                                                  b, formats[f])
+                    : kind == "gradient"
+                        ? Texture2D::gradient("t", size, a, b, formats[f])
+                        : Texture2D::noise("t", size, 17 + size, formats[f],
+                                           kind == "noise_alpha");
+                EXPECT_EQ(contentHash(t), expected[k][f][s])
+                    << kind << "/" << formatName(formats[f]) << "/"
+                    << size;
+            }
+        }
+    }
 }
