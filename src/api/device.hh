@@ -4,6 +4,14 @@
  * validates and applies the command stream, feeds the API statistics
  * collector, optionally records a trace and forwards resolved draw
  * calls to a sink (the GPU simulator, or nothing for API-only runs).
+ *
+ * Textures are built in one place, on the global thread pool, and only
+ * when something reads them. With a sink, each run of consecutive
+ * texture creations is built together and announced in submission
+ * order before the next command of any other kind is applied (or at
+ * setSink() or at a lookup), so the sink sees the same calls in the
+ * same order as if each had been built on creation. Without a sink a
+ * texture is built on its first lookup.
  */
 
 #ifndef WC3D_API_DEVICE_HH
@@ -11,6 +19,8 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "api/apistats.hh"
 #include "api/commands.hh"
@@ -66,8 +76,9 @@ class Device
 
     GraphicsApi apiKind() const { return _apiKind; }
 
-    /** Attach the GPU (or other) sink; may be null. */
-    void setSink(DrawSink *sink) { _sink = sink; }
+    /** Attach the GPU (or other) sink; may be null. Textures still
+     *  waiting to be announced go to the previous sink first. */
+    void setSink(DrawSink *sink);
 
     /** Attach a trace recorder; every submitted command is recorded. */
     void setRecorder(TraceWriter *recorder) { _recorder = recorder; }
@@ -103,7 +114,8 @@ class Device
 
     const RenderState &currentState() const { return _current; }
 
-    /** @name Resource lookups (null when unknown) */
+    /** @name Resource lookups (null when unknown)
+     *  A texture lookup builds the texture if that has not happened yet. */
     /// @{
     const VertexBufferData *vertexBuffer(std::uint32_t id) const;
     const IndexBufferData *indexBuffer(std::uint32_t id) const;
@@ -112,8 +124,25 @@ class Device
     /// @}
 
   private:
+    /** A texture's spec, and the texture once something needed it. */
+    struct TextureEntry
+    {
+        TextureSpec spec;
+        std::unique_ptr<tex::Texture2D> texture;
+    };
+
+    /** (id, spec) of each texture to build, in submission order. */
+    using TextureRun = std::vector<std::pair<std::uint32_t, TextureSpec>>;
+
     void apply(const Command &cmd);
     shader::Program *mutableProgram(std::uint32_t id);
+
+    /** Build every texture of @p run in parallel on the global pool. */
+    static std::vector<std::unique_ptr<tex::Texture2D>>
+    buildTextures(const TextureRun &run);
+
+    /** Build the pending run and announce it to the sink, in order. */
+    void flushTextures() const;
 
     GraphicsApi _apiKind;
     DrawSink *_sink = nullptr;
@@ -124,8 +153,10 @@ class Device
 
     std::unordered_map<std::uint32_t, VertexBufferData> _vertexBuffers;
     std::unordered_map<std::uint32_t, IndexBufferData> _indexBuffers;
-    std::unordered_map<std::uint32_t, std::unique_ptr<tex::Texture2D>>
-        _textures;
+    // Mutable: lookups build textures on demand.
+    mutable std::unordered_map<std::uint32_t, TextureEntry> _textures;
+    /** Textures created with a sink set, not yet built or announced. */
+    mutable TextureRun _pendingTextures;
     std::unordered_map<std::uint32_t, std::unique_ptr<shader::Program>>
         _programs;
 };

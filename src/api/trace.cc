@@ -366,6 +366,9 @@ readTextureSpec(Cursor &c)
          size > static_cast<std::uint32_t>(kTraceMaxTextureSize))) {
         c.failAt(at, format("texture size %u outside [1, %d]", size,
                             kTraceMaxTextureSize));
+    } else if (!c.failed() && (size & (size - 1)) != 0) {
+        c.failAt(at, format("texture size %u is not a power of two",
+                            size));
     }
     s.size = static_cast<int>(size);
     at = c.pos;

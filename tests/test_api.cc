@@ -5,12 +5,16 @@
  */
 
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/device.hh"
 #include "api/trace.hh"
+#include "common/threadpool.hh"
 
 using namespace wc3d;
 using namespace wc3d::api;
@@ -79,6 +83,53 @@ smallIb(std::initializer_list<std::uint32_t> idx,
 
 const char *kVs = "!!VP v\nMOV o0, v0;\n";
 const char *kFs = "!!FP f\nMOV o0, v1;\n";
+
+/** Sink logging every call, in order, as (kind, id); 0 when a call
+ *  carries no id. */
+class OrderSink : public DrawSink
+{
+  public:
+    using Calls = std::vector<std::pair<char, std::uint32_t>>;
+
+    void
+    vertexBufferCreated(std::uint32_t id, const VertexBufferData &) override
+    {
+        calls.emplace_back('v', id);
+    }
+    void
+    indexBufferCreated(std::uint32_t id, const IndexBufferData &) override
+    {
+        calls.emplace_back('i', id);
+    }
+    void
+    textureCreated(std::uint32_t id, tex::Texture2D &texture) override
+    {
+        calls.emplace_back('t', id);
+        textures.push_back(&texture);
+        widths.push_back(texture.width());
+    }
+    void
+    programCreated(std::uint32_t id, const shader::Program &) override
+    {
+        calls.emplace_back('p', id);
+    }
+    void clear(const ClearCmd &) override { calls.emplace_back('c', 0); }
+    void draw(const DrawCall &) override { calls.emplace_back('d', 0); }
+    void endFrame() override { calls.emplace_back('f', 0); }
+
+    Calls calls;
+    std::vector<const tex::Texture2D *> textures;
+    std::vector<int> widths;
+};
+
+TextureSpec
+noiseSpec(int size)
+{
+    TextureSpec spec;
+    spec.size = size;
+    spec.seed = static_cast<std::uint64_t>(size);
+    return spec;
+}
 
 /** Device with programs bound, ready to draw. */
 struct Fixture
@@ -204,6 +255,133 @@ TEST(Device, ClearAndEndFrameForwarded)
     f.dev.endFrame();
     EXPECT_EQ(f.sink.clears, 1);
     EXPECT_EQ(f.sink.frames, 1);
+}
+
+TEST(Device, SinkSeesCallsInSubmissionOrder)
+{
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        Device dev;
+        OrderSink sink;
+        dev.setSink(&sink);
+        OrderSink::Calls want;
+        auto texture = [&](int size) {
+            std::uint32_t id = dev.createTexture(noiseSpec(size));
+            want.emplace_back('t', id);
+            return id;
+        };
+
+        std::uint32_t vb = dev.createVertexBuffer(smallVb());
+        want.emplace_back('v', vb);
+        texture(64);
+        texture(32);
+        std::uint32_t redefined = texture(16);
+        std::uint32_t ib = dev.createIndexBuffer(smallIb({0, 1, 2}));
+        want.emplace_back('i', ib);
+        std::uint32_t vp = dev.createProgram(shader::ProgramKind::Vertex,
+                                             kVs);
+        want.emplace_back('p', vp);
+        texture(8);
+        // A redefinition inside a run is announced again, in order.
+        TextureSpec respec;
+        respec.kind = TextureSpec::Kind::Checker;
+        respec.size = 1;
+        dev.submit(CreateTextureCmd{redefined, respec});
+        want.emplace_back('t', redefined);
+        texture(4);
+        std::uint32_t fp = dev.createProgram(
+            shader::ProgramKind::Fragment, kFs);
+        want.emplace_back('p', fp);
+        dev.bindProgram(shader::ProgramKind::Vertex, vp);
+        dev.bindProgram(shader::ProgramKind::Fragment, fp);
+        dev.bindTexture(0, redefined, tex::SamplerState{});
+        dev.clear();
+        want.emplace_back('c', 0);
+        dev.draw(vb, ib, 0, 3, geom::PrimitiveType::TriangleList);
+        want.emplace_back('d', 0);
+        std::uint32_t last = texture(16);
+        texture(2);
+        dev.endFrame(); // announces the trailing run first
+        want.emplace_back('f', 0);
+
+        EXPECT_EQ(sink.calls, want) << threads << " thread(s)";
+        EXPECT_EQ(sink.widths,
+                  (std::vector<int>{64, 32, 16, 8, 1, 4, 16, 2}))
+            << threads << " thread(s)";
+        EXPECT_EQ(dev.texture(redefined), sink.textures[4]);
+        EXPECT_EQ(dev.texture(last), sink.textures[6]);
+        EXPECT_EQ(sink.calls.size(), want.size()); // lookups announce nothing
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(Device, TextureBuiltOnLookupWithoutSink)
+{
+    Device dev;
+    TextureSpec spec = noiseSpec(32);
+    spec.alphaNoise = true;
+    spec.format = tex::TexFormat::DXT5;
+    std::uint32_t id = dev.createTexture(spec);
+    const tex::Texture2D *t = dev.texture(id);
+    ASSERT_NE(t, nullptr);
+    tex::Texture2D want = spec.build("tex" + std::to_string(id));
+    EXPECT_EQ(t->name(), want.name());
+    EXPECT_EQ(t->storageBytes(), want.storageBytes());
+    ASSERT_EQ(t->levels(), want.levels());
+    for (int l = 0; l < want.levels(); ++l) {
+        tex::Texture2D::LevelView a = t->levelView(l), b = want.levelView(l);
+        ASSERT_EQ(a.width, b.width);
+        ASSERT_EQ(a.height, b.height);
+        EXPECT_EQ(std::memcmp(a.texels, b.texels,
+                              sizeof(Rgba8) * a.width * a.height),
+                  0)
+            << "level " << l;
+    }
+    EXPECT_EQ(dev.texture(id), t);
+    EXPECT_EQ(dev.texture(id + 1), nullptr);
+}
+
+TEST(Device, TextureCreatedBeforeSinkNeverAnnounced)
+{
+    Device dev;
+    std::uint32_t early = dev.createTexture(noiseSpec(8));
+    OrderSink sink;
+    dev.setSink(&sink);
+    std::uint32_t late = dev.createTexture(noiseSpec(4));
+    dev.bindTexture(0, early, tex::SamplerState{});
+    EXPECT_NE(dev.texture(early), nullptr);
+    EXPECT_EQ(sink.calls, (OrderSink::Calls{{'t', late}}));
+}
+
+TEST(Device, PendingTexturesAnnouncedOnSetSinkAndLookup)
+{
+    Device dev;
+    OrderSink first, second;
+    dev.setSink(&first);
+    std::uint32_t a = dev.createTexture(noiseSpec(4));
+    dev.setSink(&second); // the run goes to the sink it was created under
+    EXPECT_EQ(first.calls, (OrderSink::Calls{{'t', a}}));
+    EXPECT_TRUE(second.calls.empty());
+
+    std::uint32_t b = dev.createTexture(noiseSpec(8));
+    std::uint32_t c = dev.createTexture(noiseSpec(2));
+    const tex::Texture2D *tc = dev.texture(c); // ends the run
+    EXPECT_EQ(second.calls, (OrderSink::Calls{{'t', b}, {'t', c}}));
+    ASSERT_EQ(second.textures.size(), 2u);
+    EXPECT_EQ(second.textures[1], tc);
+    EXPECT_EQ(dev.texture(b), second.textures[0]);
+}
+
+TEST(Device, TextureRedefinitionWarns)
+{
+    Device dev;
+    testing::internal::CaptureStderr();
+    dev.submit(CreateTextureCmd{7, noiseSpec(4)});
+    dev.submit(CreateTextureCmd{7, noiseSpec(8)});
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("device: texture 7 redefined"), std::string::npos)
+        << err;
+    EXPECT_EQ(dev.texture(7)->width(), 8);
 }
 
 TEST(ApiStats, CountsDrawsAndStateCalls)

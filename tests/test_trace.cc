@@ -365,6 +365,12 @@ TEST(Trace, RejectsBadTextureSpec)
     patchU32(bytes, size_at, 0);
     expectRejected(bytes, "texture size", size_at);
 
+    // In range, but texture building asserts a power of two.
+    bytes = base;
+    patchU32(bytes, size_at, 48);
+    expectRejected(bytes, "texture size 48 is not a power of two",
+                   size_at);
+
     bytes = base;
     patchU32(bytes, cell_at, 65); // cell > size
     expectRejected(bytes, "texture cell", cell_at);
