@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <ostream>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "memory/controller.hh"
+#include "sampler_reference.hh"
 #include "texture/texcache.hh"
 
 using namespace wc3d;
@@ -551,4 +558,293 @@ TEST(TextureUnit, UnboundUnitReturnsBlack)
     unit.bind(0, nullptr, SamplerState{});
     unit.unbind(0);
     EXPECT_EQ(unit.boundTexture(0), nullptr);
+}
+
+namespace {
+
+/** Random texels, so any mix-up of texels, levels or lanes shows. */
+const Texture2D &
+randomTexture(TexFormat format, int width, int height)
+{
+    static std::map<std::tuple<TexFormat, int, int>,
+                    std::unique_ptr<Texture2D>> cache;
+    auto &slot = cache[{format, width, height}];
+    if (!slot) {
+        Rng rng(static_cast<std::uint64_t>(width) * 131 + height);
+        Image img(width, height);
+        for (int y = 0; y < height; ++y)
+            for (int x = 0; x < width; ++x)
+                img.set(x, y, Rgba8::fromPacked(rng.nextU32()));
+        slot = std::make_unique<Texture2D>("random", img, format);
+    }
+    return *slot;
+}
+
+bool
+sameBits(const Vec4 &a, const Vec4 &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+::testing::AssertionResult
+sameStats(const SampleStats &got, const SampleStats &want)
+{
+    if (got.requests == want.requests &&
+        got.bilinearSamples == want.bilinearSamples &&
+        got.texelReads == want.texelReads &&
+        got.anisoRatioSum == want.anisoRatioSum &&
+        got.anisoRequests == want.anisoRequests)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "requests " << got.requests << "/" << want.requests
+           << ", bilinears " << got.bilinearSamples << "/"
+           << want.bilinearSamples << ", texels " << got.texelReads << "/"
+           << want.texelReads << ", aniso " << got.anisoRatioSum << "/"
+           << want.anisoRatioSum << " over " << got.anisoRequests << "/"
+           << want.anisoRequests;
+}
+
+/** A production sampler and the reference, fed the same calls. */
+struct SamplerPair
+{
+    Sampler model;
+    test::ReferenceSampler ref;
+    RecordingListener modelBlocks, refBlocks;
+
+    SamplerPair()
+    {
+        model.setListener(&modelBlocks);
+        ref.setListener(&refBlocks);
+    }
+
+    /** Sample one quad with both; @return whether everything matched. */
+    ::testing::AssertionResult
+    quad(const Texture2D &t, const SamplerState &st, const Vec4 coords[4],
+         float lod_bias)
+    {
+        Vec4 got[4], want[4];
+        model.sampleQuad(t, st, coords, lod_bias, got);
+        ref.sampleQuad(t, st, coords, lod_bias, want);
+        for (int l = 0; l < 4; ++l) {
+            if (!sameBits(got[l], want[l]))
+                return ::testing::AssertionFailure() << "colour of lane " << l;
+        }
+        return same();
+    }
+
+    ::testing::AssertionResult
+    lod(const Texture2D &t, const SamplerState &st, Vec2 uv, float lod)
+    {
+        Vec4 got = model.sampleLod(t, st, uv, lod);
+        Vec4 want = ref.sampleLod(t, st, uv, lod);
+        if (!sameBits(got, want))
+            return ::testing::AssertionFailure() << "colour";
+        return same();
+    }
+
+    ::testing::AssertionResult
+    same()
+    {
+        if (modelBlocks.blocks != refBlocks.blocks) {
+            auto r = ::testing::AssertionFailure() << "block stream:";
+            for (const BlockRef &b : modelBlocks.blocks)
+                r << " " << b;
+            r << " vs";
+            for (const BlockRef &b : refBlocks.blocks)
+                r << " " << b;
+            return r;
+        }
+        lastBlocks = modelBlocks.blocks.size();
+        modelBlocks.blocks.clear();
+        refBlocks.blocks.clear();
+        return sameStats(model.stats(), ref.stats());
+    }
+
+    std::size_t lastBlocks = 0; ///< accesses the last call emitted
+};
+
+/** A random quad around @p base (uv): a footprint of 2^-4..2^7 texels
+ *  of the base level, any orientation, anisotropy up to 32:1, and a
+ *  non-affine fourth lane. Every eighth quad is axis-aligned with a
+ *  power-of-two footprint nudged by under 1e-3, so the trilinear
+ *  blend weight lands on both sides of its threshold. */
+void
+randomQuad(Rng &rng, const Texture2D &t, Vec2 base, Vec4 out[4])
+{
+    float w = static_cast<float>(t.width());
+    float h = static_cast<float>(t.height());
+    Vec2 ddx, ddy;
+    if (rng.nextBounded(8) == 0) {
+        static const float kNudge[] = {0.0f, 3e-5f, 6.9e-5f, 7e-5f,
+                                       1.5e-4f, 6e-4f};
+        float s = std::ldexp(1.0f + kNudge[rng.nextBounded(6)],
+                             rng.nextInt(-2, 9));
+        float minor = rng.nextBounded(2) ? s : s / 8.0f;
+        ddx = {s, 0.0f};
+        ddy = {0.0f, minor};
+        if (rng.nextBounded(2))
+            std::swap(ddx, ddy);
+    } else {
+        float s = std::exp2(rng.nextRange(-4.0f, 7.0f));
+        float ratio = std::exp2(rng.nextRange(0.0f, 5.0f));
+        float a = rng.nextRange(0.0f, 6.2831853f);
+        Vec2 major{s * std::cos(a), s * std::sin(a)};
+        Vec2 minor{-major.y / ratio, major.x / ratio};
+        if (rng.nextBounded(16) == 0)
+            minor = {0.0f, 0.0f};
+        ddx = major;
+        ddy = minor;
+        if (rng.nextBounded(2))
+            std::swap(ddx, ddy);
+    }
+    ddx = {ddx.x / w, ddx.y / h};
+    ddy = {ddy.x / w, ddy.y / h};
+    quadCoords(out, base, ddx, ddy);
+    out[3].x += rng.nextRange(-0.25f, 0.25f) * ddx.x;
+    out[3].y += rng.nextRange(-0.25f, 0.25f) * ddy.y;
+}
+
+using VsParam =
+    std::tuple<TexFilter, TexWrap, TexFormat, std::pair<int, int>>;
+
+std::string
+vsName(const ::testing::TestParamInfo<VsParam> &info)
+{
+    static const char *kFilter[] = {"Nearest", "Bilinear", "Trilinear",
+                                    "Aniso"};
+    auto [filter, wrap, format, size] = info.param;
+    return std::string(kFilter[static_cast<int>(filter)]) +
+           (wrap == TexWrap::Repeat ? "Repeat" : "Clamp") +
+           (format == TexFormat::RGBA8 ? "Rgba8" : "Dxt1") + "_" +
+           std::to_string(size.first) + "x" + std::to_string(size.second);
+}
+
+} // namespace
+
+/** Differential lock: seeded random quads and sampleLod calls on one
+ *  long-lived sampler, checked call by call against the reference in
+ *  sampler_reference.hh (colour bits, the (level, bx, by, refs) block
+ *  stream and SampleStats). Coordinates run from -2 to 3, so both wrap
+ *  modes see every edge. */
+class SamplerVsReference : public ::testing::TestWithParam<VsParam>
+{
+};
+
+TEST_P(SamplerVsReference, RandomQuadsMatch)
+{
+    auto [filter, wrap, format, size] = GetParam();
+    auto [w, h] = size;
+    const Texture2D &t = randomTexture(format, w, h);
+    SamplerPair pair;
+    Rng rng(static_cast<std::uint64_t>(filter) * 1000003 +
+            static_cast<std::uint64_t>(wrap) * 10007 + w * 101 + h);
+    for (int aniso : {1, 2, 16}) {
+        for (float state_bias : {0.0f, -0.75f, 1.5f}) {
+            SamplerState st;
+            st.filter = filter;
+            st.wrap = wrap;
+            st.maxAniso = aniso;
+            st.lodBias = state_bias;
+            for (int i = 0; i < 48; ++i) {
+                static const float kBias[] = {0.0f, 0.25f, -1.0f, 3.0f};
+                Vec2 base{rng.nextRange(-2.0f, 3.0f),
+                          rng.nextRange(-2.0f, 3.0f)};
+                Vec4 coords[4];
+                randomQuad(rng, t, base, coords);
+                ASSERT_TRUE(pair.quad(t, st, coords, kBias[rng.nextBounded(4)]))
+                    << "aniso " << aniso << ", bias " << state_bias
+                    << ", quad " << i;
+            }
+        }
+    }
+}
+
+TEST_P(SamplerVsReference, SampleLodMatches)
+{
+    auto [filter, wrap, format, size] = GetParam();
+    auto [w, h] = size;
+    const Texture2D &t = randomTexture(format, w, h);
+    SamplerPair pair;
+    Rng rng(static_cast<std::uint64_t>(filter) * 7919 +
+            static_cast<std::uint64_t>(wrap) * 31 + w * 7 + h);
+    SamplerState st;
+    st.filter = filter;
+    st.wrap = wrap;
+    // Whole levels below, inside and above the chain, plus blend
+    // weights on both sides of the trilinear threshold.
+    static const float kFrac[] = {0.0f, 5e-5f, 9.9e-5f, 1e-4f, 1.01e-4f,
+                                  2e-4f, 1e-3f, 0.5f};
+    for (int i = 0; i < 400; ++i) {
+        float lod = static_cast<float>(rng.nextInt(-2, t.levels() + 1));
+        lod += i % 9 == 8 ? rng.nextFloat() : kFrac[i % 8];
+        Vec2 uv{rng.nextRange(-2.0f, 3.0f), rng.nextRange(-2.0f, 3.0f)};
+        ASSERT_TRUE(pair.lod(t, st, uv, lod)) << "call " << i << ", lod "
+                                               << lod;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Textures, SamplerVsReference,
+    ::testing::Combine(
+        ::testing::Values(TexFilter::Nearest, TexFilter::Bilinear,
+                          TexFilter::Trilinear, TexFilter::Anisotropic),
+        ::testing::Values(TexWrap::Repeat, TexWrap::Clamp),
+        ::testing::Values(TexFormat::RGBA8, TexFormat::DXT1),
+        ::testing::Values(std::make_pair(1, 1), std::make_pair(4, 4),
+                          std::make_pair(64, 64), std::make_pair(512, 512),
+                          std::make_pair(128, 8))),
+    vsName);
+
+TEST(SamplerVsReferenceOverflow, QuadsOverflowingTheBlockSetMatch)
+{
+    // Level 0 of a 512x512 texture (128x128 blocks), 16 probes per
+    // lane. Even quads put every footprint on a block corner, inside
+    // the texture: probes 8 texels apart, lanes 128 texels apart along
+    // the major axis and 8 across it, so the quad touches 256 distinct
+    // blocks and the per-quad set overflows. Odd quads are any orientation, with
+    // lanes 64-512 texels apart; some of them overflow.
+    int overflowed = 0;
+    for (TexWrap wrap : {TexWrap::Repeat, TexWrap::Clamp}) {
+        for (TexFormat format : {TexFormat::RGBA8, TexFormat::DXT1}) {
+            const Texture2D &t = randomTexture(format, 512, 512);
+            SamplerPair pair;
+            Rng rng(static_cast<std::uint64_t>(wrap) * 2 +
+                    static_cast<std::uint64_t>(format));
+            SamplerState st;
+            st.filter = TexFilter::Anisotropic;
+            st.wrap = wrap;
+            st.maxAniso = 16;
+            for (int i = 0; i < 64; ++i) {
+                Vec2 base, major, minor;
+                if (i % 2 == 0) {
+                    auto corner = [&rng] {
+                        return 4.0f * rng.nextInt(48, 79) +
+                               rng.nextRange(3.6f, 4.4f);
+                    };
+                    float len = rng.nextBounded(2) ? 128.0f : -128.0f;
+                    base = {corner(), corner()};
+                    major = {len, 0.0f};
+                    minor = {0.0f, 8.0f};
+                    if (rng.nextBounded(2)) {
+                        major = {0.0f, len};
+                        minor = {8.0f, 0.0f};
+                    }
+                } else {
+                    float len = rng.nextRange(64.0f, 512.0f);
+                    float a = rng.nextRange(0.0f, 6.2831853f);
+                    float m = rng.nextRange(4.0f, 8.0f) / len;
+                    base = {rng.nextRange(-512.0f, 1024.0f),
+                            rng.nextRange(-512.0f, 1024.0f)};
+                    major = {len * std::cos(a), len * std::sin(a)};
+                    minor = {-major.y * m, major.x * m};
+                }
+                Vec4 coords[4];
+                quadCoords(coords, base / 512.0f, major / 512.0f,
+                           minor / 512.0f);
+                ASSERT_TRUE(pair.quad(t, st, coords, -8.0f)) << "quad " << i;
+                overflowed += pair.lastBlocks > 128;
+            }
+        }
+    }
+    EXPECT_GE(overflowed, 128);
 }
