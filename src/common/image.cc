@@ -7,22 +7,6 @@
 
 namespace wc3d {
 
-std::uint8_t
-floatToUnorm8(float v)
-{
-    if (v <= 0.0f)
-        return 0;
-    if (v >= 1.0f)
-        return 255;
-    return static_cast<std::uint8_t>(v * 255.0f + 0.5f);
-}
-
-float
-unorm8ToFloat(std::uint8_t v)
-{
-    return static_cast<float>(v) * (1.0f / 255.0f);
-}
-
 Image::Image(int width, int height, Rgba8 fill)
     : _width(width), _height(height),
       _pixels(static_cast<std::size_t>(width) * height, fill)

@@ -49,10 +49,22 @@ struct Rgba8
 };
 
 /** Convert a float in [0,1] to an 8-bit channel with rounding. */
-std::uint8_t floatToUnorm8(float v);
+inline std::uint8_t
+floatToUnorm8(float v)
+{
+    if (v <= 0.0f)
+        return 0;
+    if (v >= 1.0f)
+        return 255;
+    return static_cast<std::uint8_t>(v * 255.0f + 0.5f);
+}
 
 /** Convert an 8-bit channel to a float in [0,1]. */
-float unorm8ToFloat(std::uint8_t v);
+inline float
+unorm8ToFloat(std::uint8_t v)
+{
+    return static_cast<float>(v) * (1.0f / 255.0f);
+}
 
 /** Row-major RGBA8 image. */
 class Image

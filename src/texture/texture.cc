@@ -150,28 +150,6 @@ Texture2D::bindMemory(memsys::MemoryController &mc)
     _memBound = true;
 }
 
-std::uint64_t
-Texture2D::blockVirtualAddress(int l, int bx, int by) const
-{
-    WC3D_ASSERT(_memBound);
-    const Level &lvl = level(l);
-    WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 && by < lvl.blocksY);
-    std::uint64_t block =
-        static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
-    return _virtBase + lvl.virtOffset + block * kDecodedBlockBytes;
-}
-
-std::uint64_t
-Texture2D::blockMemAddress(int l, int bx, int by) const
-{
-    WC3D_ASSERT(_memBound);
-    const Level &lvl = level(l);
-    WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 && by < lvl.blocksY);
-    std::uint64_t block =
-        static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
-    return _memBase + lvl.memOffset + block * blockBytes(_format);
-}
-
 Texture2D
 Texture2D::checkerboard(std::string name, int size, int cell, Rgba8 a,
                         Rgba8 b, TexFormat format)

@@ -109,10 +109,24 @@ class Texture2D
     bool memoryBound() const { return _memBound; }
 
     /** L0 (virtual/decompressed) address of block (bx, by) at level. */
-    std::uint64_t blockVirtualAddress(int level, int bx, int by) const;
+    std::uint64_t
+    blockVirtualAddress(int l, int bx, int by) const
+    {
+        WC3D_ASSERT(_memBound);
+        const Level &lvl = level(l);
+        return _virtBase + lvl.virtOffset +
+               blockIndex(lvl, bx, by) * kDecodedBlockBytes;
+    }
 
     /** L1/GDDR (stored) address of block (bx, by) at level. */
-    std::uint64_t blockMemAddress(int level, int bx, int by) const;
+    std::uint64_t
+    blockMemAddress(int l, int bx, int by) const
+    {
+        WC3D_ASSERT(_memBound);
+        const Level &lvl = level(l);
+        return _memBase + lvl.memOffset +
+               blockIndex(lvl, bx, by) * blockBytes(_format);
+    }
 
   private:
     struct Level
@@ -127,6 +141,14 @@ class Texture2D
     };
 
     void buildLevels(const Image &base);
+
+    static std::uint64_t
+    blockIndex(const Level &lvl, int bx, int by)
+    {
+        WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 &&
+                    by < lvl.blocksY);
+        return static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
+    }
 
     const Level &
     level(int l) const
