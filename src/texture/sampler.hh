@@ -117,17 +117,36 @@ class Sampler
     void resetStats() { _stats = SampleStats(); }
 
   private:
-    /** One bilinear footprint at @p level. */
-    Vec4 bilinearFetch(const Texture2D &texture, TexWrap wrap, int level,
+    /**
+     * What one LOD resolves to: the filter, the mip level(s) and their
+     * texel views. A quad has one LOD, so its plan is resolved once
+     * and every lane and anisotropic probe fetches through it.
+     */
+    struct FilterPlan
+    {
+        const Texture2D *texture;
+        TexWrap wrap;
+        bool nearest;            ///< one nearest texel at level l0
+        bool blend;              ///< second bilinear at l0 + 1
+        int l0;
+        float frac;              ///< weight of level l0 + 1 when blending
+        Texture2D::LevelView v0; ///< level l0
+        Texture2D::LevelView v1; ///< level l0 + 1 when blending
+    };
+
+    static FilterPlan resolvePlan(const Texture2D &texture,
+                                  const SamplerState &state, float lod);
+
+    /** One filtered sample at @p uv through @p plan. */
+    Vec4 fetch(const FilterPlan &plan, Vec2 uv);
+
+    /** One bilinear footprint at @p level (viewed by @p view). */
+    Vec4 bilinearFetch(const FilterPlan &plan,
+                       const Texture2D::LevelView &view, int level,
                        Vec2 uv);
 
-    /** Nearest texel at @p level. */
-    Vec4 nearestFetch(const Texture2D &texture, TexWrap wrap, int level,
-                      Vec2 uv);
-
-    /** Trilinear (or bilinear when @p lod is integral/clamped). */
-    Vec4 filteredFetch(const Texture2D &texture, const SamplerState &state,
-                       Vec2 uv, float lod);
+    /** Nearest texel at the plan's level. */
+    Vec4 nearestFetch(const FilterPlan &plan, Vec2 uv);
 
     /** Note the blocks a bilinear footprint's four taps touch. */
     void noteFootprint(const Texture2D &texture, int level, int xa, int xb,
@@ -135,6 +154,10 @@ class Sampler
     /** Note @p refs taps on block (bx, by) of @p level. */
     void noteBlock(const Texture2D &texture, int level, int bx, int by,
                    int refs);
+    /** Add block @p key, absent from the set, at empty @p slot (or
+     *  forward its taps when the set is full). */
+    void addBlock(const Texture2D &texture, std::uint64_t key,
+                  unsigned slot, int refs);
     void flushBlockSet(const Texture2D &texture);
 
     TexelAccessListener *_listener = nullptr;
@@ -142,10 +165,17 @@ class Sampler
 
     // Per-quad distinct-block set: the texture unit coalesces the block
     // references of one quad before touching the cache, mirroring how
-    // quad locality reduces cache traffic in real designs.
+    // quad locality reduces cache traffic in real designs. Entries stay
+    // in first-touch order; an open-addressed slot table (slot ->
+    // entry index + 1, 0 = empty) finds a block without a scan. It has
+    // twice as many slots as the set has entries, so a probe always
+    // ends at an empty slot.
     static constexpr int kMaxQuadBlocks = 128;
+    static constexpr int kBlockSlots = 256;
     std::uint64_t _blockSet[kMaxQuadBlocks];
     std::uint32_t _blockRefs[kMaxQuadBlocks];
+    std::uint8_t _blockSlot[kMaxQuadBlocks]; ///< slot of each entry
+    std::uint8_t _slots[kBlockSlots] = {};
     int _blockCount = 0;
 };
 
