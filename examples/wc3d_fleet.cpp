@@ -41,8 +41,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: wc3d-fleet [--dir DIR] COMMAND\n"
-        "  ingest FILE...                  add metrics/serve "
-        "manifests\n"
+        "  ingest FILE...                  add metrics manifests\n"
         "  list                            show every index entry\n"
         "  query --phases SEQ              per-stage time breakdown\n"
         "  query --counters SEQ [--prefix P]\n"
@@ -112,10 +111,9 @@ cmdList(const fleet::FleetStore &store)
                 demos += ",";
             demos += d;
         }
-        std::printf("#%-4llu %-7s git=%s config=%s host=%s "
+        std::printf("#%-4llu git=%s config=%s host=%s "
                     "demos=%s source=%s\n",
-                    static_cast<unsigned long long>(e.seq),
-                    fleet::kindName(e.kind), e.git.c_str(),
+                    static_cast<unsigned long long>(e.seq), e.git.c_str(),
                     e.config.c_str(), e.host.c_str(),
                     demos.empty() ? "-" : demos.c_str(),
                     e.source.c_str());
@@ -154,9 +152,8 @@ cmdPhases(const fleet::FleetStore &store, std::uint64_t seq)
         return 1;
     auto stages = fleet::stageBreakdown(doc);
     if (stages.empty()) {
-        std::printf("#%llu (%s): no phase clock in this document\n",
-                    static_cast<unsigned long long>(seq),
-                    fleet::kindName(entry->kind));
+        std::printf("#%llu: no phase clock in this document\n",
+                    static_cast<unsigned long long>(seq));
         return 0;
     }
     std::printf("#%llu git=%s host=%s\n",
@@ -179,7 +176,7 @@ cmdCounters(const fleet::FleetStore &store, std::uint64_t seq,
     if (!loadSeq(store, seq, &entry, doc))
         return 1;
     std::size_t shown = 0;
-    for (const auto &kv : fleet::flattenCounters(doc, entry->kind)) {
+    for (const auto &kv : fleet::flattenCounters(doc)) {
         if (!prefix.empty() &&
             kv.first.compare(0, prefix.size(), prefix) != 0)
             continue;
@@ -201,21 +198,11 @@ cmdRegress(const fleet::FleetStore &store, std::uint64_t base_seq,
     if (!loadSeq(store, base_seq, &base_e, base_doc) ||
         !loadSeq(store, cur_seq, &cur_e, cur_doc))
         return 1;
-    if (base_e->kind != cur_e->kind) {
-        std::fprintf(stderr,
-                     "error: #%llu is %s but #%llu is %s; compare "
-                     "same-kind entries\n",
-                     static_cast<unsigned long long>(base_seq),
-                     fleet::kindName(base_e->kind),
-                     static_cast<unsigned long long>(cur_seq),
-                     fleet::kindName(cur_e->kind));
-        return 1;
-    }
     std::vector<fleet::Drift> exceeded;
     std::vector<std::string> only_base, only_cur;
-    std::size_t compared = fleet::compareCounters(
-        base_doc, cur_doc, base_e->kind, threshold, prefix,
-        &exceeded, &only_base, &only_cur);
+    std::size_t compared =
+        fleet::compareCounters(base_doc, cur_doc, threshold, prefix,
+                               &exceeded, &only_base, &only_cur);
     std::printf("compared %zu counter(s), threshold %.3g "
                 "(#%llu %s -> #%llu %s)\n",
                 compared, threshold,

@@ -7,10 +7,10 @@
  * the same time.
  *
  * Both the initial mmap and the W^X mprotect funnel through the faultio
- * shim (common/faultio.hh), so the WC3D_FAULT_MMAP_FAIL_NTH /
- * WC3D_FAULT_MPROTECT_FAIL_NTH knobs can force either step to fail and
- * exercise the JIT's decoded-interpreter fallback. All failures are
- * reported as structured errors; nothing here calls fatal().
+ * shim (common/faultio.hh), so a test's fault plan (failNthMmap /
+ * failNthProtect) can force either step to fail and exercise the JIT's
+ * decoded-interpreter fallback. All failures are reported as
+ * structured errors; nothing here calls fatal().
  */
 
 #ifndef WC3D_COMMON_EXECMEM_HH

@@ -9,7 +9,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 
@@ -19,37 +18,14 @@ namespace {
 
 std::mutex planMutex;
 FaultPlan activePlan;
-bool planLoaded = false;
 std::atomic<std::uint64_t> writeCount{0};
 std::atomic<std::uint64_t> mmapCount{0};
 std::atomic<std::uint64_t> protectCount{0};
 
 FaultPlan
-loadFromEnv()
-{
-    FaultPlan p;
-    p.failNthWrite =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_WRITE_FAIL_NTH", 0));
-    p.shortNthWrite =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_WRITE_SHORT_NTH", 0));
-    p.allEnospc = envInt("WC3D_FAULT_ENOSPC", 0) != 0;
-    p.crashAfterWrites = static_cast<std::uint64_t>(
-        envInt("WC3D_FAULT_CRASH_AFTER_WRITES", 0));
-    p.failNthMmap =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_MMAP_FAIL_NTH", 0));
-    p.failNthProtect = static_cast<std::uint64_t>(
-        envInt("WC3D_FAULT_MPROTECT_FAIL_NTH", 0));
-    return p;
-}
-
-FaultPlan
 currentPlan()
 {
     std::lock_guard<std::mutex> lock(planMutex);
-    if (!planLoaded) {
-        activePlan = loadFromEnv();
-        planLoaded = true;
-    }
     return activePlan;
 }
 
@@ -94,29 +70,11 @@ IoError::describe() const
     return format("%s '%s': %s", op.c_str(), path.c_str(), reason.c_str());
 }
 
-FaultPlan
-plan()
-{
-    return currentPlan();
-}
-
 void
 setPlan(const FaultPlan &plan)
 {
     std::lock_guard<std::mutex> lock(planMutex);
     activePlan = plan;
-    planLoaded = true;
-    writeCount.store(0, std::memory_order_relaxed);
-    mmapCount.store(0, std::memory_order_relaxed);
-    protectCount.store(0, std::memory_order_relaxed);
-}
-
-void
-resetFromEnv()
-{
-    std::lock_guard<std::mutex> lock(planMutex);
-    activePlan = loadFromEnv();
-    planLoaded = true;
     writeCount.store(0, std::memory_order_relaxed);
     mmapCount.store(0, std::memory_order_relaxed);
     protectCount.store(0, std::memory_order_relaxed);
@@ -139,9 +97,8 @@ writeAll(int fd, const void *data, std::size_t size,
 
     if (p.allEnospc || (p.failNthWrite != 0 && seq == p.failNthWrite)) {
         return fail(err, "write", path,
-                    p.allEnospc
-                        ? "injected ENOSPC (WC3D_FAULT_ENOSPC)"
-                        : "injected ENOSPC (WC3D_FAULT_WRITE_FAIL_NTH)");
+                    p.allEnospc ? "injected ENOSPC (allEnospc)"
+                                : "injected ENOSPC (failNthWrite)");
     }
     if (p.shortNthWrite != 0 && seq == p.shortNthWrite) {
         // Persist half the payload for real — a torn record on disk is
@@ -152,19 +109,11 @@ writeAll(int fd, const void *data, std::size_t size,
             rawWriteAll(fd, bytes, half, path, nullptr);
         return fail(err, "write", path,
                     format("injected short write: %zu of %zu bytes "
-                           "(WC3D_FAULT_WRITE_SHORT_NTH)",
+                           "(shortNthWrite)",
                            half, size));
     }
 
-    if (!rawWriteAll(fd, bytes, size, path, err))
-        return false;
-
-    if (p.crashAfterWrites != 0 && seq >= p.crashAfterWrites) {
-        // Power-loss point: the write above reached the kernel, nothing
-        // after it (rename, directory sync, ...) will happen.
-        ::_exit(kCrashExitStatus);
-    }
-    return true;
+    return rawWriteAll(fd, bytes, size, path, err);
 }
 
 void *
@@ -173,8 +122,7 @@ mapAnonRw(std::size_t size, const std::string &what, IoError *err)
     FaultPlan p = currentPlan();
     std::uint64_t seq = mmapCount.fetch_add(1, std::memory_order_relaxed) + 1;
     if (p.failNthMmap != 0 && seq == p.failNthMmap) {
-        fail(err, "mmap", what,
-             "injected ENOMEM (WC3D_FAULT_MMAP_FAIL_NTH)");
+        fail(err, "mmap", what, "injected ENOMEM (failNthMmap)");
         return nullptr;
     }
     void *addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
@@ -195,7 +143,7 @@ protectExec(void *addr, std::size_t size, const std::string &what,
         protectCount.fetch_add(1, std::memory_order_relaxed) + 1;
     if (p.failNthProtect != 0 && seq == p.failNthProtect) {
         return fail(err, "mprotect", what,
-                    "injected EACCES (WC3D_FAULT_MPROTECT_FAIL_NTH)");
+                    "injected EACCES (failNthProtect)");
     }
     if (::mprotect(addr, size, PROT_READ | PROT_EXEC) != 0)
         return fail(err, "mprotect", what, std::strerror(errno));

@@ -44,9 +44,6 @@ enabled()
 /** Turn recording on/off (tests; normally driven by WC3D_TRACE_OUT). */
 void setEnabled(bool on);
 
-/** The WC3D_TRACE_OUT path ("" when unset). */
-std::string tracePath();
-
 /** Name the calling thread in the exported trace ("worker3"). */
 void setThreadName(const std::string &name);
 
@@ -111,7 +108,7 @@ class Span
  * signal-terminated run keeps its trace instead of silently dropping
  * it (the regular writer is std::atexit, which a signal death skips).
  * Armed automatically at startup when WC3D_TRACE_OUT is set; call
- * again after changing the path (serve workers redirect theirs).
+ * again after changing the path.
  * No-op when tracing is off. Best-effort and async-signal-safe: the
  * handler serializes with write(2) into fixed buffers (no malloc — a
  * signal landing inside the allocator must not deadlock), writes to a

@@ -5,80 +5,6 @@
 
 namespace wc3d::fleet {
 
-namespace {
-
-void
-put(std::vector<std::pair<std::string, double>> &out,
-    const std::string &name, double value)
-{
-    out.emplace_back(name, value);
-}
-
-void
-flattenMetrics(const json::Value &doc,
-               std::vector<std::pair<std::string, double>> &out)
-{
-    const json::Value *registry = doc.find("registry");
-    const json::Value *counters =
-        registry ? registry->find("counters") : nullptr;
-    if (!counters || !counters->isObject())
-        return;
-    for (const auto &kv : counters->members()) {
-        if (!kv.second.isNumber())
-            continue;
-        put(out, kv.first, kv.second.asDouble());
-    }
-    // Derived hit rates: "<prefix>.cache.<c>.hitRate" from the
-    // hits/accesses counter pairs — drift gates care about rates, not
-    // absolute counts that scale with run length.
-    for (const auto &kv : counters->members()) {
-        const std::string &name = kv.first;
-        const std::string suffix = ".accesses";
-        if (name.size() <= suffix.size() ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        double accesses = kv.second.asDouble();
-        if (accesses <= 0.0)
-            continue;
-        std::string stem = name.substr(0, name.size() - suffix.size());
-        const json::Value *hits = counters->find(stem + ".hits");
-        if (!hits || !hits->isNumber())
-            continue;
-        put(out, stem + ".hitRate", hits->asDouble() / accesses);
-    }
-}
-
-void
-flattenServe(const json::Value &doc,
-             std::vector<std::pair<std::string, double>> &out)
-{
-    static const char *kCounters[] = {
-        "submitted", "rejected",      "done",       "failed",
-        "retries",   "timeouts",     "worker_deaths", "cache_hits",
-        "jobs_evicted",
-    };
-    for (const char *name : kCounters) {
-        const json::Value *v = doc.find(name);
-        if (v && v->isNumber())
-            put(out, std::string("serve.") + name, v->asDouble());
-    }
-    const json::Value *latency = doc.find("latency");
-    if (latency && latency->isObject()) {
-        for (const auto &kv : latency->members()) {
-            for (const char *p : {"p50_ms", "p90_ms", "p99_ms"}) {
-                const json::Value *v = kv.second.find(p);
-                if (v && v->isNumber())
-                    put(out,
-                        "serve.latency." + kv.first + "." + p,
-                        v->asDouble());
-            }
-        }
-    }
-}
-
-} // namespace
-
 std::vector<StageBreakdown>
 stageBreakdown(const json::Value &doc)
 {
@@ -111,16 +37,37 @@ stageBreakdown(const json::Value &doc)
 }
 
 std::vector<std::pair<std::string, double>>
-flattenCounters(const json::Value &doc, Kind kind)
+flattenCounters(const json::Value &doc)
 {
     std::vector<std::pair<std::string, double>> out;
-    switch (kind) {
-      case Kind::Metrics:
-        flattenMetrics(doc, out);
-        break;
-      case Kind::Serve:
-        flattenServe(doc, out);
-        break;
+    const json::Value *registry = doc.find("registry");
+    const json::Value *counters =
+        registry ? registry->find("counters") : nullptr;
+    if (!counters || !counters->isObject())
+        return out;
+    for (const auto &kv : counters->members()) {
+        if (!kv.second.isNumber())
+            continue;
+        out.emplace_back(kv.first, kv.second.asDouble());
+    }
+    // Derived hit rates: "<prefix>.cache.<c>.hitRate" from the
+    // hits/accesses counter pairs — drift gates care about rates, not
+    // absolute counts that scale with run length.
+    for (const auto &kv : counters->members()) {
+        const std::string &name = kv.first;
+        const std::string suffix = ".accesses";
+        if (name.size() <= suffix.size() ||
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) != 0)
+            continue;
+        double accesses = kv.second.asDouble();
+        if (accesses <= 0.0)
+            continue;
+        std::string stem = name.substr(0, name.size() - suffix.size());
+        const json::Value *hits = counters->find(stem + ".hits");
+        if (!hits || !hits->isNumber())
+            continue;
+        out.emplace_back(stem + ".hitRate", hits->asDouble() / accesses);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -128,8 +75,8 @@ flattenCounters(const json::Value &doc, Kind kind)
 
 std::size_t
 compareCounters(const json::Value &base_doc,
-                const json::Value &cur_doc, Kind kind,
-                double threshold, const std::string &prefix,
+                const json::Value &cur_doc, double threshold,
+                const std::string &prefix,
                 std::vector<Drift> *exceeded,
                 std::vector<std::string> *only_base,
                 std::vector<std::string> *only_cur)
@@ -138,8 +85,8 @@ compareCounters(const json::Value &base_doc,
         return prefix.empty() ||
                name.compare(0, prefix.size(), prefix) == 0;
     };
-    auto base = flattenCounters(base_doc, kind);
-    auto cur = flattenCounters(cur_doc, kind);
+    auto base = flattenCounters(base_doc);
+    auto cur = flattenCounters(cur_doc);
     std::size_t compared = 0;
     std::size_t bi = 0, ci = 0;
     while (bi < base.size() || ci < cur.size()) {

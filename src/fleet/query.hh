@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet-level queries over the store: per-stage time breakdowns,
- * flattened counter views of every artifact kind, and counter-drift
+ * flattened counter views of a metrics manifest, and counter-drift
  * comparison between any two entries with a configurable threshold —
  * the regression gate behind `wc3d-fleet query --regress` (exit 3 on
  * drift, so a CI step can fail on a counter that moved).
@@ -26,18 +26,17 @@ struct StageBreakdown
     double fraction = 0.0;
 };
 
-/** Phases of a metrics document, descending by seconds. Empty for
- *  serve documents (they carry no phase clock). */
+/** Phases of a metrics document, descending by seconds. Empty when
+ *  the document carries no phase clock. */
 std::vector<StageBreakdown> stageBreakdown(const json::Value &doc);
 
 /**
- * Flatten @p doc into comparable (name, value) pairs, sorted by name:
- *  - metrics: every registry counter, plus derived
- *    "<...>.cache.<c>.hitRate" rates (hits/accesses);
- *  - serve:   lifetime counters under "serve.".
+ * Flatten metrics manifest @p doc into comparable (name, value) pairs,
+ * sorted by name: every registry counter, plus derived
+ * "<...>.cache.<c>.hitRate" rates (hits/accesses).
  */
 std::vector<std::pair<std::string, double>>
-flattenCounters(const json::Value &doc, Kind kind);
+flattenCounters(const json::Value &doc);
 
 /** One counter whose value moved between two entries. */
 struct Drift
@@ -50,16 +49,15 @@ struct Drift
 };
 
 /**
- * Compare the flattened counters of @p base_doc and @p cur_doc
- * (same-kind documents). Counters present in both whose relative
- * drift exceeds @p threshold land in @p exceeded; counters only on
- * one side are listed in @p only_base / @p only_cur (informational,
- * not gating). @p prefix restricts the comparison ("" = all).
+ * Compare the flattened counters of @p base_doc and @p cur_doc.
+ * Counters present in both whose relative drift exceeds @p threshold
+ * land in @p exceeded; counters only on one side are listed in
+ * @p only_base / @p only_cur (informational, not gating). @p prefix
+ * restricts the comparison ("" = all).
  * @return the number of compared counters.
  */
 std::size_t compareCounters(const json::Value &base_doc,
-                            const json::Value &cur_doc, Kind kind,
-                            double threshold,
+                            const json::Value &cur_doc, double threshold,
                             const std::string &prefix,
                             std::vector<Drift> *exceeded,
                             std::vector<std::string> *only_base,

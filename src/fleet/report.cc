@@ -19,13 +19,12 @@ struct LoadedEntry
     std::vector<StageBreakdown> stages;
 };
 
-/** Summed run seconds of a metrics manifest (0 for serve ones). */
+/** Summed run seconds of a metrics manifest. */
 double
-entryTotalSeconds(const json::Value &doc, Kind kind)
+entryTotalSeconds(const json::Value &doc)
 {
     double total = 0.0;
-    const json::Value *runs =
-        kind == Kind::Metrics ? doc.find("runs") : nullptr;
+    const json::Value *runs = doc.find("runs");
     if (runs && runs->isArray()) {
         for (const json::Value &run : runs->items()) {
             const json::Value *seconds = run.find("seconds");
@@ -86,7 +85,7 @@ renderTrajectory(std::string &html,
 {
     std::vector<const LoadedEntry *> points;
     for (const LoadedEntry &e : loaded) {
-        if (e.index->kind == Kind::Metrics && e.totalSeconds > 0.0)
+        if (e.totalSeconds > 0.0)
             points.push_back(&e);
     }
     sectionHeading(html, "Perf trajectory");
@@ -151,7 +150,7 @@ renderStages(std::string &html,
 {
     std::vector<const LoadedEntry *> rows;
     for (const LoadedEntry &e : loaded) {
-        if (e.index->kind == Kind::Metrics && !e.stages.empty())
+        if (!e.stages.empty())
             rows.push_back(&e);
     }
     sectionHeading(html, "Per-stage time breakdown");
@@ -209,57 +208,6 @@ renderStages(std::string &html,
     html += "</p>\n";
 }
 
-void
-renderServe(std::string &html,
-            const std::vector<LoadedEntry> &loaded)
-{
-    std::vector<const LoadedEntry *> rows;
-    for (const LoadedEntry &e : loaded) {
-        if (e.index->kind == Kind::Serve)
-            rows.push_back(&e);
-    }
-    if (rows.empty())
-        return;
-    sectionHeading(html, "Serve-daemon runs");
-    html += "<table><tr><th>#</th><th>git</th><th>done</th>"
-            "<th>failed</th><th>retries</th><th>timeouts</th>"
-            "<th>worker deaths</th><th>cache hits</th>"
-            "<th>p50 / p99 (done)</th></tr>\n";
-    for (const LoadedEntry *e : rows) {
-        auto num = [&](const char *name) -> std::string {
-            const json::Value *v = e->doc.find(name);
-            return v && v->isNumber()
-                       ? format("%llu", static_cast<unsigned long long>(
-                                            v->asU64()))
-                       : "-";
-        };
-        std::string lat = "-";
-        const json::Value *latency = e->doc.find("latency");
-        const json::Value *done =
-            latency ? latency->find("done") : nullptr;
-        if (done) {
-            const json::Value *p50 = done->find("p50_ms");
-            const json::Value *p99 = done->find("p99_ms");
-            if (p50 && p50->isNumber() && p99 && p99->isNumber())
-                lat = format("%llu ms / %llu ms",
-                             static_cast<unsigned long long>(
-                                 p50->asU64()),
-                             static_cast<unsigned long long>(
-                                 p99->asU64()));
-        }
-        html += format(
-            "<tr><td>%llu</td><td>%s</td><td>%s</td><td>%s</td>"
-            "<td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
-            "<td>%s</td></tr>\n",
-            static_cast<unsigned long long>(e->index->seq),
-            htmlEscape(e->index->git).c_str(), num("done").c_str(),
-            num("failed").c_str(), num("retries").c_str(),
-            num("timeouts").c_str(), num("worker_deaths").c_str(),
-            num("cache_hits").c_str(), lat.c_str());
-    }
-    html += "</table>\n";
-}
-
 } // namespace
 
 std::string
@@ -305,7 +253,7 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
             problems.push_back(load_err.describe());
             continue;
         }
-        le.totalSeconds = entryTotalSeconds(le.doc, e.kind);
+        le.totalSeconds = entryTotalSeconds(le.doc);
         le.stages = stageBreakdown(le.doc);
         loaded.push_back(std::move(le));
     }
@@ -356,16 +304,15 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
         html += "<p class=\"empty\">Store is empty — ingest manifests "
                 "with <code>wc3d-fleet ingest FILE...</code>.</p>\n";
     } else {
-        html += "<table><tr><th>#</th><th>kind</th><th>git</th>"
+        html += "<table><tr><th>#</th><th>git</th>"
                 "<th>config</th><th>host</th><th>demos</th>"
                 "<th>source</th></tr>\n";
         for (const LoadedEntry &e : loaded) {
             html += format(
-                "<tr><td>%llu</td><td>%s</td><td>%s</td>"
+                "<tr><td>%llu</td><td>%s</td>"
                 "<td><code>%.8s</code></td><td>%s</td><td>%s</td>"
                 "<td>%s</td></tr>\n",
                 static_cast<unsigned long long>(e.index->seq),
-                kindName(e.index->kind),
                 htmlEscape(e.index->git).c_str(),
                 e.index->config.c_str(),
                 htmlEscape(e.index->host).c_str(),
@@ -377,7 +324,6 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
 
     renderTrajectory(html, loaded);
     renderStages(html, loaded);
-    renderServe(html, loaded);
 
     html += "</body>\n</html>\n";
     return html;

@@ -2,8 +2,8 @@
  * @file
  * Static HTML report over a fleet store: one self-contained page —
  * inline CSS and inline SVG, no scripts, no external assets — with
- * the perf trajectory across ingested metrics manifests, per-stage
- * stacked bars for each of them and the serve-daemon counter table.
+ * the perf trajectory across ingested metrics manifests and per-stage
+ * stacked bars for each of them.
  * `wc3d-fleet report` writes it; CI uploads it as an artifact.
  */
 

@@ -14,6 +14,11 @@ namespace {
 
 constexpr const char *kIndexSchema = "wc3d-fleet-index-v1";
 
+/** The one entry kind the index records; open() refuses any other
+ *  (a store holding retired "bench" or "serve" entries is rebuilt by
+ *  ingesting its metrics manifests again). */
+constexpr const char *kEntryKind = "metrics";
+
 std::uint64_t
 fnv1a64(const std::string &bytes)
 {
@@ -36,14 +41,6 @@ isHex16(const std::string &s)
             return false;
     }
     return true;
-}
-
-/** Copy @p doc's object member @p key, or a null Value. */
-json::Value
-member(const json::Value &doc, const char *key)
-{
-    const json::Value *v = doc.find(key);
-    return v ? *v : json::Value::null();
 }
 
 /**
@@ -85,60 +82,18 @@ metricsDemos(const json::Value &doc)
     return demos;
 }
 
-std::vector<std::string>
-serveDemos(const json::Value &doc)
-{
-    std::vector<std::string> demos;
-    const json::Value *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return demos;
-    for (const json::Value &job : jobs->items()) {
-        const json::Value *demo = job.find("demo");
-        if (!demo || !demo->isString())
-            continue;
-        if (std::find(demos.begin(), demos.end(), demo->asString()) ==
-            demos.end())
-            demos.push_back(demo->asString());
-    }
-    return demos;
-}
-
-std::string
-docGit(const json::Value &doc, Kind kind)
-{
-    const json::Value *git = nullptr;
-    if (kind == Kind::Metrics) {
-        const json::Value *config = doc.find("config");
-        git = config ? config->find("git") : nullptr;
-    } else {
-        git = doc.find("git");
-    }
-    if (git && git->isString() && !git->asString().empty())
-        return git->asString();
-    return "unknown";
-}
-
 IndexEntry
-describeDocument(const json::Value &doc, Kind kind)
+describeDocument(const json::Value &doc)
 {
     IndexEntry e;
-    e.kind = kind;
-    e.git = docGit(doc, kind);
+    const json::Value *config = doc.find("config");
+    const json::Value *git = config ? config->find("git") : nullptr;
+    e.git = git && git->isString() && !git->asString().empty()
+                ? git->asString()
+                : "unknown";
     e.host = core::hostFingerprint(doc);
-    switch (kind) {
-      case Kind::Metrics:
-        e.config = metricsConfigFingerprint(doc);
-        e.demos = metricsDemos(doc);
-        break;
-      case Kind::Serve: {
-        json::Value knobs = json::Value::object();
-        knobs.set("workers", member(doc, "workers"));
-        knobs.set("queue_bound", member(doc, "queue_bound"));
-        e.config = contentHash(knobs.serialize(0));
-        e.demos = serveDemos(doc);
-        break;
-      }
-    }
+    e.config = metricsConfigFingerprint(doc);
+    e.demos = metricsDemos(doc);
     return e;
 }
 
@@ -147,7 +102,7 @@ entryToJson(const IndexEntry &e)
 {
     json::Value out = json::Value::object();
     out.set("seq", json::Value::number(e.seq));
-    out.set("kind", json::Value::str(kindName(e.kind)));
+    out.set("kind", json::Value::str(kEntryKind));
     out.set("blob", json::Value::str(e.blob));
     out.set("git", json::Value::str(e.git));
     out.set("config", json::Value::str(e.config));
@@ -182,11 +137,7 @@ entryFromJson(const json::Value &v, IndexEntry &out,
         return bad("entry.blob is not a 16-hex content hash");
     out.seq = seq->asU64();
     out.blob = blob->asString();
-    if (kind->asString() == kindName(Kind::Metrics))
-        out.kind = Kind::Metrics;
-    else if (kind->asString() == kindName(Kind::Serve))
-        out.kind = Kind::Serve;
-    else
+    if (kind->asString() != kEntryKind)
         return bad(format("entry.kind '%s' unknown",
                           kind->asString().c_str()));
     const json::Value *git = v.find("git");
@@ -211,18 +162,6 @@ entryFromJson(const json::Value &v, IndexEntry &out,
 
 } // namespace
 
-const char *
-kindName(Kind kind)
-{
-    switch (kind) {
-      case Kind::Metrics:
-        return "metrics";
-      case Kind::Serve:
-        return "serve";
-    }
-    return "unknown";
-}
-
 std::string
 fleetDir()
 {
@@ -237,8 +176,7 @@ contentHash(const std::string &bytes)
 }
 
 bool
-classifyDocument(const json::Value &doc, Kind *kind,
-                 std::string *reason)
+validateDocument(const json::Value &doc, std::string *reason)
 {
     auto bad = [&](const std::string &why) {
         if (reason)
@@ -251,77 +189,9 @@ classifyDocument(const json::Value &doc, Kind *kind,
     if (!schema || !schema->isString())
         return bad("missing schema tag");
     const std::string &tag = schema->asString();
-    std::string error;
-    if (tag == "wc3d-metrics-v1") {
-        if (!core::validateMetrics(doc, &error))
-            return bad(error);
-        *kind = Kind::Metrics;
-        return true;
-    }
-    if (tag == "wc3d-serve-metrics-v1") {
-        if (!validateServeMetrics(doc, &error))
-            return bad(error);
-        *kind = Kind::Serve;
-        return true;
-    }
-    return bad(format("unknown schema tag '%s'", tag.c_str()));
-}
-
-bool
-validateServeMetrics(const json::Value &doc, std::string *error)
-{
-    auto fail = [&](const std::string &why) {
-        if (error)
-            *error = "serve metrics: " + why;
-        return false;
-    };
-    if (!doc.isObject())
-        return fail("document is not an object");
-    const json::Value *schema = doc.find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "wc3d-serve-metrics-v1")
-        return fail("missing or wrong schema tag "
-                    "(want 'wc3d-serve-metrics-v1')");
-    static const char *kCounters[] = {
-        "workers",  "queue_bound",   "submitted",  "rejected",
-        "done",     "failed",        "retries",    "timeouts",
-        "worker_deaths", "cache_hits", "jobs_evicted",
-    };
-    for (const char *name : kCounters) {
-        const json::Value *v = doc.find(name);
-        if (!v || !v->isNumber())
-            return fail(format("counter '%s' missing", name));
-    }
-    const json::Value *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return fail("missing jobs array");
-    for (std::size_t i = 0; i < jobs->size(); ++i) {
-        const json::Value &job = jobs->at(i);
-        const json::Value *id = job.find("id");
-        const json::Value *demo = job.find("demo");
-        const json::Value *state = job.find("state");
-        if (!job.isObject() || !id || !id->isNumber() || !demo ||
-            !demo->isString() || !state || !state->isString())
-            return fail(format("job %zu lacks id/demo/state", i));
-        if (state->asString() != "done" &&
-            state->asString() != "failed")
-            return fail(format("job %zu: unknown state '%s'", i,
-                               state->asString().c_str()));
-    }
-    const json::Value *latency = doc.find("latency");
-    if (latency) {
-        if (!latency->isObject())
-            return fail("latency is not an object");
-        for (const auto &kv : latency->members()) {
-            const json::Value *count = kv.second.find("count");
-            const json::Value *p50 = kv.second.find("p50_ms");
-            if (!kv.second.isObject() || !count ||
-                !count->isNumber() || !p50 || !p50->isNumber())
-                return fail(format("latency.%s lacks count/p50_ms",
-                                   kv.first.c_str()));
-        }
-    }
-    return true;
+    if (tag != "wc3d-metrics-v1")
+        return bad(format("unknown schema tag '%s'", tag.c_str()));
+    return core::validateMetrics(doc, reason);
 }
 
 std::string
@@ -422,9 +292,8 @@ FleetStore::ingestDocument(const json::Value &doc,
             *err = FleetError{std::move(path), std::move(reason)};
         return IngestResult::Error;
     };
-    Kind kind;
     std::string reason;
-    if (!classifyDocument(doc, &kind, &reason))
+    if (!validateDocument(doc, &reason))
         return fail(source, reason);
 
     // Content address: the canonical (compact) serialization, so the
@@ -443,7 +312,7 @@ FleetStore::ingestDocument(const json::Value &doc,
                                &error))
         return fail(blobPath(hash), error);
 
-    IndexEntry e = describeDocument(doc, kind);
+    IndexEntry e = describeDocument(doc);
     e.seq = _entries.empty() ? 1 : _entries.back().seq + 1;
     e.blob = hash;
     e.source = source;
@@ -481,13 +350,9 @@ FleetStore::loadEntry(const IndexEntry &e, json::Value &out,
     std::string error;
     if (!json::parseFile(blobPath(e.blob), doc, &error))
         return fail(error);
-    Kind kind;
     std::string reason;
-    if (!classifyDocument(doc, &kind, &reason))
+    if (!validateDocument(doc, &reason))
         return fail(reason);
-    if (kind != e.kind)
-        return fail(format("blob is '%s' but indexed as '%s'",
-                           kindName(kind), kindName(e.kind)));
     out = std::move(doc);
     return true;
 }

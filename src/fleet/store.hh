@@ -1,9 +1,8 @@
 /**
  * @file
  * The fleet metrics store: a content-addressed, insertion-ordered
- * on-disk database of observability artifacts — `wc3d-metrics-v1`
- * manifests (WC3D_METRICS_OUT) and `wc3d-serve-metrics-v1` manifests
- * (the serving daemon). One run = one immutable blob; the index keys
+ * on-disk database of `wc3d-metrics-v1` run manifests
+ * (WC3D_METRICS_OUT). One run = one immutable blob; the index keys
  * every blob by (git describe, config fingerprint, demo set, host
  * fingerprint) so fleet-level questions — "did the texture-cache hit
  * rate drift between these two commits?" — become simple queries
@@ -12,7 +11,8 @@
  * Layout under the store directory (WC3D_FLEET_DIR, default
  * `.wc3d-fleet`):
  *
- *     index.json            wc3d-fleet-index-v1: ordered entry list
+ *     index.json            wc3d-fleet-index-v1: ordered entry list;
+ *                           every entry is written "kind":"metrics"
  *     blobs/<fnv64>.json    canonical serialization of each document
  *
  * Blobs are addressed by the FNV-1a 64 hash of their *canonical*
@@ -50,20 +50,10 @@ struct FleetError
     }
 };
 
-/** The artifact families the store understands. */
-enum class Kind
-{
-    Metrics, ///< wc3d-metrics-v1 (core/runmeta)
-    Serve,   ///< wc3d-serve-metrics-v1 (serve/daemon)
-};
-
-const char *kindName(Kind kind);
-
 /** One ingested document, as recorded in index.json. */
 struct IndexEntry
 {
     std::uint64_t seq = 0; ///< 1-based insertion order
-    Kind kind = Kind::Metrics;
     std::string blob;   ///< 16-hex content hash (blobs/<blob>.json)
     std::string git;    ///< git describe ("unknown" when absent)
     std::string config; ///< 16-hex config fingerprint
@@ -93,11 +83,11 @@ class FleetStore
         Error,
     };
 
-    /** Parse, validate, classify and store one artifact file. */
+    /** Parse, validate and store one manifest file. */
     IngestResult ingestFile(const std::string &path, FleetError *err);
 
-    /** Same, for an already-parsed document (the serving daemon drops
-     *  its manifest in directly). @p source is informational. */
+    /** Same, for an already-parsed document. @p source is
+     *  informational. */
     IngestResult ingestDocument(const json::Value &doc,
                                 const std::string &source,
                                 FleetError *err);
@@ -150,14 +140,10 @@ std::string fleetDir();
 std::string contentHash(const std::string &bytes);
 
 /**
- * Classify @p doc by its schema tag and structurally validate it.
+ * Check that @p doc is a structurally valid wc3d-metrics-v1 manifest.
  * @return false with @p reason for unknown tags or invalid documents.
  */
-bool classifyDocument(const json::Value &doc, Kind *kind,
-                      std::string *reason);
-
-/** Structural validation of a wc3d-serve-metrics-v1 manifest. */
-bool validateServeMetrics(const json::Value &doc, std::string *error);
+bool validateDocument(const json::Value &doc, std::string *reason);
 
 } // namespace wc3d::fleet
 

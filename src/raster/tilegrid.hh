@@ -18,11 +18,15 @@
 
 namespace wc3d::raster {
 
+/** Largest screen-tile edge: one tile already covers a 1024x768 frame. */
+constexpr int kMaxTileSize = 1024;
+
 /**
  * Resolve the screen-tile edge length in pixels: @p configured when
  * positive, else the WC3D_TILE_SIZE environment knob, else 32. The
- * result is clamped to at least kUpperTile and rounded up to a multiple
- * of it (the ownership argument above requires the alignment).
+ * result is clamped to [kUpperTile, kMaxTileSize] and rounded up to a
+ * multiple of kUpperTile (the ownership argument above requires the
+ * alignment).
  */
 int resolveTileSize(int configured);
 

@@ -108,44 +108,6 @@ metricsDoc(const std::string &git, std::uint64_t indices,
     return doc;
 }
 
-/** Minimal valid wc3d-serve-metrics-v1 manifest. */
-json::Value
-serveDoc(std::uint64_t done)
-{
-    json::Value doc = json::Value::object();
-    doc.set("schema", json::Value::str("wc3d-serve-metrics-v1"));
-    doc.set("git", json::Value::str("v1-serve"));
-    const struct
-    {
-        const char *name;
-        std::uint64_t value;
-    } counters[] = {
-        {"workers", 2},        {"queue_bound", 64},
-        {"submitted", done},   {"rejected", 0},
-        {"done", done},        {"failed", 0},
-        {"retries", 1},        {"timeouts", 0},
-        {"worker_deaths", 0},  {"cache_hits", 0},
-        {"jobs_evicted", 0},
-    };
-    for (const auto &c : counters)
-        doc.set(c.name, json::Value::number(c.value));
-    json::Value latency = json::Value::object();
-    json::Value done_lat = json::Value::object();
-    done_lat.set("count", json::Value::number(done));
-    done_lat.set("p50_ms", json::Value::number(std::uint64_t(15)));
-    done_lat.set("p99_ms", json::Value::number(std::uint64_t(63)));
-    latency.set("done", std::move(done_lat));
-    doc.set("latency", std::move(latency));
-    json::Value jobs = json::Value::array();
-    json::Value job = json::Value::object();
-    job.set("id", json::Value::number(std::uint64_t(1)));
-    job.set("demo", json::Value::str("quake4/demo4"));
-    job.set("state", json::Value::str("done"));
-    jobs.push(std::move(job));
-    doc.set("jobs", std::move(jobs));
-    return doc;
-}
-
 } // namespace
 
 TEST(Fleet, IngestDedupesByContentAndSurvivesReopen)
@@ -177,7 +139,6 @@ TEST(Fleet, IngestDedupesByContentAndSurvivesReopen)
         // Copy: the next ingest may reallocate the entries vector.
         const IndexEntry e = store.entries()[0];
         EXPECT_EQ(e.seq, 1u);
-        EXPECT_EQ(e.kind, Kind::Metrics);
         EXPECT_EQ(e.git, "v1");
         EXPECT_EQ(e.host, "fleet-test-host/8");
         ASSERT_EQ(e.demos.size(), 1u);
@@ -226,7 +187,6 @@ TEST(Fleet, IngestRejectsInvalidDocumentsWithStructuredErrors)
         "{}",
         "[1,2,3]",
         "{\"schema\":\"wc3d-metrics-v1\",\"config\":{}}",
-        "{\"schema\":\"wc3d-serve-metrics-v1\"}",
     };
     for (const char *text : bad) {
         json::Value doc;
@@ -252,33 +212,52 @@ TEST(Fleet, IngestRejectsInvalidDocumentsWithStructuredErrors)
     removeStore(dir);
 }
 
-TEST(Fleet, ClassifiesAllThreeArtifactKinds)
+TEST(Fleet, DescribesEntriesFromRunsAndConfig)
 {
-    std::string dir = storeDir("kinds");
+    std::string dir = storeDir("describe");
     removeStore(dir);
     FleetStore store(dir);
     FleetError err;
     ASSERT_TRUE(store.open(&err));
+    json::Value two_demos = metricsDoc("h", 1, 1, 1);
+    json::Value run = json::Value::object();
+    run.set("kind", json::Value::str("micro"));
+    run.set("id", json::Value::str("quake4/demo4"));
+    run.set("seconds", json::Value::number(1.0));
+    run.set("counters", json::Value::object());
+    json::Value runs = *two_demos.find("runs");
+    runs.push(run);
+    runs.push(std::move(run)); // a repeated demo is listed once
+    two_demos.set("runs", std::move(runs));
     ASSERT_EQ(store.ingestDocument(metricsDoc("g", 1, 1, 1), "m", &err),
               FleetStore::IngestResult::Added)
         << err.describe();
-    ASSERT_EQ(store.ingestDocument(serveDoc(5), "s", &err),
+    ASSERT_EQ(store.ingestDocument(two_demos, "n", &err),
               FleetStore::IngestResult::Added)
         << err.describe();
     ASSERT_EQ(store.entries().size(), 2u);
-    EXPECT_EQ(store.entries()[0].kind, Kind::Metrics);
-    EXPECT_EQ(store.entries()[1].kind, Kind::Serve);
-    EXPECT_STREQ(kindName(Kind::Metrics), "metrics");
-    EXPECT_STREQ(kindName(Kind::Serve), "serve");
-    // Metrics demos come from the run list, serve demos from the job
-    // list; serve git sits at the top level, metrics git in config.
+    // Demos come from the run list in first-seen order; git from config.
     ASSERT_EQ(store.entries()[0].demos.size(), 1u);
     EXPECT_EQ(store.entries()[0].demos[0], "doom3/trdemo2");
     EXPECT_EQ(store.entry(1)->git, "g");
-    ASSERT_EQ(store.entries()[1].demos.size(), 1u);
-    EXPECT_EQ(store.entries()[1].demos[0], "quake4/demo4");
-    EXPECT_EQ(store.entry(2)->git, "v1-serve");
+    ASSERT_EQ(store.entries()[1].demos.size(), 2u);
+    EXPECT_EQ(store.entries()[1].demos[0], "doom3/trdemo2");
+    EXPECT_EQ(store.entries()[1].demos[1], "quake4/demo4");
+    EXPECT_EQ(store.entry(2)->git, "h");
+    EXPECT_EQ(store.entry(2)->source, "n");
     EXPECT_EQ(store.entry(99), nullptr);
+
+    // Every index entry records "kind":"metrics", the on-disk shape
+    // existing stores already have, so they open unchanged.
+    json::Value index;
+    std::string error;
+    ASSERT_TRUE(json::parseFile(store.indexPath(), index, &error))
+        << error;
+    const json::Value *entries = index.find("entries");
+    ASSERT_TRUE(entries && entries->isArray());
+    ASSERT_EQ(entries->size(), 2u);
+    for (const json::Value &entry : entries->items())
+        EXPECT_EQ(entry.find("kind")->asString(), "metrics");
     removeStore(dir);
 }
 
@@ -294,14 +273,14 @@ TEST(Fleet, StageBreakdownSortsAndFractions)
     EXPECT_EQ(stages[0].calls, 10u);
     EXPECT_EQ(stages[1].name, "shade");
     EXPECT_DOUBLE_EQ(stages[1].fraction, 0.25);
-    // Serve documents carry no phase clock.
-    EXPECT_TRUE(stageBreakdown(serveDoc(1)).empty());
+    // A document without a phase clock has no breakdown.
+    doc.set("phases", json::Value::null());
+    EXPECT_TRUE(stageBreakdown(doc).empty());
 }
 
-TEST(Fleet, FlattenDerivesRatesAndCoversEveryKind)
+TEST(Fleet, FlattenDerivesRatesSortedByName)
 {
-    auto metrics = flattenCounters(metricsDoc("g", 1000, 90, 100),
-                                   Kind::Metrics);
+    auto metrics = flattenCounters(metricsDoc("g", 1000, 90, 100));
     ASSERT_EQ(metrics.size(), 4u); // 3 counters + derived hitRate
     bool found_rate = false;
     for (const auto &kv : metrics) {
@@ -311,22 +290,7 @@ TEST(Fleet, FlattenDerivesRatesAndCoversEveryKind)
         }
     }
     EXPECT_TRUE(found_rate);
-
-    auto serve = flattenCounters(serveDoc(5), Kind::Serve);
-    bool found_done = false, found_p50 = false;
-    for (const auto &kv : serve) {
-        if (kv.first == "serve.done" && kv.second == 5.0)
-            found_done = true;
-        if (kv.first == "serve.latency.done.p50_ms" &&
-            kv.second == 15.0)
-            found_p50 = true;
-    }
-    EXPECT_TRUE(found_done);
-    EXPECT_TRUE(found_p50);
-    // Serve counters all live under "serve.", sorted by name.
-    for (const auto &kv : serve)
-        EXPECT_EQ(kv.first.rfind("serve.", 0), 0u) << kv.first;
-    EXPECT_TRUE(std::is_sorted(serve.begin(), serve.end()));
+    EXPECT_TRUE(std::is_sorted(metrics.begin(), metrics.end()));
 }
 
 TEST(Fleet, RegressionGateFlagsDriftBeyondThreshold)
@@ -337,17 +301,15 @@ TEST(Fleet, RegressionGateFlagsDriftBeyondThreshold)
 
     std::vector<Drift> exceeded;
     std::vector<std::string> only_base, only_cur;
-    std::size_t n = compareCounters(base, same, Kind::Metrics, 0.05,
-                                    "", &exceeded, &only_base,
-                                    &only_cur);
+    std::size_t n = compareCounters(base, same, 0.05, "", &exceeded,
+                                    &only_base, &only_cur);
     EXPECT_EQ(n, 4u);
     EXPECT_TRUE(exceeded.empty());
     EXPECT_TRUE(only_base.empty());
     EXPECT_TRUE(only_cur.empty());
 
     exceeded.clear();
-    compareCounters(base, worse, Kind::Metrics, 0.05, "", &exceeded,
-                    nullptr, nullptr);
+    compareCounters(base, worse, 0.05, "", &exceeded, nullptr, nullptr);
     // hits dropped 44% and the derived rate with it.
     ASSERT_EQ(exceeded.size(), 2u);
     EXPECT_EQ(exceeded[0].name, "sim.d.cache.z.hitRate");
@@ -356,14 +318,13 @@ TEST(Fleet, RegressionGateFlagsDriftBeyondThreshold)
 
     // A looser threshold passes the same pair.
     exceeded.clear();
-    compareCounters(base, worse, Kind::Metrics, 0.5, "", &exceeded,
-                    nullptr, nullptr);
+    compareCounters(base, worse, 0.5, "", &exceeded, nullptr, nullptr);
     EXPECT_TRUE(exceeded.empty());
 
     // Prefix restricts both the gate and the compared count.
     exceeded.clear();
-    n = compareCounters(base, worse, Kind::Metrics, 0.05,
-                        "sim.d.indices", &exceeded, nullptr, nullptr);
+    n = compareCounters(base, worse, 0.05, "sim.d.indices", &exceeded,
+                        nullptr, nullptr);
     EXPECT_EQ(n, 1u);
     EXPECT_TRUE(exceeded.empty());
 
@@ -373,8 +334,8 @@ TEST(Fleet, RegressionGateFlagsDriftBeyondThreshold)
     only_base.clear();
     only_cur.clear();
     exceeded.clear();
-    compareCounters(base, extra, Kind::Metrics, 0.05, "", &exceeded,
-                    &only_base, &only_cur);
+    compareCounters(base, extra, 0.05, "", &exceeded, &only_base,
+                    &only_cur);
     EXPECT_TRUE(exceeded.empty());
     EXPECT_TRUE(only_base.empty());
     ASSERT_EQ(only_cur.size(), 1u);
@@ -390,7 +351,7 @@ TEST(Fleet, CheckDetectsCorruptBlobsAndOrphans)
     ASSERT_TRUE(store.open(&err));
     ASSERT_EQ(store.ingestDocument(metricsDoc("v1", 1, 1, 1), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(3), "u", &err),
+    ASSERT_EQ(store.ingestDocument(metricsDoc("v3", 3, 3, 3), "u", &err),
               FleetStore::IngestResult::Added);
 
     std::vector<std::string> problems;
@@ -426,7 +387,7 @@ TEST(Fleet, RepairQuarantinesEvidenceAndDropsBrokenEntries)
     ASSERT_TRUE(store.open(&err));
     ASSERT_EQ(store.ingestDocument(metricsDoc("v1", 1, 1, 1), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(3), "u", &err),
+    ASSERT_EQ(store.ingestDocument(metricsDoc("v3", 3, 3, 3), "u", &err),
               FleetStore::IngestResult::Added);
     ASSERT_EQ(store.ingestDocument(metricsDoc("v2", 2, 2, 2), "u", &err),
               FleetStore::IngestResult::Added);
@@ -463,7 +424,6 @@ TEST(Fleet, RepairQuarantinesEvidenceAndDropsBrokenEntries)
         << (problems.empty() ? "" : problems.front());
     ASSERT_EQ(store.entries().size(), 1u);
     EXPECT_EQ(store.entries()[0].seq, surviving_seq);
-    EXPECT_EQ(store.entries()[0].kind, Kind::Metrics);
     EXPECT_EQ(store.entries()[0].git, "v2");
 
     // Evidence preserved, not deleted: both bad blobs moved to
@@ -539,9 +499,9 @@ TEST(Fleet, OpenRejectsCorruptIndexButNotAbsentOne)
     ASSERT_TRUE(json::writeFileAtomic(
         dir + "/index.json",
         "{\"schema\":\"wc3d-fleet-index-v1\",\"entries\":["
-        "{\"seq\":2,\"kind\":\"serve\",\"blob\":"
+        "{\"seq\":2,\"kind\":\"metrics\",\"blob\":"
         "\"0123456789abcdef\"},"
-        "{\"seq\":1,\"kind\":\"serve\",\"blob\":"
+        "{\"seq\":1,\"kind\":\"metrics\",\"blob\":"
         "\"0123456789abcdef\"}]}",
         &error));
     EXPECT_FALSE(store.open(&err));
@@ -550,8 +510,9 @@ TEST(Fleet, OpenRejectsCorruptIndexButNotAbsentOne)
     removeStore(dir);
 }
 
-// The store knows two dialects. A wc3d-bench-speed-v1 document is
-// refused like any other unknown tag, with the tag in the reason.
+// The store knows one dialect, wc3d-metrics-v1. Documents of the
+// retired bench-speed and serve-metrics dialects are refused like any
+// other unknown tag, with the tag in the reason.
 TEST(Fleet, IngestRejectsBenchSpeedDocumentAsUnknownSchema)
 {
     std::string dir = storeDir("bench_doc");
@@ -559,42 +520,61 @@ TEST(Fleet, IngestRejectsBenchSpeedDocumentAsUnknownSchema)
     FleetStore store(dir);
     FleetError err;
     ASSERT_TRUE(store.open(&err));
-    json::Value doc;
-    std::string error;
-    ASSERT_TRUE(json::parse("{\"schema\":\"wc3d-bench-speed-v1\","
-                            "\"benches\":{\"b\":{\"wall_seconds\":1}}}",
-                            doc, &error))
-        << error;
-    EXPECT_EQ(store.ingestDocument(doc, "unit", &err),
-              FleetStore::IngestResult::Error);
-    EXPECT_EQ(err.path, "unit");
-    EXPECT_EQ(err.reason, "unknown schema tag 'wc3d-bench-speed-v1'");
+    const struct
+    {
+        const char *text;
+        const char *reason;
+    } cases[] = {
+        {"{\"schema\":\"wc3d-bench-speed-v1\","
+         "\"benches\":{\"b\":{\"wall_seconds\":1}}}",
+         "unknown schema tag 'wc3d-bench-speed-v1'"},
+        {"{\"schema\":\"wc3d-serve-metrics-v1\",\"workers\":2,"
+         "\"done\":1,\"jobs\":[{\"id\":1,\"demo\":\"quake4/demo4\","
+         "\"state\":\"done\"}]}",
+         "unknown schema tag 'wc3d-serve-metrics-v1'"},
+    };
+    for (const auto &c : cases) {
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::parse(c.text, doc, &error)) << error;
+        err = FleetError{};
+        EXPECT_EQ(store.ingestDocument(doc, "unit", &err),
+                  FleetStore::IngestResult::Error);
+        EXPECT_EQ(err.path, "unit");
+        EXPECT_EQ(err.reason, c.reason);
+    }
     EXPECT_TRUE(store.entries().empty());
     removeStore(dir);
 }
 
-// An index entry of a kind the store does not know ("bench") makes
-// open() fail with an error naming the index file and the entry.
+// An index entry of a kind the store does not know ("bench", "serve")
+// makes open() fail with an error naming the index file and the entry.
 TEST(Fleet, OpenRejectsIndexEntryOfUnknownKind)
 {
     std::string dir = storeDir("old_kind");
-    removeStore(dir);
-    ASSERT_TRUE(makeDirs(dir));
-    std::string error;
-    ASSERT_TRUE(json::writeFileAtomic(
-        dir + "/index.json",
-        "{\"schema\":\"wc3d-fleet-index-v1\",\"entries\":["
-        "{\"seq\":1,\"kind\":\"metrics\",\"blob\":"
-        "\"0123456789abcdef\"},"
-        "{\"seq\":2,\"kind\":\"bench\",\"blob\":"
-        "\"fedcba9876543210\"}]}",
-        &error));
-    FleetStore store(dir);
-    FleetError err;
-    EXPECT_FALSE(store.open(&err));
-    EXPECT_EQ(err.path, dir + "/index.json");
-    EXPECT_EQ(err.reason, "entry 1: entry.kind 'bench' unknown");
-    EXPECT_TRUE(store.entries().empty());
+    for (const char *kind : {"bench", "serve"}) {
+        SCOPED_TRACE(kind);
+        removeStore(dir);
+        ASSERT_TRUE(makeDirs(dir));
+        std::string error;
+        ASSERT_TRUE(json::writeFileAtomic(
+            dir + "/index.json",
+            std::string("{\"schema\":\"wc3d-fleet-index-v1\","
+                        "\"entries\":["
+                        "{\"seq\":1,\"kind\":\"metrics\",\"blob\":"
+                        "\"0123456789abcdef\"},"
+                        "{\"seq\":2,\"kind\":\"") +
+                kind + "\",\"blob\":\"fedcba9876543210\"}]}",
+            &error));
+        FleetStore store(dir);
+        FleetError err;
+        EXPECT_FALSE(store.open(&err));
+        EXPECT_EQ(err.path, dir + "/index.json");
+        EXPECT_EQ(err.reason,
+                  std::string("entry 1: entry.kind '") + kind +
+                      "' unknown");
+        EXPECT_TRUE(store.entries().empty());
+    }
     removeStore(dir);
 }
 
@@ -611,8 +591,6 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
     ASSERT_EQ(store.ingestDocument(metricsDoc("v2", 900, 80, 100), "u",
                                    &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(7), "u", &err),
-              FleetStore::IngestResult::Added);
 
     std::string html = renderHtmlReport(store, &err);
     ASSERT_FALSE(html.empty()) << err.describe();
@@ -622,11 +600,10 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
     EXPECT_EQ(html.find("<script"), std::string::npos);
     EXPECT_EQ(html.find("http://"), std::string::npos);
     EXPECT_EQ(html.find("https://"), std::string::npos);
-    // Every section rendered: runs, trajectory, stages, serve.
+    // Every section rendered: runs, trajectory, stages.
     EXPECT_NE(html.find("doom3/trdemo2"), std::string::npos);
     EXPECT_NE(html.find("<polyline"), std::string::npos);
     EXPECT_NE(html.find("raster"), std::string::npos);
-    EXPECT_NE(html.find("Serve-daemon runs"), std::string::npos);
     // The hostile git string arrived escaped.
     EXPECT_EQ(html.find("v1<script>"), std::string::npos);
     EXPECT_NE(html.find("v1&lt;script&gt;"), std::string::npos);

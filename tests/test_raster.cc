@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -433,6 +434,12 @@ TEST(TileGrid, ResolveTileSizeClampsAndRounds)
     EXPECT_EQ(resolveTileSize(0), 64);
     setenv("WC3D_TILE_SIZE", "24", 1);
     EXPECT_EQ(resolveTileSize(0), 32);
+    // Out-of-range sizes clamp to kMaxTileSize instead of overflowing
+    // int while rounding up (INT_MAX - 15 is already a 16 multiple).
+    EXPECT_EQ(resolveTileSize(INT_MAX), 1024);
+    EXPECT_EQ(resolveTileSize(INT_MAX - 15), 1024);
+    setenv("WC3D_TILE_SIZE", "2147483647", 1);
+    EXPECT_EQ(resolveTileSize(0), 1024);
     unsetenv("WC3D_TILE_SIZE");
 }
 
