@@ -6,10 +6,8 @@
 #include <mutex>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
-#include "common/log.hh"
 #include "common/strutil.hh"
 
 namespace wc3d::faultio {
@@ -19,8 +17,6 @@ namespace {
 std::mutex planMutex;
 FaultPlan activePlan;
 std::atomic<std::uint64_t> writeCount{0};
-std::atomic<std::uint64_t> mmapCount{0};
-std::atomic<std::uint64_t> protectCount{0};
 
 FaultPlan
 currentPlan()
@@ -76,8 +72,6 @@ setPlan(const FaultPlan &plan)
     std::lock_guard<std::mutex> lock(planMutex);
     activePlan = plan;
     writeCount.store(0, std::memory_order_relaxed);
-    mmapCount.store(0, std::memory_order_relaxed);
-    protectCount.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -114,49 +108,6 @@ writeAll(int fd, const void *data, std::size_t size,
     }
 
     return rawWriteAll(fd, bytes, size, path, err);
-}
-
-void *
-mapAnonRw(std::size_t size, const std::string &what, IoError *err)
-{
-    FaultPlan p = currentPlan();
-    std::uint64_t seq = mmapCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (p.failNthMmap != 0 && seq == p.failNthMmap) {
-        fail(err, "mmap", what, "injected ENOMEM (failNthMmap)");
-        return nullptr;
-    }
-    void *addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (addr == MAP_FAILED) {
-        fail(err, "mmap", what, std::strerror(errno));
-        return nullptr;
-    }
-    return addr;
-}
-
-bool
-protectExec(void *addr, std::size_t size, const std::string &what,
-            IoError *err)
-{
-    FaultPlan p = currentPlan();
-    std::uint64_t seq =
-        protectCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (p.failNthProtect != 0 && seq == p.failNthProtect) {
-        return fail(err, "mprotect", what,
-                    "injected EACCES (failNthProtect)");
-    }
-    if (::mprotect(addr, size, PROT_READ | PROT_EXEC) != 0)
-        return fail(err, "mprotect", what, std::strerror(errno));
-    return true;
-}
-
-void
-unmap(void *addr, std::size_t size)
-{
-    if (addr == nullptr)
-        return;
-    if (::munmap(addr, size) != 0)
-        warn("munmap of %zu bytes failed: %s", size, std::strerror(errno));
 }
 
 bool

@@ -7,11 +7,6 @@
  * through setPlan() and the recovery paths tested rather than
  * asserted.
  *
- * The shader JIT's executable-memory layer (common/execmem.hh) funnels
- * its mmap/mprotect calls through here for the same reason: address-
- * space exhaustion and W^X remap refusals must degrade to the decoded
- * interpreter, and that fallback path needs a deterministic trigger.
- *
  * The default plan injects nothing. All failures are reported as
  * structured IoError values; nothing in this layer calls fatal() or
  * throws.
@@ -42,8 +37,6 @@ struct FaultPlan
     std::uint64_t failNthWrite = 0;     ///< 1-based; 0 = off
     std::uint64_t shortNthWrite = 0;    ///< 1-based; 0 = off
     bool allEnospc = false;             ///< every write fails
-    std::uint64_t failNthMmap = 0;      ///< 1-based; 0 = off
-    std::uint64_t failNthProtect = 0;   ///< 1-based; 0 = off
 };
 
 /** Replace the active plan (tests); resets the write counter. */
@@ -59,26 +52,6 @@ std::uint64_t writesAttempted();
  */
 bool writeAll(int fd, const void *data, std::size_t size,
               const std::string &path, IoError *err);
-
-/**
- * mmap an anonymous, private, read+write region of @p size bytes,
- * subject to the active fault plan. @p what names the consumer for
- * error reports (it plays the role a file path plays for writeAll).
- * @return the mapping, or nullptr with @p err filled on failure.
- */
-void *mapAnonRw(std::size_t size, const std::string &what, IoError *err);
-
-/**
- * Remap [@p addr, @p addr + @p size) from read+write to read+execute
- * (the W^X flip after code emission), subject to the active fault plan.
- * @return false with @p err filled on failure; the mapping stays RW.
- */
-bool protectExec(void *addr, std::size_t size, const std::string &what,
-                 IoError *err);
-
-/** munmap a region obtained from mapAnonRw() (never injected; a failed
- *  unmap only leaks address space and is logged, not propagated). */
-void unmap(void *addr, std::size_t size);
 
 /** fsync @p fd. @return false with @p err filled on failure. */
 bool syncFd(int fd, const std::string &path, IoError *err);

@@ -506,14 +506,12 @@ GpuSimulator::draw(const api::DrawCall &call)
                   static_cast<std::uint64_t>(call.indexCount) *
                       bytes_per_index);
 
-    // Pre-decode and pre-compile both bound programs on the submitting
-    // thread, before any worker can race the lazily cached decode/JIT
-    // forms (the pool's queue provides the happens-before for the
-    // read-only accesses after).
+    // Pre-decode both bound programs on the submitting thread, before
+    // any worker can race the lazily cached decoded form: workers must
+    // only read it (the pool's queue provides the happens-before for
+    // the read-only accesses after).
     call.vertexProgram->decoded();
-    call.vertexProgram->jitted();
     const shader::DecodedProgram &fp_dec = call.fragmentProgram->decoded();
-    call.fragmentProgram->jitted();
 
     // --- Vertex stage -----------------------------------------------
     _vertexCache.invalidate(); // indices are batch-relative

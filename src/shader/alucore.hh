@@ -1,13 +1,12 @@
 /**
  * @file
- * The shared scalar arithmetic core of the shader ALU. Every executor
- * — the legacy field-by-field interpreter, the pre-decoded hot path
- * (shader/interp.cc) and the transcendental helper calls issued by the
- * x86-64 JIT (shader/jit/jit.cc) — computes instruction results through
- * aluResult(), so float special cases (RCP's zero guard, LG2's domain
- * clamp, LIT's exponent clamp, NaN propagation through MIN/MAX) are
- * defined in exactly one place and stay bit-identical across executors
- * by construction.
+ * The shared scalar arithmetic core of the shader ALU. Both executors
+ * — the legacy field-by-field interpreter and the pre-decoded hot path
+ * (shader/interp.cc) — compute instruction results through aluResult(),
+ * so float special cases (RCP's zero guard, LG2's domain clamp, LIT's
+ * exponent clamp, NaN propagation through MIN/MAX) are defined in
+ * exactly one place and stay bit-identical across executors by
+ * construction.
  */
 
 #ifndef WC3D_SHADER_ALUCORE_HH
@@ -70,9 +69,9 @@ arityFor(Opcode op)
  * return on an equal compare is a build detail (glibc's x86-64 asm
  * resolves fmin(+0,-0) to its second operand, GCC's -O2 inline
  * expansion to its first), which made the reference interpreters
- * disagree across build flavours and with the JIT. These are pure
- * IEEE compares, so every build computes the same bits, and
- * jit/translate.cc emits exactly this blend (cmplt + cmpunord).
+ * disagree across build flavours. These are pure IEEE compares, so
+ * every build computes the same bits; Decoded.SpecialValuesMatchLegacy
+ * pins them.
  */
 WC3D_FORCE_INLINE float
 minf(float a, float b)

@@ -5,7 +5,6 @@
 #include "common/log.hh"
 #include "shader/alucore.hh"
 #include "shader/decoded.hh"
-#include "shader/jit/jit.hh"
 
 namespace wc3d::shader {
 
@@ -83,7 +82,7 @@ writeDst(LaneState &lane, const DstOperand &dst, Vec4 value)
 
 /** Execute a non-texture instruction on one lane; returns kill flag.
  *  Arithmetic semantics live in shader/alucore.hh (aluResult), shared
- *  with the decoded path below and the JIT's transcendental helpers. */
+ *  with the decoded path below. */
 bool
 execAlu(const Instruction &in, LaneState &lane, const Vec4 *constants)
 {
@@ -251,16 +250,6 @@ execKill(const DecodedOp &op, const RegTables &t)
 void
 Interpreter::run(const Program &program, LaneState &lane)
 {
-    if (const jit::JitProgram *jp = program.jitted();
-        jp && jp->laneKernel()) [[likely]] {
-        jit::CallCtx ctx;
-        ctx.lane = &lane;
-        jp->laneKernel()(&lane, program.constants().data(), &ctx);
-        _stats.instructionsExecuted += jp->opCount();
-        _stats.killsTaken += ctx.kills;
-        ++_stats.programsRun;
-        return;
-    }
     const DecodedProgram &dec = program.decoded();
     WC3D_ASSERT(!dec.hasTexture() &&
                 "texture sampling requires quad execution");
@@ -341,10 +330,6 @@ void
 Interpreter::runQuad(const Program &program, QuadState &quad,
                      TextureSampleHandler *tex_handler)
 {
-    if (const jit::JitProgram *jp = program.jitted()) [[likely]] {
-        runQuadsJit(program, *jp, &quad, 1, tex_handler);
-        return;
-    }
     runQuadDecoded(program, program.decoded(), quad, tex_handler);
 }
 
@@ -354,42 +339,9 @@ Interpreter::runQuads(const Program &program, QuadState *quads,
 {
     if (count == 0)
         return;
-    if (const jit::JitProgram *jp = program.jitted()) [[likely]] {
-        runQuadsJit(program, *jp, quads, count, tex_handler);
-        return;
-    }
     const DecodedProgram &dec = program.decoded();
     for (std::size_t i = 0; i < count; ++i)
         runQuadDecoded(program, dec, quads[i], tex_handler);
-}
-
-void
-Interpreter::runQuadsJit(const Program &program, const jit::JitProgram &jp,
-                         QuadState *quads, std::size_t count,
-                         TextureSampleHandler *tex_handler)
-{
-    WC3D_ASSERT((jp.texOpCount() == 0 || tex_handler) &&
-                "texture instruction without a sampler handler");
-    const Vec4 *constants = program.constants().data();
-    jit::JitProgram::QuadFn fn = jp.quadKernel();
-    jit::CallCtx ctx;
-    ctx.handler = tex_handler;
-    std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        QuadState &quad = quads[i];
-        ctx.quad = &quad;
-        fn(&quad, constants, &ctx);
-        for (int l = 0; l < 4; ++l)
-            covered += quad.covered[l] ? 1 : 0;
-    }
-    // Identical accounting to runQuadDecoded: every op (ALU, texture,
-    // KIL) counts once per covered lane; KIL takes were tallied by the
-    // kernel's kill helper with the decoded path's exact covered /
-    // not-yet-killed predicate.
-    _stats.instructionsExecuted += covered * jp.opCount();
-    _stats.textureInstructions += covered * jp.texOpCount();
-    _stats.killsTaken += ctx.kills;
-    _stats.programsRun += covered;
 }
 
 void

@@ -69,8 +69,6 @@ Program::emit(const Instruction &instr)
     if (opcodeInfo(instr.op).isTexture)
         ++_texCount;
     _decoded.reset(); // decoded form is stale; rebuilt on next use
-    _jit.reset();     // compiled form likewise (also un-caches failure)
-    _jitState = 0;
     return *this;
 }
 

@@ -19,10 +19,6 @@ namespace wc3d::shader {
 
 class DecodedProgram;
 
-namespace jit {
-class JitProgram;
-}
-
 /** Kind of pipeline stage a program targets. */
 enum class ProgramKind
 {
@@ -132,19 +128,6 @@ class Program
      */
     const DecodedProgram &decoded() const;
 
-    /**
-     * The native x86-64 compiled form (see shader/jit/jit.hh), built on
-     * first use and cached until the next emit() — keyed and
-     * invalidated exactly like decoded(). @return nullptr when the JIT
-     * is disabled (WC3D_JIT=0 or jit::setEnabled(false)), unavailable
-     * on this host, or compilation failed (the structured JitError is
-     * warned once and counted in jit::stats().fallbacks; failure is
-     * cached too, so callers retry only after the next emit()).
-     * Same synchronization contract as decoded(): trigger the first
-     * compile on one thread before sharing.
-     */
-    const jit::JitProgram *jitted() const;
-
   private:
     ProgramKind _kind = ProgramKind::Vertex;
     std::string _name;
@@ -152,9 +135,6 @@ class Program
     std::vector<Vec4> _constants = std::vector<Vec4>(kMaxConsts);
     int _texCount = 0;
     mutable std::shared_ptr<const DecodedProgram> _decoded;
-    mutable std::shared_ptr<const jit::JitProgram> _jit;
-    /** 0 = not attempted since last emit(), 1 = compiled, 2 = failed. */
-    mutable std::uint8_t _jitState = 0;
 };
 
 /** Render one instruction as text ("MAD r0.xyz, v1, c2, -r3;"). */

@@ -383,6 +383,20 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     }
     ASSERT_TRUE(validateMetrics(rebuilt, &error)) << error;
 
+    // Minor-2 manifests already in fleet stores carry the stats block of
+    // the since-removed native shader compiler; they still validate.
+    json::Value legacy_block = json::Value::object();
+    legacy_block.set("available", json::Value::boolean(true));
+    legacy_block.set("enabled", json::Value::boolean(true));
+    legacy_block.set("programsCompiled", json::Value::number(12));
+    legacy_block.set("compileSeconds", json::Value::number(0.004));
+    legacy_block.set("fallbacks", json::Value::number(0));
+    legacy_block.set("codeBytes", json::Value::number(40960));
+    json::Value minor2 = doc;
+    minor2.set("schemaMinor", json::Value::number(std::uint64_t(2)));
+    minor2.set("jit", std::move(legacy_block));
+    EXPECT_TRUE(validateMetrics(minor2, &error)) << error;
+
     // Claiming minor >= 1 without the host block is rejected, as are
     // host blocks with a missing/empty hostname.
     json::Value lying = rebuilt;

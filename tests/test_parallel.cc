@@ -15,8 +15,6 @@
 
 #include "common/threadpool.hh"
 #include "core/runner.hh"
-#include "shader/jit/jit.hh"
-#include "workloads/games.hh"
 
 using namespace wc3d;
 using namespace wc3d::core;
@@ -188,38 +186,6 @@ TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
         expectRunsBitIdentical(run, ref,
                                "threads=" + std::to_string(c.threads) +
                                    " tile=" + std::to_string(c.tile));
-    }
-}
-
-TEST(Determinism, JitMatchesDecodedAcrossAllTimedemos)
-{
-    // The shader JIT's acceptance contract: every one of the twelve
-    // timedemos produces bit-identical pipeline statistics whether the
-    // shaders run through the native kernels or the decoded
-    // interpreter, at 1 and 4 threads. One decoded reference per game;
-    // the cache must stay off or a cached run would short-circuit the
-    // comparison.
-    if (!shader::jit::available())
-        GTEST_SKIP() << "host cannot run the x86-64 JIT";
-
-    for (const std::string &id : workloads::allTimedemoIds()) {
-        shader::jit::setEnabled(false);
-        ThreadPool::setGlobalThreads(1);
-        MicroRun ref = runMicroarch(id, 1, 256, 192,
-                                    /*allow_cache=*/false);
-
-        shader::jit::setEnabled(true);
-        for (int threads : {1, 4}) {
-            ThreadPool::setGlobalThreads(threads);
-            MicroRun jit_run = runMicroarch(id, 1, 256, 192,
-                                            /*allow_cache=*/false);
-            expectRunsBitIdentical(jit_run, ref,
-                                   id + " jit " +
-                                       std::to_string(threads) +
-                                       " thread(s) vs decoded");
-        }
-        ThreadPool::setGlobalThreads(1);
-        shader::jit::resetFromEnv();
     }
 }
 

@@ -523,8 +523,9 @@ expectTilePartitionMatchesFull(const ScreenTriangle &t, int w, int h,
                 EXPECT_LT(q.y, rect.y1);
                 // Per-tile emission order follows the traversal key.
                 std::uint32_t key = traversalKey(q.x, q.y);
-                if (!first)
+                if (!first) {
                     EXPECT_GT(key, prev_key);
+                }
                 prev_key = key;
                 first = false;
                 tile_quads.push_back({q.x, q.y, q.coverage});
@@ -596,8 +597,9 @@ TEST(TileRaster, FullTraversalKeysAscendGlobally)
     std::uint32_t prev = 0;
     r.rasterize(setup, [&](const RasterQuad &q) {
         std::uint32_t key = traversalKey(q.x, q.y);
-        if (!first)
+        if (!first) {
             EXPECT_GT(key, prev) << "at quad (" << q.x << "," << q.y << ")";
+        }
         prev = key;
         first = false;
     });

@@ -3,23 +3,22 @@
  * Tests for the pre-decoded shader execution path (shader/decoded.hh):
  * decode caching and invalidation, the register clear plan / arena
  * reuse, batched quad execution, and a full-ISA differential that pins
- * all three executors — legacy field-by-field reference, pre-decoded
- * interpreter, and (on x86-64 hosts) the native JIT — bit-exactly to
- * one another, including opcodes no current workload emits (DST, LIT,
+ * the pre-decoded interpreter bit-exactly to the legacy field-by-field
+ * reference, including opcodes no current workload emits (DST, LIT,
  * XPD, ...), so operand-arity mismatches between the decoders cannot
- * hide. The decoded runs pin the JIT off and the JIT runs pin it on,
- * so each comparison genuinely exercises its executor whatever
- * WC3D_JIT says.
+ * hide, and float special values (NaN, signed zero, infinities), so
+ * the shared ALU core's MIN/MAX and guard semantics stay pinned.
  */
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "shader/decoded.hh"
 #include "shader/interp.hh"
-#include "shader/jit/jit.hh"
 
 using namespace wc3d;
 using namespace wc3d::shader;
@@ -126,12 +125,14 @@ fullIsaAluProgram()
     return p;
 }
 
-/** Pin the JIT on or off for a scope, restoring WC3D_JIT on exit. */
-struct JitMode
+/** Bit pattern of a float: NaNs and zero signs compare exactly. */
+std::uint32_t
+bits(float f)
 {
-    explicit JitMode(bool on) { jit::setEnabled(on); }
-    ~JitMode() { jit::resetFromEnv(); }
-};
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+}
 
 /** Compare every register of two lanes bit-exactly. */
 void
@@ -140,12 +141,14 @@ expectLanesIdentical(const LaneState &a, const LaneState &b,
 {
     for (int i = 0; i < kMaxTemps; ++i)
         for (int k = 0; k < 4; ++k)
-            EXPECT_EQ(a.temps[i][k], b.temps[i][k])
-                << what << ": temp " << i << "." << k;
+            EXPECT_EQ(bits(a.temps[i][k]), bits(b.temps[i][k]))
+                << what << ": temp " << i << "." << k << " ("
+                << a.temps[i][k] << " vs " << b.temps[i][k] << ")";
     for (int i = 0; i < kMaxOutputs; ++i)
         for (int k = 0; k < 4; ++k)
-            EXPECT_EQ(a.outputs[i][k], b.outputs[i][k])
-                << what << ": output " << i << "." << k;
+            EXPECT_EQ(bits(a.outputs[i][k]), bits(b.outputs[i][k]))
+                << what << ": output " << i << "." << k << " ("
+                << a.outputs[i][k] << " vs " << b.outputs[i][k] << ")";
     EXPECT_EQ(a.killed, b.killed) << what;
 }
 
@@ -161,30 +164,63 @@ TEST(Decoded, FullIsaMatchesLegacyBitExactly)
         hot.inputs[i] = v4(i + 1);
     }
     legacy.runLegacy(p, ref);
-    {
-        JitMode off(false);
-        decoded.run(p, hot);
-    }
+    decoded.run(p, hot);
     expectLanesIdentical(ref, hot, "full ISA");
     EXPECT_EQ(legacy.stats().instructionsExecuted,
               decoded.stats().instructionsExecuted);
     EXPECT_EQ(legacy.stats().programsRun, decoded.stats().programsRun);
+}
 
-    // Third executor: the native JIT must agree with both, including
-    // on the helper-backed opcodes (DST, LIT, EX2/LG2/POW, NRM, XPD).
-    if (jit::available()) {
-        JitMode on(true);
-        Interpreter jitted;
-        LaneState nat;
-        for (int i = 0; i < 3; ++i)
-            nat.inputs[i] = v4(i + 1);
-        ASSERT_NE(p.jitted(), nullptr);
-        jitted.run(p, nat);
-        expectLanesIdentical(ref, nat, "full ISA jit");
-        EXPECT_EQ(legacy.stats().instructionsExecuted,
-                  jitted.stats().instructionsExecuted);
-        EXPECT_EQ(legacy.stats().programsRun,
-                  jitted.stats().programsRun);
+TEST(Decoded, SpecialValuesMatchLegacy)
+{
+    // MIN/MAX NaN propagation and zero signs (alucore.hh's minf/maxf),
+    // RCP/RSQ zero guards, FLR/FRC on negatives and infinities, SLT on
+    // NaN, saturation of NaN: the inputs where two executors can drift
+    // apart without any finite-input differential noticing.
+    Program p(ProgramKind::Fragment, "special");
+    p.minOp(dstTemp(0), srcInput(0), srcInput(1));
+    p.maxOp(dstTemp(1), srcInput(0), srcInput(1));
+    p.rcp(dstTemp(2, kMaskX), srcInput(0, packSwizzle(0, 0, 0, 0)));
+    p.rsq(dstTemp(2, kMaskY), srcInput(0, packSwizzle(1, 1, 1, 1)));
+    p.flr(dstTemp(3), srcInput(0));
+    p.frc(dstTemp(4), srcInput(0));
+    p.slt(dstTemp(5), srcInput(0), srcInput(1));
+    p.add(saturate(dstOutput(0)), srcInput(0), srcInput(1));
+    p.mul(dstOutput(1), srcInput(1), srcTemp(0));
+
+    const float qnan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const Vec4 specials[] = {
+        {qnan, -0.0f, inf, -inf},
+        {0.0f, qnan, -1.5f, 2.25f},
+        {-0.0f, 0.0f, qnan, -3.75f},
+        {inf, -inf, 0.5f, qnan},
+    };
+
+    for (std::size_t i = 0; i + 1 < std::size(specials); ++i) {
+        SCOPED_TRACE(i);
+        LaneState ref, hot;
+        ref.inputs[0] = hot.inputs[0] = specials[i];
+        ref.inputs[1] = hot.inputs[1] = specials[i + 1];
+        Interpreter legacy, decoded;
+        legacy.runLegacy(p, ref);
+        decoded.run(p, hot);
+        expectLanesIdentical(ref, hot, "special values");
+    }
+
+    // The rule itself, not just agreement: pick a when the strict
+    // ordered compare holds or b is NaN, else b. So min/max(+0, -0)
+    // are -0, and a NaN on either side yields the other operand.
+    LaneState lane;
+    lane.inputs[0] = specials[1]; // {+0, NaN, -1.5, 2.25}
+    lane.inputs[1] = specials[2]; // {-0, +0, NaN, -3.75}
+    Interpreter decoded;
+    decoded.run(p, lane);
+    const float want_min[4] = {-0.0f, 0.0f, -1.5f, -3.75f};
+    const float want_max[4] = {-0.0f, 0.0f, -1.5f, 2.25f};
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(bits(lane.temps[0][k]), bits(want_min[k])) << "min." << k;
+        EXPECT_EQ(bits(lane.temps[1][k]), bits(want_max[k])) << "max." << k;
     }
 }
 
@@ -225,26 +261,11 @@ TEST(Decoded, KillMatchesLegacy)
         ref.inputs[0] = hot.inputs[0] = {1, 1, 1, alpha};
         ref.inputs[1] = hot.inputs[1] = v4(9);
         legacy.runLegacy(p, ref);
-        {
-            JitMode off(false);
-            decoded.run(p, hot);
-        }
+        decoded.run(p, hot);
         expectLanesIdentical(ref, hot, "kil lane");
         EXPECT_EQ(ref.killed, alpha < 0.5f);
         EXPECT_EQ(legacy.stats().killsTaken,
                   decoded.stats().killsTaken);
-
-        if (jit::available()) {
-            JitMode on(true);
-            Interpreter jitted;
-            LaneState nat;
-            nat.inputs[0] = ref.inputs[0];
-            nat.inputs[1] = ref.inputs[1];
-            jitted.run(p, nat);
-            expectLanesIdentical(ref, nat, "kil lane jit");
-            EXPECT_EQ(legacy.stats().killsTaken,
-                      jitted.stats().killsTaken);
-        }
     }
 }
 
@@ -268,10 +289,7 @@ TEST(Decoded, QuadTextureMatchesLegacy)
     HashTexture tex_ref, tex_hot;
     Interpreter legacy, decoded;
     legacy.runQuadLegacy(p, ref, &tex_ref);
-    {
-        JitMode off(false);
-        decoded.runQuad(p, hot, &tex_hot);
-    }
+    decoded.runQuad(p, hot, &tex_hot);
     for (int l = 0; l < 4; ++l)
         expectLanesIdentical(ref.lanes[l], hot.lanes[l], "tex quad lane");
     EXPECT_EQ(tex_ref.calls, tex_hot.calls);
@@ -280,32 +298,6 @@ TEST(Decoded, QuadTextureMatchesLegacy)
     EXPECT_EQ(legacy.stats().textureInstructions,
               decoded.stats().textureInstructions);
     EXPECT_EQ(legacy.stats().programsRun, decoded.stats().programsRun);
-
-    // Third executor: the JIT's quad kernel calls back into the same
-    // sampler interface, with identical call ordering and TXP/TXB
-    // coordinate handling, on a partially covered quad.
-    if (jit::available()) {
-        JitMode on(true);
-        QuadState nat;
-        for (int l = 0; l < 4; ++l) {
-            nat.covered[l] = ref.covered[l];
-            for (int i = 0; i < 3; ++i)
-                nat.lanes[l].inputs[i] = ref.lanes[l].inputs[i];
-        }
-        HashTexture tex_nat;
-        Interpreter jitted;
-        jitted.runQuad(p, nat, &tex_nat);
-        for (int l = 0; l < 4; ++l)
-            expectLanesIdentical(ref.lanes[l], nat.lanes[l],
-                                 "tex quad lane jit");
-        EXPECT_EQ(tex_ref.calls, tex_nat.calls);
-        EXPECT_EQ(legacy.stats().instructionsExecuted,
-                  jitted.stats().instructionsExecuted);
-        EXPECT_EQ(legacy.stats().textureInstructions,
-                  jitted.stats().textureInstructions);
-        EXPECT_EQ(legacy.stats().programsRun,
-                  jitted.stats().programsRun);
-    }
 }
 
 TEST(Decoded, PrepareLaneEqualsFreshState)

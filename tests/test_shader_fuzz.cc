@@ -3,11 +3,9 @@
  * Property/fuzz tests across the shader stack: every program the
  * workload synthesizer can produce must assemble, disassemble
  * round-trip, and execute on random inputs without producing NaNs in
- * the colour output path. The differential fuzz is three-way: on
- * x86-64 hosts each synthesized program also runs through the native
- * JIT, which must agree bit-for-bit with the legacy reference and the
- * decoded interpreter on outputs, kill flags, sampler traffic and
- * statistics.
+ * the colour output path. The differential fuzz runs each synthesized
+ * program through the decoded interpreter and the legacy reference,
+ * which must agree bit-for-bit on outputs, kill flags and statistics.
  */
 
 #include <cmath>
@@ -16,7 +14,6 @@
 
 #include "shader/assemble.hh"
 #include "shader/interp.hh"
-#include "shader/jit/jit.hh"
 #include "workloads/shadersynth.hh"
 
 using namespace wc3d;
@@ -48,13 +45,6 @@ finite(const Vec4 &v)
     return std::isfinite(v.x) && std::isfinite(v.y) &&
            std::isfinite(v.z) && std::isfinite(v.w);
 }
-
-/** Pin the JIT on or off for a scope, restoring WC3D_JIT on exit. */
-struct JitMode
-{
-    explicit JitMode(bool on) { jit::setEnabled(on); }
-    ~JitMode() { jit::resetFromEnv(); }
-};
 
 } // namespace
 
@@ -92,36 +82,28 @@ TEST_P(SynthFuzz, SynthesizedProgramsExecuteFinite)
 TEST_P(SynthFuzz, DecodedMatchesLegacyOnSynthPrograms)
 {
     // Differential fuzz over the whole synthesizable program space:
-    // the pre-decoded quad path, the legacy reference and (on x86-64
-    // hosts) the native JIT must agree bit-for-bit on outputs, kill
-    // flags, sampler traffic and statistics.
+    // the pre-decoded quad path and the legacy reference must agree
+    // bit-for-bit on outputs, kill flags and statistics.
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
     auto specs = planMaterialMix(16, 4.0 + 20.0 * rng.nextFloat(),
                                  4.0 * rng.nextFloat(),
                                  rng.nextFloat() * 0.5, rng);
-    Interpreter decoded, legacy, jitted;
+    Interpreter decoded, legacy;
     HashTexture tex;
-    bool use_jit = jit::available();
     for (const auto &spec : specs) {
         auto fp = assemble(synthFragmentProgram(spec));
         ASSERT_TRUE(fp.ok) << fp.error;
-        QuadState hot, ref, nat;
+        QuadState hot, ref;
         for (int l = 0; l < 4; ++l) {
-            hot.covered[l] = ref.covered[l] = nat.covered[l] =
-                (rng.nextFloat() < 0.8f);
+            hot.covered[l] = ref.covered[l] = (rng.nextFloat() < 0.8f);
             hot.lanes[l].inputs[0] = {rng.nextRange(-4, 4),
                                       rng.nextRange(-4, 4), 0, 1};
             hot.lanes[l].inputs[1] = {rng.nextFloat(), rng.nextFloat(),
                                       rng.nextFloat(), rng.nextFloat()};
             ref.lanes[l].inputs[0] = hot.lanes[l].inputs[0];
             ref.lanes[l].inputs[1] = hot.lanes[l].inputs[1];
-            nat.lanes[l].inputs[0] = hot.lanes[l].inputs[0];
-            nat.lanes[l].inputs[1] = hot.lanes[l].inputs[1];
         }
-        {
-            JitMode off(false);
-            decoded.runQuad(fp.program, hot, &tex);
-        }
+        decoded.runQuad(fp.program, hot, &tex);
         legacy.runQuadLegacy(fp.program, ref, &tex);
         for (int l = 0; l < 4; ++l) {
             for (int k = 0; k < 4; ++k)
@@ -131,20 +113,6 @@ TEST_P(SynthFuzz, DecodedMatchesLegacyOnSynthPrograms)
             EXPECT_EQ(hot.lanes[l].killed, ref.lanes[l].killed)
                 << fp.program.disassemble();
         }
-        if (use_jit) {
-            JitMode on(true);
-            ASSERT_NE(fp.program.jitted(), nullptr)
-                << fp.program.disassemble();
-            jitted.runQuad(fp.program, nat, &tex);
-            for (int l = 0; l < 4; ++l) {
-                for (int k = 0; k < 4; ++k)
-                    EXPECT_EQ(nat.lanes[l].outputs[0][k],
-                              ref.lanes[l].outputs[0][k])
-                        << fp.program.disassemble();
-                EXPECT_EQ(nat.lanes[l].killed, ref.lanes[l].killed)
-                    << fp.program.disassemble();
-            }
-        }
     }
     EXPECT_EQ(decoded.stats().instructionsExecuted,
               legacy.stats().instructionsExecuted);
@@ -152,16 +120,6 @@ TEST_P(SynthFuzz, DecodedMatchesLegacyOnSynthPrograms)
               legacy.stats().textureInstructions);
     EXPECT_EQ(decoded.stats().killsTaken, legacy.stats().killsTaken);
     EXPECT_EQ(decoded.stats().programsRun, legacy.stats().programsRun);
-    if (use_jit) {
-        EXPECT_EQ(jitted.stats().instructionsExecuted,
-                  legacy.stats().instructionsExecuted);
-        EXPECT_EQ(jitted.stats().textureInstructions,
-                  legacy.stats().textureInstructions);
-        EXPECT_EQ(jitted.stats().killsTaken,
-                  legacy.stats().killsTaken);
-        EXPECT_EQ(jitted.stats().programsRun,
-                  legacy.stats().programsRun);
-    }
 }
 
 TEST_P(SynthFuzz, VertexProgramsExecuteFinite)
