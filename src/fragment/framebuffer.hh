@@ -53,9 +53,9 @@ enum class SurfaceKind
  * state, so tile-parallel workers must not touch them; a unit with a
  * sink installed performs its word reads/writes directly (the pixels
  * are tile-exclusive) but reports each would-be accessQuad /
- * accessQuadNoFetch here instead. The submitting thread later replays
- * the logged accesses into the real surface in reconstructed
- * submission order (see DESIGN.md "Tile-parallel pipeline").
+ * accessQuadNoFetch here instead. The merge later replays the logged
+ * accesses into the real surface in reconstructed submission order,
+ * one task per surface (see DESIGN.md "Tile-parallel pipeline").
  */
 class SurfaceAccessSink
 {
@@ -131,6 +131,12 @@ class CachedSurface
      * (used by the DAC), charged to @p client.
      */
     void chargeFullReadback(memsys::Client client);
+
+    /**
+     * Charge later traffic to @p memory instead (a replay task's
+     * private tally). The surface must not be in use meanwhile.
+     */
+    void setMemory(memsys::MemoryController *memory) { _memory = memory; }
 
     const memsys::CacheStats &cacheStats() const { return _cache.stats(); }
     const memsys::CacheModel &cache() const { return _cache; }

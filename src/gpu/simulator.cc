@@ -1,7 +1,9 @@
 #include "gpu/simulator.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 
 #include "common/log.hh"
 #include "common/prof.hh"
@@ -173,46 +175,38 @@ struct GpuSimulator::TiledTri
 };
 
 /**
- * Everything a tile worker produces that the submitting thread must
- * consume: the deferred cache-access logs and the per-quad records that
- * anchor them to positions in the global quad stream. Counters and
+ * Everything a tile worker produces that the merge must consume: the
+ * deferred cache-access logs and the per-quad records that anchor them
+ * to positions in the global quad stream. Counters and
  * statistics are NOT here — they are order-insensitive sums kept in the
  * per-slot TileExec shards.
  */
 struct GpuSimulator::TileOutput
 {
-    /** One deferred framebuffer-cache access. */
+    /** One deferred framebuffer-cache access (the surface is implied
+     *  by the log it sits in). */
     struct SurfEvent
     {
         std::int32_t x = 0;
         std::int32_t y = 0;
-        std::uint8_t surface = 0; ///< 0 depth/stencil, 1 colour
         std::uint8_t kind = 0;    ///< 0 read, 1 write, 2 no-fetch write
     };
 
-    /** One deferred texture-cache block access, by the block's L0 and
-     *  L1 addresses (computed by the tile worker). */
-    struct TexEvent
-    {
-        std::uint64_t virtualAddress = 0; ///< L0 (decompressed) space
-        std::uint64_t memoryAddress = 0;  ///< L1/GDDR (stored) space
-        std::int32_t refs = 0;
-    };
-    static_assert(sizeof(TexEvent) <= 24);
+    /** Log index of `tex`; logs 0 and 1 are surf[0] and surf[1]. */
+    static constexpr int kTexLog = 2;
 
     /**
      * One processed quad that logged at least one deferred access. Per
      * (triangle, tile) the records are appended in traversal order, so
      * their keys ascend — the merge phase k-way-merges the per-tile
      * runs of one triangle by key to recover the full traversal order.
+     * A record's events run from its begin to the next record's (or to
+     * the end of the log), so consecutive records own contiguous events.
      */
     struct QuadRec
     {
         std::uint32_t key = 0; ///< raster::traversalKey(x, y)
-        std::uint32_t surfBegin = 0;
-        std::uint32_t surfCount = 0;
-        std::uint32_t texBegin = 0;
-        std::uint32_t texCount = 0;
+        std::array<std::uint32_t, 3> begin{}; ///< first event per log
     };
 
     /** Record range produced for one bin entry (one triangle). */
@@ -225,11 +219,28 @@ struct GpuSimulator::TileOutput
     std::vector<std::uint32_t> bin; ///< triangle seqs, draw order
     std::vector<TileRun> runs;      ///< parallel to bin (filled by worker)
     std::vector<QuadRec> recs;
-    std::vector<SurfEvent> surf;
-    std::vector<TexEvent> tex;
+    std::array<std::vector<SurfEvent>, 2> surf; ///< depth, colour
+    std::vector<tex::BlockEvent> tex; ///< texture block accesses
     std::uint32_t cursor = 0;       ///< merge-phase run cursor
 
     bool empty() const { return bin.empty(); }
+
+    std::uint32_t
+    logSize(int log) const
+    {
+        return static_cast<std::uint32_t>(
+            log == kTexLog ? tex.size()
+                           : surf[static_cast<std::size_t>(log)].size());
+    }
+
+    /** First event of record @p rec in @p log; logSize at the end. */
+    std::uint32_t
+    logBegin(int log, std::size_t rec) const
+    {
+        return rec < recs.size()
+                   ? recs[rec].begin[static_cast<std::size_t>(log)]
+                   : logSize(log);
+    }
 
     void
     clearDraw()
@@ -237,9 +248,55 @@ struct GpuSimulator::TileOutput
         bin.clear();
         runs.clear();
         recs.clear();
-        surf.clear();
+        surf[0].clear();
+        surf[1].clear();
         tex.clear();
         cursor = 0;
+    }
+};
+
+/**
+ * One draw's deferred accesses in reconstructed submission order: per
+ * log, contiguous pieces of the tiles' logs. Built by the order pass of
+ * the merge, consumed by the replay tasks.
+ */
+struct GpuSimulator::ReplayOrder
+{
+    std::array<std::vector<std::span<const TileOutput::SurfEvent>>, 2>
+        surf;
+    std::vector<std::span<const tex::BlockEvent>> tex;
+
+    /** Append events [begin, end) of @p log to @p pieces. */
+    template <typename Event>
+    static void
+    append(std::vector<std::span<const Event>> &pieces,
+           const std::vector<Event> &log, std::uint32_t begin,
+           std::uint32_t end)
+    {
+        if (begin != end)
+            pieces.emplace_back(log.data() + begin, end - begin);
+    }
+
+    /** Append the events of records [rec, rec_end) of @p out. */
+    void
+    appendRecords(const TileOutput &out, std::uint32_t rec,
+                  std::uint32_t rec_end)
+    {
+        for (int s = 0; s < 2; ++s) {
+            auto i = static_cast<std::size_t>(s);
+            append(surf[i], out.surf[i], out.logBegin(s, rec),
+                   out.logBegin(s, rec_end));
+        }
+        append(tex, out.tex, out.logBegin(TileOutput::kTexLog, rec),
+               out.logBegin(TileOutput::kTexLog, rec_end));
+    }
+
+    void
+    clear()
+    {
+        surf[0].clear();
+        surf[1].clear();
+        tex.clear();
     }
 };
 
@@ -275,6 +332,7 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
         }
     };
 
+    const tex::TextureCache &texCache; ///< line numbering only
     shader::Interpreter interp;
     tex::Sampler sampler;
     shader::QuadState quad;        ///< reusable shading state
@@ -290,7 +348,8 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     TileOutput *out = nullptr;     ///< current work item's log
 
     explicit TileExec(GpuSimulator &sim)
-        : raster(sim._config.width, sim._config.height),
+        : texCache(sim._texCache),
+          raster(sim._config.width, sim._config.height),
           zUnit(&sim._depth), colorUnit(&sim._color)
     {
         sampler.setListener(this);
@@ -304,8 +363,8 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     logSurf(std::uint8_t surface, int x, int y, bool is_write,
             bool no_fetch)
     {
-        out->surf.push_back(
-            {x, y, surface,
+        out->surf[surface].push_back(
+            {x, y,
              static_cast<std::uint8_t>(no_fetch ? 2 : (is_write ? 1 : 0))});
     }
 
@@ -332,8 +391,8 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     blockAccess(const tex::Texture2D &texture, int level, int bx, int by,
                 int refs) override
     {
-        out->tex.push_back({texture.blockVirtualAddress(level, bx, by),
-                            texture.blockMemAddress(level, bx, by), refs});
+        out->tex.push_back(
+            texCache.blockEvent(texture, level, bx, by, refs));
     }
 };
 
@@ -348,7 +407,8 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
                 raster::resolveTileSize(config.tileSize)),
       _vertexCache(config.vertexCacheEntries),
       _vertexCacheData(static_cast<std::size_t>(config.vertexCacheEntries)),
-      _texCache(config.textureCache, &_memory)
+      _texCache(config.textureCache, &_memory),
+      _order(std::make_unique<ReplayOrder>())
 {
     _depth.fastClear(frag::packDepthStencil(1.0f, 0));
     _color.fastClear(0xff000000u);
@@ -377,6 +437,8 @@ void
 GpuSimulator::textureCreated(std::uint32_t, tex::Texture2D &texture)
 {
     texture.bindMemory(_memory);
+    // Logged texture events carry 32-bit line numbers.
+    WC3D_ASSERT(_texCache.lineNumbersFit(texture));
     _memory.write(memsys::Client::CommandProcessor,
                   texture.storageBytes());
 }
@@ -686,19 +748,21 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
         ++ctr.rasterFullQuads;
     ctr.rasterFragments += static_cast<std::uint64_t>(quad.coveredCount());
 
-    auto surf_begin = static_cast<std::uint32_t>(out.surf.size());
-    auto tex_begin = static_cast<std::uint32_t>(out.tex.size());
+    TileOutput::QuadRec rec;
+    for (int log = 0; log < 3; ++log)
+        rec.begin[static_cast<std::size_t>(log)] = out.logSize(log);
     // Anchor whatever accesses this quad logged to its position in the
     // global quad stream; quads that logged nothing need no record.
     auto push_rec = [&] {
-        auto surf_count =
-            static_cast<std::uint32_t>(out.surf.size()) - surf_begin;
-        auto tex_count =
-            static_cast<std::uint32_t>(out.tex.size()) - tex_begin;
-        if (surf_count == 0 && tex_count == 0)
+        bool logged = false;
+        for (int log = 0; log < 3; ++log) {
+            logged |= out.logSize(log) !=
+                      rec.begin[static_cast<std::size_t>(log)];
+        }
+        if (!logged)
             return;
-        out.recs.push_back({raster::traversalKey(quad.x, quad.y),
-                            surf_begin, surf_count, tex_begin, tex_count});
+        rec.key = raster::traversalKey(quad.x, quad.y);
+        out.recs.push_back(rec);
     };
 
     std::uint8_t live = quad.coverage;
@@ -801,23 +865,36 @@ GpuSimulator::mergeTileResults()
         exec.hzStats = raster::HzStats{};
     }
 
-    // Replay the deferred cache accesses in reconstructed submission
-    // order: primitives in draw order; within one primitive, its
-    // per-tile record runs merged by traversal key (each run is already
-    // ascending). The shared models and the memory controller therefore
-    // see the exact sequential access stream, independent of thread
-    // count and tile size.
+    orderAccesses();
+    replayAccesses();
+
+    for (std::uint32_t t : _activeTiles)
+        _tileOut[t].clearDraw();
+    _activeTiles.clear();
+    _tiledTris.clear();
+    _order->clear();
+}
+
+void
+GpuSimulator::orderAccesses()
+{
+    // Reconstruct submission order: primitives in draw order; within
+    // one primitive, its per-tile record runs merged by traversal key
+    // (each run is already ascending). The replay therefore feeds every
+    // shared model its exact sequential access stream, independent of
+    // thread count and tile size.
     struct MergeCursor
     {
         std::uint32_t key;
         std::uint32_t rec;
         std::uint32_t end;
-        TileOutput *out;
+        const TileOutput *out;
     };
     auto later = [](const MergeCursor &a, const MergeCursor &b) {
         return a.key > b.key; // min-heap on key
     };
     std::vector<MergeCursor> cursors;
+    ReplayOrder &order = *_order;
 
     for (std::size_t seq = 0; seq < _tiledTris.size(); ++seq) {
         const TiledTri &tt = _tiledTris[seq];
@@ -837,51 +914,111 @@ GpuSimulator::mergeTileResults()
                                    run.recBegin + run.recCount, &out});
             }
         }
-        if (cursors.empty())
-            continue;
         if (cursors.size() == 1) {
             // The common case: the primitive only produced records in
             // one tile, already in traversal order.
             const MergeCursor &c = cursors.front();
-            for (std::uint32_t r = c.rec; r < c.end; ++r)
-                replayQuadRec(*c.out, r);
+            order.appendRecords(*c.out, c.rec, c.end);
             continue;
         }
+        // Emit in bulk: the popped run's records stay in order while
+        // their keys are below the next run's head.
         std::make_heap(cursors.begin(), cursors.end(), later);
         while (!cursors.empty()) {
             std::pop_heap(cursors.begin(), cursors.end(), later);
             MergeCursor c = cursors.back();
             cursors.pop_back();
-            replayQuadRec(*c.out, c.rec);
-            if (++c.rec < c.end) {
-                c.key = c.out->recs[c.rec].key;
+            std::uint32_t r = c.end;
+            if (!cursors.empty()) {
+                std::uint32_t next = cursors.front().key;
+                r = c.rec + 1;
+                while (r < c.end && c.out->recs[r].key < next)
+                    ++r;
+            }
+            order.appendRecords(*c.out, c.rec, r);
+            if (r < c.end) {
+                c.rec = r;
+                c.key = c.out->recs[r].key;
                 cursors.push_back(c);
                 std::push_heap(cursors.begin(), cursors.end(), later);
             }
         }
     }
-
-    for (std::uint32_t t : _activeTiles)
-        _tileOut[t].clearDraw();
-    _activeTiles.clear();
-    _tiledTris.clear();
 }
 
 void
-GpuSimulator::replayQuadRec(const TileOutput &out, std::size_t rec)
+GpuSimulator::replayAccesses()
 {
-    const TileOutput::QuadRec &r = out.recs[rec];
-    for (std::uint32_t i = 0; i < r.surfCount; ++i) {
-        const TileOutput::SurfEvent &e = out.surf[r.surfBegin + i];
-        frag::CachedSurface &surface = e.surface ? _color : _depth;
-        if (e.kind == 2)
-            surface.accessQuadNoFetch(e.x, e.y);
-        else
-            surface.accessQuad(e.x, e.y, e.kind == 1);
+    // Chunk counts depend only on the pool size (one chunk, i.e. a
+    // plain in-order replay, at one thread). L0 warm-up is a short scan,
+    // so L0 takes several chunks per thread for balance; L1's often runs
+    // back to the draw start, so L1 takes one per thread.
+    ThreadPool &pool = ThreadPool::global();
+    int threads = pool.threads();
+
+    // Depth, colour and the texture L0 chunks replay at once. The two
+    // surfaces replay sequentially (fills and writebacks depend on the
+    // block directory and the end-of-draw words), each on its own task
+    // and with its traffic on a private tally, folded after the join.
+    std::array<memsys::MemoryController, 2> tally;
+    _depth.setMemory(&tally[0]);
+    _color.setMemory(&tally[1]);
+    {
+        TaskGroup group(pool);
+        for (int s = 0; s < 2; ++s) {
+            if (_order->surf[static_cast<std::size_t>(s)].empty())
+                continue;
+            group.run([this, s] {
+                WC3D_PROF_SCOPE("raster.replay");
+                replaySurface(s);
+            });
+        }
+        int l0 = _texCache.planL0Replay(_order->tex,
+                                        threads > 1 ? 4 * threads : 1);
+        for (int k = 0; k < l0; ++k) {
+            group.run([this, k] {
+                WC3D_PROF_SCOPE("raster.replay");
+                _texCache.replayL0(k);
+            });
+        }
+        group.wait();
     }
-    for (std::uint32_t i = 0; i < r.texCount; ++i) {
-        const TileOutput::TexEvent &e = out.tex[r.texBegin + i];
-        _texCache.accessBlock(e.virtualAddress, e.memoryAddress, e.refs);
+    _depth.setMemory(&_memory);
+    _color.setMemory(&_memory);
+    for (const memsys::MemoryController &t : tally) {
+        for (int c = 0; c < memsys::kNumClients; ++c) {
+            auto client = static_cast<memsys::Client>(c);
+            _memory.read(client, t.traffic().readBytes[c]);
+            _memory.write(client, t.traffic().writeBytes[c]);
+        }
+    }
+
+    // Texture L1 over the L0 chunks' miss lists.
+    {
+        TaskGroup group(pool);
+        int l1 = _texCache.planL1Replay(threads);
+        for (int k = 0; k < l1; ++k) {
+            group.run([this, k] {
+                WC3D_PROF_SCOPE("raster.replay");
+                _texCache.replayL1(k);
+            });
+        }
+        group.wait();
+    }
+    _texCache.finishReplay();
+}
+
+void
+GpuSimulator::replaySurface(int s)
+{
+    frag::CachedSurface &surface = s ? _color : _depth;
+    for (const auto &piece : _order->surf[static_cast<std::size_t>(s)]) {
+        for (const TileOutput::SurfEvent &e : piece) {
+            if (e.kind == 2)
+                surface.accessQuadNoFetch(e.x, e.y);
+            else
+                surface.accessQuad(e.x, e.y, e.kind == 1);
+        }
     }
 }
 

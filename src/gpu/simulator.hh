@@ -25,10 +25,12 @@
  * exclusively (tiles are multiples of the 16x16 traversal tile, so
  * every lower structure nests inside exactly one screen tile). Accesses
  * to the order-sensitive shared cache models (z, colour, texture) and
- * the memory controller are logged per quad and replayed on the
- * submitting thread in reconstructed submission order, making counters,
- * cache statistics and traffic bytes bit-identical at every thread
- * count and tile size (see DESIGN.md "Tile-parallel pipeline").
+ * the memory controller are logged per quad; after the join the merge
+ * rebuilds submission order and replays them on the pool: the z and
+ * colour streams each in order on its own task, the read-only texture
+ * levels in exact warm-started chunks. Counters, cache statistics and
+ * traffic bytes are bit-identical at every thread count and tile size
+ * (see DESIGN.md "Tile-parallel pipeline").
  * Vertex shading runs on the same pool: the vertex cache is replayed in
  * index order first, then the misses are shaded in parallel chunks. At
  * WC3D_THREADS=1 every work item runs inline on the submitting thread,
@@ -119,6 +121,7 @@ class GpuSimulator : public api::DrawSink
     struct TiledTri;     ///< binned triangle (setup + facing + tile range)
     struct TileOutput;   ///< per-tile quad stream + deferred access logs
     struct TileExec;     ///< per-slot tile-worker execution state
+    struct ReplayOrder;  ///< one draw's deferred accesses, in order
 
     /** Outcome of the Hierarchical-Z stage for one quad. */
     enum class HzOutcome : std::uint8_t { Culled, Accepted, Pass };
@@ -146,7 +149,9 @@ class GpuSimulator : public api::DrawSink
                          const raster::TriangleSetup &setup,
                          const raster::QuadRef &quad);
     void mergeTileResults();
-    void replayQuadRec(const TileOutput &out, std::size_t rec);
+    void orderAccesses();
+    void replayAccesses();
+    void replaySurface(int surface);
     /// @}
 
     void shadeVertices(const api::DrawCall &call);
@@ -178,6 +183,7 @@ class GpuSimulator : public api::DrawSink
     std::vector<TileOutput> _tileOut;   ///< one per screen tile (lazy)
     std::vector<std::uint32_t> _activeTiles; ///< non-empty bins, ascending
     std::vector<std::unique_ptr<TileExec>> _tileExec; ///< per worker slot
+    std::unique_ptr<ReplayOrder> _order;
 };
 
 } // namespace wc3d::gpu

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/log.hh"
+
 namespace wc3d::memsys {
 
 /** Backing state of one surface block. */
@@ -42,8 +44,19 @@ class BlockStateDirectory
     /** Resize (used when a surface is (re)allocated). */
     void resize(std::size_t blocks);
 
-    BlockState state(std::size_t block) const { return _states.at(block); }
-    void setState(std::size_t block, BlockState s) { _states.at(block) = s; }
+    BlockState
+    state(std::size_t block) const
+    {
+        WC3D_ASSERT(block < _states.size());
+        return _states[block];
+    }
+
+    void
+    setState(std::size_t block, BlockState s)
+    {
+        WC3D_ASSERT(block < _states.size());
+        _states[block] = s;
+    }
 
     /** Count of blocks currently in @p s. */
     std::size_t countInState(BlockState s) const;

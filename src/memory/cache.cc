@@ -162,4 +162,31 @@ CacheModel::invalidateAll()
     std::fill(_index.begin(), _index.end(), Slot());
 }
 
+LruWarmup::LruWarmup(const CacheModel &geometry)
+    : _ways(geometry.ways()),
+      _setMask(static_cast<std::uint64_t>(geometry.sets() - 1)),
+      _count(static_cast<std::size_t>(geometry.sets())),
+      _lines(static_cast<std::size_t>(geometry.ways()) * geometry.sets())
+{
+    clear();
+}
+
+void
+LruWarmup::clear()
+{
+    std::fill(_count.begin(), _count.end(), 0);
+    _unfilled = static_cast<int>(_count.size());
+}
+
+void
+LruWarmup::applyTo(CacheModel &model) const
+{
+    for (std::size_t set = 0; set < _count.size(); ++set) {
+        const std::uint64_t *lines =
+            &_lines[set * static_cast<std::size_t>(_ways)];
+        for (std::int32_t i = _count[set]; i-- > 0;)
+            model.readLine(lines[i]);
+    }
+}
+
 } // namespace wc3d::memsys

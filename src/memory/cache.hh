@@ -8,7 +8,10 @@
 #ifndef WC3D_MEMORY_CACHE_HH
 #define WC3D_MEMORY_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +43,16 @@ struct CacheStats
         return accesses ? static_cast<double>(hits) /
                           static_cast<double>(accesses)
                         : 0.0;
+    }
+
+    CacheStats &
+    operator+=(const CacheStats &other)
+    {
+        accesses += other.accesses;
+        hits += other.hits;
+        misses += other.misses;
+        writebacks += other.writebacks;
+        return *this;
     }
 };
 
@@ -74,6 +87,16 @@ class CacheModel
      * dirty on hit or after fill.
      */
     CacheAccessResult access(std::uint64_t address, bool is_write);
+
+    /**
+     * Read access to line number @p line (the address shifted right by
+     * log2(lineSize())). @return true on a hit.
+     */
+    bool
+    readLine(std::uint64_t line)
+    {
+        return access(line << _lineShift, false).hit;
+    }
 
     /** @return true when the line holding @p address is resident. */
     bool contains(std::uint64_t address) const;
@@ -116,6 +139,9 @@ class CacheModel
 
     const CacheStats &stats() const { return _stats; }
     void resetStats() { _stats = CacheStats(); }
+
+    /** Add @p stats to the running statistics (folding replay chunks). */
+    void addStats(const CacheStats &stats) { _stats += stats; }
 
     int ways() const { return _ways; }
     int sets() const { return _sets; }
@@ -177,6 +203,234 @@ class CacheModel
     std::vector<SetState> _setState;
     std::vector<Slot> _index;        // power-of-two size, linear probing
     CacheStats _stats;
+};
+
+/**
+ * Warm start for replaying a read-only LRU access stream in chunks.
+ *
+ * In a cache that is only read, a set's state at any point of the
+ * stream is fully determined: it holds the set's last `ways` distinct
+ * lines in recency order, topped up from the state at the stream's
+ * start when fewer were touched. Scanning the stream backward from a
+ * chunk's start, noteOlder() collects exactly those lines; applyTo()
+ * then brings a copy of the start state to the state at the chunk's
+ * start by reading them oldest first. A line may sit in another way
+ * than after a sequential replay, but with no dirty lines that is never
+ * observable: every later hit, miss and eviction is the same.
+ */
+class LruWarmup
+{
+  public:
+    /** Sized for models with the geometry of @p geometry. */
+    explicit LruWarmup(const CacheModel &geometry);
+
+    /** Forget the noted lines (start a new backward scan). */
+    void clear();
+
+    /**
+     * Note line number @p line, read just before every line noted since
+     * clear(). @return false once every set holds `ways` distinct lines,
+     * i.e. when older lines can no longer matter.
+     */
+    bool
+    noteOlder(std::uint64_t line)
+    {
+        auto set = static_cast<std::size_t>(line & _setMask);
+        std::int32_t &n = _count[set];
+        if (n < _ways) {
+            std::uint64_t *lines =
+                &_lines[set * static_cast<std::size_t>(_ways)];
+            if (std::find(lines, lines + n, line) == lines + n) {
+                lines[n++] = line;
+                if (n == _ways)
+                    --_unfilled;
+            }
+        }
+        return _unfilled > 0;
+    }
+
+    /** Read the noted lines into @p model, oldest first in each set. */
+    void applyTo(CacheModel &model) const;
+
+  private:
+    int _ways;
+    std::uint64_t _setMask;
+    int _unfilled = 0;
+    std::vector<std::int32_t> _count;  ///< noted lines per set
+    std::vector<std::uint64_t> _lines; ///< set-major, newest first
+};
+
+/** A position in a stream kept as contiguous pieces. */
+struct StreamPos
+{
+    std::size_t piece = 0;
+    std::size_t offset = 0; ///< events of `piece` before the position
+};
+
+/**
+ * Exact chunked replay of one read-only LRU cache level.
+ *
+ * The level's ordered access stream is a sequence of contiguous pieces
+ * of @p Event; @p LineOf maps an event to its line number. plan() splits
+ * the stream into chunks of near-equal event count. run(k) replays
+ * chunk k into a private copy of the level: the copy starts from the
+ * state at the stream's start (the snapshot), is warmed to the state at
+ * the chunk's start (LruWarmup), has its statistics reset so warm-up
+ * reads are not counted, and then reads the chunk's events. Chunks
+ * share nothing they write, so they may run concurrently. adopt() then
+ * makes the live model the last chunk's end state, with the snapshot's
+ * statistics plus every chunk's. The result equals one sequential
+ * replay exactly, for any chunk count.
+ *
+ * Each chunk also keeps an output list of 32-bit values (the lines its
+ * misses send to the next level) that run()'s visitor appends to.
+ */
+template <typename Event, typename LineOf>
+class ChunkedLruReplay
+{
+  public:
+    using Stream = std::span<const std::span<const Event>>;
+
+    /**
+     * Split @p stream into @p chunks chunks (some may be empty when the
+     * stream is short), or into fewer when @p min_chunk_events is set
+     * so that each chunk gets at least that many events. An empty
+     * stream plans no chunk at all. @p geometry sizes the chunk state.
+     * @return the chunk count.
+     */
+    int
+    plan(Stream stream, int chunks, const CacheModel &geometry,
+         std::size_t min_chunk_events = 0)
+    {
+        _stream = stream;
+        std::size_t total = 0;
+        for (const auto &piece : stream)
+            total += piece.size();
+        if (min_chunk_events > 0) {
+            chunks = static_cast<int>(std::min<std::size_t>(
+                static_cast<std::size_t>(std::max(chunks, 1)),
+                std::max<std::size_t>(1, total / min_chunk_events)));
+        }
+        _planned = total == 0 ? 0 : std::max(chunks, 1);
+        while (_chunks.size() < static_cast<std::size_t>(_planned))
+            _chunks.push_back(std::make_unique<Chunk>(geometry));
+
+        // Chunk k covers global events [total*k/n, total*(k+1)/n); walk
+        // the pieces once to turn each boundary into a position.
+        std::size_t piece = 0;
+        std::size_t before = 0; // events in pieces [0, piece)
+        StreamPos pos;
+        for (int k = 0; k < _planned; ++k) {
+            Chunk &c = *_chunks[static_cast<std::size_t>(k)];
+            c.from = pos;
+            std::size_t end = total * static_cast<std::size_t>(k + 1) /
+                              static_cast<std::size_t>(_planned);
+            while (piece < stream.size() &&
+                   before + stream[piece].size() <= end) {
+                before += stream[piece].size();
+                ++piece;
+            }
+            pos = {piece, end - before};
+            c.to = pos;
+        }
+        return _planned;
+    }
+
+    int chunks() const { return _planned; }
+
+    /**
+     * Replay chunk @p k, starting from @p snapshot (the level's state
+     * at the stream's start, unchanged while chunks run). Each event is
+     * handed to visit(model, event, outputs), which performs the read.
+     */
+    template <typename Visit>
+    void
+    run(int k, const CacheModel &snapshot, Visit &&visit)
+    {
+        Chunk &c = *_chunks[static_cast<std::size_t>(k)];
+        c.model = snapshot;
+        c.outputs.clear();
+        c.warmup.clear();
+        LineOf line_of;
+        StreamPos p = c.from;
+        for (;;) {
+            bool more = true;
+            while (more && p.offset > 0) {
+                more = c.warmup.noteOlder(
+                    line_of(_stream[p.piece][--p.offset]));
+            }
+            if (!more || p.piece == 0)
+                break;
+            --p.piece;
+            p.offset = _stream[p.piece].size();
+        }
+        c.warmup.applyTo(c.model);
+        c.model.resetStats();
+
+        for (std::size_t piece = c.from.piece;
+             piece < _stream.size() && piece <= c.to.piece; ++piece) {
+            std::span<const Event> events = _stream[piece];
+            std::size_t begin = piece == c.from.piece ? c.from.offset : 0;
+            std::size_t end =
+                piece == c.to.piece ? c.to.offset : events.size();
+            for (std::size_t i = begin; i < end; ++i)
+                visit(c.model, events[i], c.outputs);
+        }
+    }
+
+    /** Statistics of chunk @p k's events (valid after run(k)). */
+    const CacheStats &
+    stats(int k) const
+    {
+        return _chunks[static_cast<std::size_t>(k)]->model.stats();
+    }
+
+    /** What chunk @p k's visitor appended (valid after run(k)). */
+    const std::vector<std::uint32_t> &
+    outputs(int k) const
+    {
+        return _chunks[static_cast<std::size_t>(k)]->outputs;
+    }
+
+    /**
+     * After every planned chunk ran: make @p live (the snapshot) the
+     * last chunk's end state, its statistics the snapshot's plus every
+     * chunk's. No-op when nothing was planned.
+     */
+    void
+    adopt(CacheModel &live)
+    {
+        if (_planned == 0)
+            return;
+        CacheStats total = live.stats();
+        for (int k = 0; k < _planned; ++k)
+            total += stats(k);
+        std::swap(live, _chunks[static_cast<std::size_t>(_planned - 1)]
+                            ->model);
+        live.resetStats();
+        live.addStats(total);
+    }
+
+  private:
+    /** One chunk's private state, in its own allocation and aligned so
+     *  no two concurrently running chunks share a cache line. */
+    struct alignas(64) Chunk
+    {
+        explicit Chunk(const CacheModel &geometry)
+            : model(geometry), warmup(geometry)
+        {
+        }
+
+        CacheModel model;
+        LruWarmup warmup;
+        std::vector<std::uint32_t> outputs;
+        StreamPos from;
+        StreamPos to;
+    };
+
+    Stream _stream;
+    int _planned = 0;
+    std::vector<std::unique_ptr<Chunk>> _chunks;
 };
 
 } // namespace wc3d::memsys

@@ -15,6 +15,8 @@
 #define WC3D_TEXTURE_TEXCACHE_HH
 
 #include <array>
+#include <span>
+#include <vector>
 
 #include "memory/cache.hh"
 #include "memory/controller.hh"
@@ -35,8 +37,37 @@ struct TexCacheConfig
 };
 
 /**
+ * One logged 4x4-block access: the block's L0 (decompressed) and L1
+ * (stored) line numbers and the number of taps of one quad that
+ * referenced it. Both levels only use line numbers, so 32 bits each
+ * suffice (GpuSimulator asserts it when a texture is bound).
+ */
+struct BlockEvent
+{
+    std::uint32_t l0Line = 0;
+    std::uint32_t l1Line = 0;
+    std::int32_t refs = 0;
+};
+static_assert(sizeof(BlockEvent) == 12);
+
+/**
  * The texture cache hierarchy. Receives distinct-block accesses from
  * the Sampler and models residency and memory traffic.
+ *
+ * A draw's logged block events can also be replayed in parallel
+ * chunks, bit-exact with a sequential replay (both levels are only
+ * read, see memsys::ChunkedLruReplay):
+ *
+ *   n = planL0Replay(events, max); replayL0(k) for every k < n;
+ *   m = planL1Replay(max);         replayL1(k) for every k < m;
+ *   finishReplay().
+ *
+ * The replayL0 (replayL1) calls may run concurrently. A plan splits its
+ * level's stream into at most `max` chunks of at least 4096 events
+ * (one chunk for a shorter stream, none for an empty one). L1 replays
+ * the L0 chunks' miss lists in order; planL1Replay first makes the L0
+ * model the replayed end state, and finishReplay does the same for L1
+ * and charges the L1 misses' line fills to the Texture client.
  */
 class TextureCache : public TexelAccessListener
 {
@@ -58,6 +89,34 @@ class TextureCache : public TexelAccessListener
     void accessBlock(std::uint64_t virtual_address,
                      std::uint64_t memory_address, int refs);
 
+    /** The event for block (bx, by) of @p level read by @p refs taps. */
+    BlockEvent
+    blockEvent(const Texture2D &texture, int level, int bx, int by,
+               int refs) const
+    {
+        return {static_cast<std::uint32_t>(
+                    texture.blockVirtualAddress(level, bx, by) >> _l0Shift),
+                static_cast<std::uint32_t>(
+                    texture.blockMemAddress(level, bx, by) >> _l1Shift),
+                refs};
+    }
+
+    /** @return true when every line of bound @p texture fits a
+     *  BlockEvent's 32-bit line numbers. */
+    bool lineNumbersFit(const Texture2D &texture) const;
+
+    /** The ordered events of one draw, as contiguous pieces. */
+    using EventStream = std::span<const std::span<const BlockEvent>>;
+
+    /** @name Chunked replay (see the class comment) */
+    /// @{
+    int planL0Replay(EventStream events, int max_chunks);
+    void replayL0(int chunk);
+    int planL1Replay(int max_chunks);
+    void replayL1(int chunk);
+    void finishReplay();
+    /// @}
+
     const memsys::CacheStats &l0Stats() const { return _l0.stats(); }
     const memsys::CacheStats &l1Stats() const { return _l1.stats(); }
     const memsys::CacheModel &l0() const { return _l0; }
@@ -69,9 +128,32 @@ class TextureCache : public TexelAccessListener
     void invalidate();
 
   private:
+    struct L0LineOf
+    {
+        std::uint64_t
+        operator()(const BlockEvent &e) const
+        {
+            return e.l0Line;
+        }
+    };
+
+    struct L1LineOf
+    {
+        std::uint64_t
+        operator()(std::uint32_t line) const
+        {
+            return line;
+        }
+    };
+
     memsys::CacheModel _l0;
     memsys::CacheModel _l1;
     memsys::MemoryController *_memory;
+    int _l0Shift;
+    int _l1Shift;
+    memsys::ChunkedLruReplay<BlockEvent, L0LineOf> _l0Replay;
+    memsys::ChunkedLruReplay<std::uint32_t, L1LineOf> _l1Replay;
+    std::vector<std::span<const std::uint32_t>> _l0Misses;
 };
 
 /**

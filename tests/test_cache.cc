@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -286,3 +287,162 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, 16, 64),
                       std::make_tuple(96, 1, 64),
                       std::make_tuple(256, 2, 64)));
+
+namespace {
+
+struct PlainLine
+{
+    std::uint64_t
+    operator()(std::uint32_t line) const
+    {
+        return line;
+    }
+};
+
+using LineReplay = ChunkedLruReplay<std::uint32_t, PlainLine>;
+
+/** @p n line numbers over @p footprint lines from @p base: runs of
+ *  neighbouring lines with jumps, so every geometry sees hits, misses
+ *  and evictions. */
+std::vector<std::uint32_t>
+lineStream(Rng &rng, std::size_t n, std::uint32_t base,
+           std::uint32_t footprint)
+{
+    std::vector<std::uint32_t> lines(n);
+    std::uint32_t at = rng.nextBounded(footprint);
+    for (std::uint32_t &line : lines) {
+        if (rng.nextBounded(4) == 0)
+            at = rng.nextBounded(footprint);
+        else
+            at = (at + footprint + rng.nextBounded(5) - 2) % footprint;
+        line = base + at;
+    }
+    return lines;
+}
+
+/** Cut @p lines into pieces of random length, some of them empty. */
+std::vector<std::span<const std::uint32_t>>
+cutPieces(Rng &rng, const std::vector<std::uint32_t> &lines)
+{
+    std::vector<std::span<const std::uint32_t>> pieces;
+    std::size_t at = 0;
+    do {
+        std::size_t len = std::min<std::size_t>(
+            lines.size() - at, rng.nextBounded(3) == 0
+                                   ? 0
+                                   : rng.nextBounded(200) + 1);
+        pieces.emplace_back(lines.data() + at, len);
+        at += len;
+    } while (at < lines.size());
+    return pieces;
+}
+
+/** Replay @p pieces into @p live in @p chunks chunks, run last to
+ *  first; @return the misses in chunk order. */
+std::vector<std::uint32_t>
+replayChunked(LineReplay &replay, CacheModel &live,
+              const std::vector<std::span<const std::uint32_t>> &pieces,
+              int chunks)
+{
+    int planned = replay.plan(pieces, chunks, live);
+    for (int k = planned; k-- > 0;) {
+        replay.run(k, live,
+                   [](CacheModel &model, std::uint32_t line,
+                      std::vector<std::uint32_t> &misses) {
+                       if (!model.readLine(line))
+                           misses.push_back(line);
+                   });
+    }
+    std::vector<std::uint32_t> misses;
+    for (int k = 0; k < planned; ++k) {
+        misses.insert(misses.end(), replay.outputs(k).begin(),
+                      replay.outputs(k).end());
+    }
+    replay.adopt(live);
+    return misses;
+}
+
+} // namespace
+
+/** Differential lock for the chunked replay of a read-only LRU level:
+ *  for every stream length and chunk count, statistics, the ordered
+ *  miss list and the adopted end state equal one sequential replay,
+ *  over two draws back to back from a non-empty start state. */
+class CacheReplay : public ::testing::TestWithParam<std::tuple<int, int>>
+{
+};
+
+TEST_P(CacheReplay, ChunkedMatchesSequential)
+{
+    auto [ways, sets] = GetParam();
+    const int line_size = 64;
+    const auto capacity = static_cast<std::uint32_t>(ways * sets);
+    const std::uint32_t base = 0x40000;
+    const std::uint32_t footprint = 3 * capacity;
+    const std::size_t lengths[] = {0, 1, static_cast<std::size_t>(ways - 1),
+                                   static_cast<std::size_t>(capacity) * 24};
+    const int chunk_counts[] = {1, 2, 3, 4, 7, 16, 64};
+
+    Rng rng(static_cast<std::uint64_t>(ways) * 131 + sets);
+    for (std::size_t length : lengths) {
+        for (int chunks : chunk_counts) {
+            SCOPED_TRACE(::testing::Message()
+                         << "length " << length << " chunks " << chunks);
+            CacheModel sequential(ways, sets, line_size);
+            CacheModel live(ways, sets, line_size);
+            // Start state: half the capacity's worth of the footprint.
+            for (std::uint32_t line :
+                 lineStream(rng, capacity / 2 + 1, base, footprint)) {
+                sequential.readLine(line);
+                live.readLine(line);
+            }
+            LineReplay replay;
+            for (int draw = 0; draw < 2; ++draw) {
+                SCOPED_TRACE(::testing::Message() << "draw " << draw);
+                std::vector<std::uint32_t> lines =
+                    lineStream(rng, length, base, footprint);
+                std::vector<std::uint32_t> want;
+                for (std::uint32_t line : lines) {
+                    if (!sequential.readLine(line))
+                        want.push_back(line);
+                }
+                std::vector<std::uint32_t> got = replayChunked(
+                    replay, live, cutPieces(rng, lines), chunks);
+                ASSERT_EQ(got, want);
+                ASSERT_EQ(fields(live.stats()), fields(sequential.stats()));
+            }
+            // Same residency, and the same recency: a probe stream from
+            // here on hits and misses alike.
+            for (std::uint32_t line = base; line < base + footprint;
+                 ++line) {
+                ASSERT_EQ(live.contains(std::uint64_t{line} * line_size),
+                          sequential.contains(std::uint64_t{line} *
+                                              line_size))
+                    << "line " << line;
+            }
+            for (std::uint32_t line :
+                 lineStream(rng, capacity * 4, base, footprint)) {
+                ASSERT_EQ(live.readLine(line), sequential.readLine(line));
+            }
+        }
+    }
+}
+
+TEST(CacheReplay, FewerChunksWhenShort)
+{
+    CacheModel live(4, 2, 64);
+    std::vector<std::uint32_t> lines(100, 7);
+    std::vector<std::span<const std::uint32_t>> pieces = {lines};
+    LineReplay replay;
+    EXPECT_EQ(replay.plan(pieces, 8, live), 8);
+    EXPECT_EQ(replay.plan(pieces, 8, live, 30), 3);
+    EXPECT_EQ(replay.plan(pieces, 8, live, 1000), 1);
+    EXPECT_EQ(replay.plan({}, 8, live), 0);
+    replay.adopt(live); // nothing planned: state and stats unchanged
+    EXPECT_EQ(live.stats().accesses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheReplay,
+                         ::testing::Values(std::make_tuple(64, 1),
+                                           std::make_tuple(16, 16),
+                                           std::make_tuple(4, 2)));

@@ -90,8 +90,19 @@ TEST_P(TimedemoSim, StructuralInvariantsHold)
         EXPECT_LE(s->hitRate(), 1.0);
     }
 
-    // Memory: every client that must move data did.
+    // Texture-cache conservation: every L0 miss is one L1 access, every
+    // L1 miss one line of Texture traffic, every bilinear sample four
+    // L0 taps (accessed or credited), and both levels are only read.
     using memsys::Client;
+    EXPECT_EQ(r.t1.accesses, r.t0.misses);
+    EXPECT_EQ(c.traffic.readBytes[static_cast<int>(Client::Texture)],
+              r.t1.misses * static_cast<std::uint64_t>(
+                                gpu::GpuConfig{}.textureCache.l1Line));
+    EXPECT_EQ(r.t0.accesses, 4 * c.bilinearSamples);
+    EXPECT_EQ(r.t0.writebacks, 0u);
+    EXPECT_EQ(r.t1.writebacks, 0u);
+
+    // Memory: every client that must move data did.
     EXPECT_GT(c.traffic.readBytes[static_cast<int>(Client::Vertex)],
               0u);
     EXPECT_GT(c.traffic.readBytes[static_cast<int>(Client::Dac)], 0u);
