@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal filesystem helpers shared by the result cache and the bench
- * CSV writers.
+ * Minimal filesystem helpers shared by the report writer, the metrics
+ * manifest and the fleet store.
  */
 
 #ifndef WC3D_COMMON_FS_HH

@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
+#include <unistd.h>
 
 #include "api/trace.hh"
-#include "common/env.hh"
-#include "common/fs.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
 #include "workloads/games.hh"
@@ -207,15 +208,18 @@ replayAndDiff(const std::string &id, int frames, int width, int height,
 
     std::string path = trace_path;
     if (path.empty()) {
-        std::string dir = envString("WC3D_CACHE_DIR", ".wc3d-cache");
-        if (!makeDirs(dir)) {
+        std::error_code ec;
+        std::filesystem::path dir =
+            std::filesystem::temp_directory_path(ec);
+        if (ec) {
             report.traceError =
-                format("cannot create trace directory '%s'",
-                       dir.c_str());
+                "no temporary directory: " + ec.message();
             return report;
         }
-        path = format("%s/replay_%s_f%d.wc3dtrc", dir.c_str(),
-                      sanitize(id).c_str(), frames);
+        path = (dir / format("wc3d-replay-%d-%s-f%d.wc3dtrc",
+                             static_cast<int>(::getpid()),
+                             sanitize(id).c_str(), frames))
+                   .string();
     }
 
     gpu::GpuConfig config;
@@ -297,15 +301,6 @@ replayAndDiff(const std::string &id, int frames, int width, int height,
     diffCsv(report.divergences, "gpu series", live.gpuSeriesCsv,
             replayed.gpuSeriesCsv);
     return report;
-}
-
-std::vector<ReplayReport>
-replayAndDiffAll(int frames, int width, int height)
-{
-    std::vector<ReplayReport> reports;
-    for (const auto &id : workloads::allTimedemoIds())
-        reports.push_back(replayAndDiff(id, frames, width, height));
-    return reports;
 }
 
 } // namespace wc3d::core

@@ -52,17 +52,13 @@ struct ReplayReport
  * Record timedemo @p id for @p frames frames while simulating it,
  * replay the trace through a fresh Device + simulator, and diff every
  * statistic. @p trace_path names the intermediate trace file; when
- * empty a file next to the run cache is used. The trace file is
- * removed afterwards unless @p keep_trace.
+ * empty a pid-suffixed file in the system temporary directory is used.
+ * The trace file is removed afterwards unless @p keep_trace.
  */
 ReplayReport replayAndDiff(const std::string &id, int frames,
                            int width = 320, int height = 240,
                            const std::string &trace_path = "",
                            bool keep_trace = false);
-
-/** replayAndDiff over all twelve timedemos. */
-std::vector<ReplayReport> replayAndDiffAll(int frames, int width = 320,
-                                           int height = 240);
 
 } // namespace wc3d::core
 

@@ -216,8 +216,7 @@ RunMeta::noteApiRun(const ApiRun &run, double seconds)
 }
 
 void
-RunMeta::noteMicroRun(const MicroRun &run, double seconds,
-                      bool from_cache)
+RunMeta::noteMicroRun(const MicroRun &run, double seconds)
 {
     json::Value record = json::Value::object();
     record.set("kind", json::Value::str("micro"));
@@ -226,7 +225,6 @@ RunMeta::noteMicroRun(const MicroRun &run, double seconds,
     record.set("width", json::Value::number(run.width));
     record.set("height", json::Value::number(run.height));
     record.set("seconds", json::Value::number(seconds));
-    record.set("fromCache", json::Value::boolean(from_cache));
     record.set("counters", countersToJson(run.counters));
     json::Value caches = json::Value::object();
     caches.set("z", cacheStatsToJson(run.zCache));
@@ -293,16 +291,6 @@ RunMeta::notePhase(const std::string &name, double seconds)
     _phaseCalls.push_back(1);
 }
 
-void
-RunMeta::noteCacheLookup(bool hit)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (hit)
-        ++_cacheHits;
-    else
-        ++_cacheMisses;
-}
-
 std::vector<std::string>
 RunMeta::counterNames() const
 {
@@ -340,10 +328,6 @@ RunMeta::toJson() const
     config.set("microFrames",
                json::Value::number(defaultMicroFrames()));
     config.set("apiFrames", json::Value::number(defaultApiFrames()));
-    json::Value cache = json::Value::object();
-    cache.set("hits", json::Value::number(_cacheHits));
-    cache.set("misses", json::Value::number(_cacheMisses));
-    config.set("runCache", std::move(cache));
     config.set("git", json::Value::str(gitDescribe()));
 
     json::Value phases = json::Value::array();
@@ -400,8 +384,6 @@ RunMeta::reset()
     _phaseOrder.clear();
     _phaseSeconds.clear();
     _phaseCalls.clear();
-    _cacheHits = 0;
-    _cacheMisses = 0;
 }
 
 std::string

@@ -6,11 +6,10 @@
  * fan-out wrappers) reports its results to the process-global RunMeta
  * collector: per-run statistics land in a stats::Registry under
  * hierarchical names ("sim.<id>.indices", "api.<id>.batches",
- * "sim.<id>.series.<name>"), wall-clock per phase and disk-cache
- * hit/miss counts accumulate alongside. When WC3D_METRICS_OUT=<file>
- * is set, each completed run atomically rewrites that file with one
- * canonical JSON document: config (frames, threads, cache hits/misses,
- * git describe), phase wall-clocks, one record per run (full
+ * "sim.<id>.series.<name>") and wall-clock per phase accumulates
+ * alongside. When WC3D_METRICS_OUT=<file> is set, each completed run
+ * atomically rewrites that file with one canonical JSON document:
+ * config (frames, threads, git describe), phase wall-clocks, one record per run (full
  * PipelineCounters / ApiStats / cache models) and a complete dump of
  * the registry. The fleet store (fleet/) and CI trend tracking read
  * this artifact; tests/test_observability.cc validates its schema.
@@ -39,14 +38,10 @@ class RunMeta
     void noteApiRun(const ApiRun &run, double seconds);
 
     /** Record a completed microarchitectural run. */
-    void noteMicroRun(const MicroRun &run, double seconds,
-                      bool from_cache);
+    void noteMicroRun(const MicroRun &run, double seconds);
 
     /** Accumulate @p seconds of wall clock under phase @p name. */
     void notePhase(const std::string &name, double seconds);
-
-    /** Count one disk-cache lookup of runMicroarch. */
-    void noteCacheLookup(bool hit);
 
     /** @name Registry snapshot (copies; safe against concurrent runs) */
     /// @{
@@ -84,8 +79,6 @@ class RunMeta
     std::vector<std::string> _phaseOrder;
     std::vector<double> _phaseSeconds;
     std::vector<std::uint64_t> _phaseCalls;
-    std::uint64_t _cacheHits = 0;
-    std::uint64_t _cacheMisses = 0;
 };
 
 /** The WC3D_METRICS_OUT path ("" when unset). */

@@ -1,14 +1,8 @@
 #include "core/runner.hh"
 
-#include <cctype>
-#include <cstdio>
-#include <map>
-#include <unistd.h>
-
 #include <chrono>
 
 #include "common/env.hh"
-#include "common/fs.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
@@ -40,23 +34,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Bump when the simulator or workloads change behaviour. */
-constexpr int kCacheSchema = 5;
-
-/** Trailing marker proving a cache file was written out completely. */
-constexpr const char *kEndMarker = "#end";
-
-std::string
-sanitize(const std::string &id)
-{
-    std::string out = id;
-    for (char &c : out) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return out;
-}
-
 void
 put(std::string &out, const char *key, std::uint64_t v)
 {
@@ -74,113 +51,6 @@ putCache(std::string &out, const char *prefix,
                   prefix, static_cast<unsigned long long>(s.misses),
                   prefix,
                   static_cast<unsigned long long>(s.writebacks));
-}
-
-/** Parse an encodeMicroRun() document (validates the header and the
- *  #end truncation marker). @return false on malformed input. */
-bool
-decodeMicroRun(MicroRun &run, const std::string &content)
-{
-    auto lines = split(content, '\n');
-    if (lines.empty() || lines[0] != "wc3d-microrun-v1")
-        return false;
-
-    // Reject truncated files: a complete save ends with the marker.
-    bool complete = false;
-    for (auto it = lines.rbegin(); it != lines.rend(); ++it) {
-        if (trim(*it).empty())
-            continue;
-        complete = *it == kEndMarker;
-        break;
-    }
-    if (!complete)
-        return false;
-
-    std::map<std::string, std::string> kv;
-    std::size_t series_start = lines.size();
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        if (lines[i] == "series-csv:") {
-            series_start = i + 1;
-            break;
-        }
-        auto eq = lines[i].find('=');
-        if (eq != std::string::npos)
-            kv[lines[i].substr(0, eq)] = lines[i].substr(eq + 1);
-    }
-
-    auto get = [&kv](const char *key) -> std::uint64_t {
-        auto it = kv.find(key);
-        return it != kv.end() ? std::strtoull(it->second.c_str(),
-                                              nullptr, 10)
-                              : 0;
-    };
-
-    run.id = kv.count("id") ? kv["id"] : "";
-    run.frames = static_cast<int>(get("frames"));
-    run.width = static_cast<int>(get("width"));
-    run.height = static_cast<int>(get("height"));
-
-    gpu::PipelineCounters &c = run.counters;
-    c.indices = get("indices");
-    c.vertexCacheHits = get("vcacheHits");
-    c.vertexCacheMisses = get("vcacheMisses");
-    c.trianglesAssembled = get("triAssembled");
-    c.trianglesClipped = get("triClipped");
-    c.trianglesCulled = get("triCulled");
-    c.trianglesTraversed = get("triTraversed");
-    c.rasterQuads = get("rasterQuads");
-    c.rasterFullQuads = get("rasterFullQuads");
-    c.rasterFragments = get("rasterFragments");
-    c.quadsRemovedHz = get("quadsHz");
-    c.quadsRemovedZStencil = get("quadsZst");
-    c.quadsRemovedAlpha = get("quadsAlpha");
-    c.quadsRemovedColorMask = get("quadsMask");
-    c.quadsBlended = get("quadsBlend");
-    c.zStencilQuads = get("zstQuads");
-    c.zStencilFullQuads = get("zstFullQuads");
-    c.zStencilFragments = get("zstFragments");
-    c.shadedQuads = get("shadedQuads");
-    c.shadedFragments = get("shadedFragments");
-    c.blendedFragments = get("blendedFragments");
-    c.vertexInstructions = get("vsInstr");
-    c.fragmentInstructions = get("fsInstr");
-    c.fragmentTexInstructions = get("fsTexInstr");
-    c.textureRequests = get("texRequests");
-    c.bilinearSamples = get("bilinears");
-    for (int i = 0; i < memsys::kNumClients; ++i) {
-        c.traffic.readBytes[i] = get(format("read%d", i).c_str());
-        c.traffic.writeBytes[i] = get(format("write%d", i).c_str());
-    }
-    auto get_cache = [&](const char *prefix, memsys::CacheStats &s) {
-        s.accesses = get(format("%s.accesses", prefix).c_str());
-        s.hits = get(format("%s.hits", prefix).c_str());
-        s.misses = get(format("%s.misses", prefix).c_str());
-        s.writebacks = get(format("%s.writebacks", prefix).c_str());
-    };
-    get_cache("zc", run.zCache);
-    get_cache("cc", run.colorCache);
-    get_cache("t0", run.texL0);
-    get_cache("t1", run.texL1);
-
-    // Series CSV: header then one row per frame.
-    if (series_start < lines.size()) {
-        auto headers = split(lines[series_start], ',');
-        for (std::size_t r = series_start + 1; r < lines.size(); ++r) {
-            if (lines[r] == kEndMarker)
-                break;
-            if (trim(lines[r]).empty())
-                continue;
-            auto cells = split(lines[r], ',');
-            for (std::size_t col = 1;
-                 col < cells.size() && col < headers.size(); ++col) {
-                run.series.record(headers[col],
-                                  std::strtod(cells[col].c_str(),
-                                              nullptr));
-            }
-            run.series.endFrame();
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -215,17 +85,6 @@ runApiLevel(const std::string &id, int frames)
     RunMeta::global().noteApiRun(run, secondsSince(start));
     RunMeta::global().writeIfRequested();
     return run;
-}
-
-std::string
-cachePath(const std::string &id, int frames, int width, int height)
-{
-    std::string dir = envString("WC3D_CACHE_DIR", ".wc3d-cache");
-    // Tile size, thread count and shader executor do NOT key the cache:
-    // results are bit-identical across all of them by construction.
-    return format("%s/%s_f%d_%dx%d_v%d.txt", dir.c_str(),
-                  sanitize(id).c_str(), frames, width, height,
-                  kCacheSchema);
 }
 
 std::string
@@ -278,75 +137,16 @@ encodeMicroRun(const MicroRun &run)
     putCache(out, "t1", run.texL1);
     out += "series-csv:\n";
     out += run.series.toCsv();
-    out += kEndMarker;
-    out += '\n';
+    out += "#end\n"; // a cut-off document never equals a whole one
     return out;
 }
 
-bool
-saveMicroRun(const MicroRun &run, const std::string &path)
-{
-    std::string out = encodeMicroRun(run);
-
-    // Durable temp-write + fsync + rename through the faultio shim so
-    // concurrent readers never see a torn file and a short write or
-    // ENOSPC can never rename a partial temp file into the cache. The
-    // pid-suffixed temp keeps simultaneous writers (parallel fan-out,
-    // several processes sharing one cache dir) off each other's temp
-    // files; whoever renames last wins with identical content.
-    std::string error;
-    if (!atomicWriteFile(path, out, &error)) {
-        warn("run cache write failed: %s", error.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-loadMicroRun(MicroRun &run, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::string content;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, n);
-    std::fclose(f);
-    return decodeMicroRun(run, content);
-}
-
 MicroRun
-runMicroarch(const std::string &id, int frames, int width, int height,
-             bool allow_cache)
+runMicroarch(const std::string &id, int frames, int width, int height)
 {
     prof::ScopedProcess process(tracePid(id), id);
     WC3D_PROF_SCOPE("run.sim", id);
     auto start = std::chrono::steady_clock::now();
-
-    bool cache_enabled =
-        allow_cache && envInt("WC3D_NO_CACHE", 0) == 0;
-    std::string path = cachePath(id, frames, width, height);
-
-    // Lock-free double check: the atomic write-then-rename in
-    // saveMicroRun means a load either sees a complete file or none,
-    // so concurrent runners (threads or processes) need no lock — at
-    // worst both simulate and one rename wins with identical content.
-    MicroRun run;
-    {
-        WC3D_PROF_SCOPE("run.cache.load");
-        if (cache_enabled && loadMicroRun(run, path) && run.id == id &&
-            run.frames == frames && run.width == width &&
-            run.height == height) {
-            RunMeta::global().noteCacheLookup(true);
-            RunMeta::global().noteMicroRun(run, secondsSince(start),
-                                           /*from_cache=*/true);
-            RunMeta::global().writeIfRequested();
-            return run;
-        }
-    }
-    RunMeta::global().noteCacheLookup(false);
 
     gpu::GpuConfig config;
     config.width = width;
@@ -359,7 +159,7 @@ runMicroarch(const std::string &id, int frames, int width, int height,
            width, height);
     demo->run(device, frames);
 
-    run = MicroRun();
+    MicroRun run;
     run.id = id;
     run.frames = frames;
     run.width = width;
@@ -371,16 +171,7 @@ runMicroarch(const std::string &id, int frames, int width, int height,
     run.texL1 = sim.texL1Stats();
     run.series = sim.frameSeries();
 
-    if (cache_enabled) {
-        WC3D_PROF_SCOPE("run.cache.save");
-        std::string dir = envString("WC3D_CACHE_DIR", ".wc3d-cache");
-        if (!makeDirs(dir))
-            warn("could not create run cache dir '%s'", dir.c_str());
-        else
-            saveMicroRun(run, path); // warns with the faultio reason
-    }
-    RunMeta::global().noteMicroRun(run, secondsSince(start),
-                                   /*from_cache=*/false);
+    RunMeta::global().noteMicroRun(run, secondsSince(start));
     RunMeta::global().writeIfRequested();
     return run;
 }

@@ -1,17 +1,13 @@
 /**
  * @file
  * Experiment runners: execute a synthetic timedemo at the API level
- * (statistics only) or through the full GPU simulator, with a disk
- * cache for microarchitectural runs. Workloads and the simulator are
- * deterministic, so cached results are bit-identical to fresh runs;
- * every bench binary can therefore share one simulation per game.
+ * (statistics only) or through the full GPU simulator. Workloads and
+ * the simulator are deterministic, so a run's results depend only on
+ * (id, frames, resolution).
  *
  * Environment knobs:
  *  - WC3D_FRAMES:     frames for microarchitectural runs (default 4)
  *  - WC3D_API_FRAMES: frames for API-level runs (default 300)
- *  - WC3D_NO_CACHE:   set to 1 to force re-simulation
- *  - WC3D_CACHE_DIR:  cache directory (default ".wc3d-cache"; nested
- *                     paths are created as needed)
  *  - WC3D_THREADS:    simulation threads (default: hardware
  *                     concurrency; 1 = fully sequential). Independent
  *                     games fan out across the pool and each run
@@ -48,7 +44,7 @@ struct ApiRun
 
 /**
  * Run timedemo @p id for @p frames frames with no GPU sink.
- * API-level statistics only; fast enough to run uncached.
+ * API-level statistics only.
  */
 ApiRun runApiLevel(const std::string &id, int frames);
 
@@ -90,13 +86,9 @@ struct MicroRun
     }
 };
 
-/**
- * Run timedemo @p id through the full GPU simulator, using the disk
- * cache when permitted.
- */
+/** Run timedemo @p id through the full GPU simulator. */
 MicroRun runMicroarch(const std::string &id, int frames,
-                      int width = 1024, int height = 768,
-                      bool allow_cache = true);
+                      int width = 1024, int height = 768);
 
 /** Convenience: microarch runs for the three simulated OGL games. */
 std::vector<MicroRun> runSimulatedGames(int frames);
@@ -104,17 +96,10 @@ std::vector<MicroRun> runSimulatedGames(int frames);
 /** Convenience: API runs for all twelve games. */
 std::vector<ApiRun> runAllGamesApi(int frames);
 
-/** @name Cache internals (exposed for tests) */
-/// @{
-std::string cachePath(const std::string &id, int frames, int width,
-                      int height);
-bool saveMicroRun(const MicroRun &run, const std::string &path);
-bool loadMicroRun(MicroRun &run, const std::string &path);
-/** Serialize @p run to the cache text format. Two runs are
+/** Serialize every statistic of @p run to text. Two runs are
  *  bit-identical exactly when their encodings are equal, so the
  *  goldens and the end-to-end benchmark digest compare these. */
 std::string encodeMicroRun(const MicroRun &run);
-/// @}
 
 } // namespace wc3d::core
 

@@ -46,8 +46,9 @@ isHex16(const std::string &s)
 /**
  * Fingerprint of the knobs that shape a run's results: the config
  * object minus the run-to-run-volatile members (git moves every
- * commit, runCache hits depend on what ran before). Two runs with the
- * same config fingerprint are statistically comparable.
+ * commit; runCache, which manifests from before the run cache was
+ * removed carry, counted hits that depended on what ran before). Two
+ * runs with the same config fingerprint are statistically comparable.
  */
 std::string
 metricsConfigFingerprint(const json::Value &doc)

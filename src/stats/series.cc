@@ -1,7 +1,6 @@
 #include "stats/series.hh"
 
 #include <charconv>
-#include <cstdio>
 
 #include "common/strutil.hh"
 
@@ -10,8 +9,9 @@ namespace wc3d::stats {
 namespace {
 const std::vector<double> kEmpty;
 
-/** Shortest decimal form that parses back to exactly @p v (the CSV is
- *  also the run-cache storage format, so emission must be lossless). */
+/** Shortest decimal form that parses back to exactly @p v (the CSV
+ *  feeds the goldens, the benchmark digests and the figure files, so
+ *  emission must be lossless). */
 std::string
 exactDouble(double v)
 {
@@ -80,18 +80,6 @@ FrameSeries::toCsv() const
         out += "\n";
     }
     return out;
-}
-
-bool
-FrameSeries::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    std::string csv = toCsv();
-    std::fwrite(csv.data(), 1, csv.size(), f);
-    std::fclose(f);
-    return true;
 }
 
 } // namespace wc3d::stats

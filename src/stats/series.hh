@@ -41,13 +41,8 @@ class FrameSeries
     /** Summary statistics over the completed frames of @p name. */
     Distribution summary(const std::string &name) const;
 
-    /**
-     * Write CSV with a "frame" column followed by one column per series.
-     * @return true on success.
-     */
-    bool writeCsv(const std::string &path) const;
-
-    /** Render the CSV to a string (used by tests and stdout dumps). */
+    /** Render as CSV: a "frame" column, then one column per series,
+     *  each value in the shortest text that reads back bit-exact. */
     std::string toCsv() const;
 
   private:

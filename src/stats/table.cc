@@ -20,6 +20,12 @@ Table::addRow(std::vector<std::string> cells)
 }
 
 const std::string &
+Table::header(int col) const
+{
+    return _headers.at(static_cast<std::size_t>(col));
+}
+
+const std::string &
 Table::cell(int row, int col) const
 {
     return _rows.at(static_cast<std::size_t>(row))
@@ -62,33 +68,25 @@ Table::toString() const
 }
 
 std::string
-Table::toMarkdown() const
-{
-    auto emit = [](const std::vector<std::string> &row) {
-        std::string line = "|";
-        for (const auto &cell : row)
-            line += " " + cell + " |";
-        return line + "\n";
-    };
-    std::string out = emit(_headers);
-    out += "|";
-    for (std::size_t c = 0; c < _headers.size(); ++c)
-        out += "---|";
-    out += "\n";
-    for (const auto &row : _rows)
-        out += emit(row);
-    return out;
-}
-
-std::string
 Table::toCsv() const
 {
-    auto emit = [](const std::vector<std::string> &row) {
+    auto field = [](const std::string &cell) {
+        if (cell.find_first_of(",\"\r\n") == std::string::npos)
+            return cell;
+        std::string quoted = "\"";
+        for (char ch : cell) {
+            if (ch == '"')
+                quoted += '"';
+            quoted += ch;
+        }
+        return quoted + "\"";
+    };
+    auto emit = [&field](const std::vector<std::string> &row) {
         std::string line;
         for (std::size_t c = 0; c < row.size(); ++c) {
             if (c)
                 line += ",";
-            line += row[c];
+            line += field(row[c]);
         }
         return line + "\n";
     };

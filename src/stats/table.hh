@@ -25,16 +25,20 @@ class Table
     /** Number of data rows. */
     int rows() const { return static_cast<int>(_rows.size()); }
 
+    /** Number of columns. */
+    int columns() const { return static_cast<int>(_headers.size()); }
+
+    /** Column header. */
+    const std::string &header(int col) const;
+
     /** Cell accessor (row, column). */
     const std::string &cell(int row, int col) const;
 
     /** Render with aligned columns; first column left, rest right. */
     std::string toString() const;
 
-    /** Render as GitHub-flavoured Markdown. */
-    std::string toMarkdown() const;
-
-    /** Render as CSV. */
+    /** Render as CSV; fields holding a comma, quote or newline are
+     *  quoted as RFC 4180 says. */
     std::string toCsv() const;
 
   private:

@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for RNG, image, string and env utilities, plus the
- * seeded mutation fuzzer for the common/json parser (the fleet store
- * ingests attacker-shaped files; see the JsonFuzz suite below).
+ * Unit tests for RNG, image, string, env and filesystem utilities,
+ * plus the seeded mutation fuzzer for the common/json parser (the
+ * fleet store ingests attacker-shaped files; see the JsonFuzz suite
+ * below).
  */
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -409,7 +411,7 @@ TEST(JsonFuzz, RawControlCharactersInStringsAreRejected)
 
 // --- faultio: injected filesystem failure modes --------------------
 //
-// Every durable write (run cache, fleet index, metrics manifests)
+// Every durable write (report files, fleet index, metrics manifests)
 // funnels through faultio::writeAll/syncFd, so injecting failures
 // here exercises the recovery paths of all of them. The plan
 // is process-global state: each test restores the no-fault plan
@@ -531,4 +533,21 @@ TEST(FaultIo, AtomicWriteFileLeavesOldContentIntactOnFailure)
     EXPECT_EQ(readAllOf(path), "replacement");
     std::remove(path.c_str());
     ::rmdir(dir.c_str());
+}
+
+TEST(Fs, MakeDirsCreatesNestedPaths)
+{
+    std::string base = faultTestFile("nest");
+    std::string nested = base + "/a/b/c";
+    EXPECT_TRUE(makeDirs(nested));
+    struct stat st;
+    ASSERT_EQ(::stat(nested.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    // Idempotent on an existing tree.
+    EXPECT_TRUE(makeDirs(nested));
+    // A file in the way fails cleanly.
+    std::string error;
+    std::string file_path = base + "/a/file";
+    ASSERT_TRUE(atomicWriteFile(file_path, "x", &error)) << error;
+    EXPECT_FALSE(makeDirs(file_path + "/sub"));
 }

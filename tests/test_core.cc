@@ -1,10 +1,8 @@
 /**
  * @file
- * Tests for the characterization framework: runners, the disk cache
- * round trip, table builders and the bus catalogue.
+ * Tests for the characterization framework: runners, table builders
+ * and the bus catalogue.
  */
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -22,11 +20,8 @@ namespace {
 const MicroRun &
 tinyRun()
 {
-    static const MicroRun kRun = [] {
-        setenv("WC3D_CACHE_DIR",
-               (::testing::TempDir() + "wc3d-test-cache").c_str(), 1);
-        return runMicroarch("ut2004/primeval", 1, 256, 192);
-    }();
+    static const MicroRun kRun =
+        runMicroarch("ut2004/primeval", 1, 256, 192);
     return kRun;
 }
 
@@ -53,68 +48,6 @@ TEST(Runner, MicroRunHasPipelineActivity)
     EXPECT_EQ(run.series.frames(), 1);
     EXPECT_GT(run.bytesPerFrame(), 0.0);
     EXPECT_EQ(run.pixels(), 256u * 192u);
-}
-
-TEST(Runner, CacheRoundTripIsExact)
-{
-    const MicroRun &run = tinyRun();
-    std::string path = ::testing::TempDir() + "wc3d_run_cache.txt";
-    ASSERT_TRUE(saveMicroRun(run, path));
-    MicroRun loaded;
-    ASSERT_TRUE(loadMicroRun(loaded, path));
-    EXPECT_EQ(loaded.id, run.id);
-    EXPECT_EQ(loaded.frames, run.frames);
-    EXPECT_EQ(loaded.counters.rasterFragments,
-              run.counters.rasterFragments);
-    EXPECT_EQ(loaded.counters.quadsBlended, run.counters.quadsBlended);
-    EXPECT_EQ(loaded.counters.traffic.total(),
-              run.counters.traffic.total());
-    EXPECT_EQ(loaded.zCache.hits, run.zCache.hits);
-    EXPECT_EQ(loaded.texL1.misses, run.texL1.misses);
-    EXPECT_EQ(loaded.series.frames(), run.series.frames());
-    EXPECT_DOUBLE_EQ(
-        loaded.series.summary("vcache_hit_rate").mean(),
-        run.series.summary("vcache_hit_rate").mean());
-    std::remove(path.c_str());
-}
-
-TEST(Runner, CachedRerunsAreServedFromDisk)
-{
-    tinyRun(); // populate
-    // A second call with the same key must load from the cache and
-    // return identical counters.
-    MicroRun again = runMicroarch("ut2004/primeval", 1, 256, 192);
-    EXPECT_EQ(again.counters.rasterFragments,
-              tinyRun().counters.rasterFragments);
-}
-
-TEST(Runner, LoadRejectsGarbage)
-{
-    std::string path = ::testing::TempDir() + "wc3d_bad_cache.txt";
-    FILE *f = fopen(path.c_str(), "wb");
-    fputs("not a cache file\n", f);
-    fclose(f);
-    MicroRun run;
-    EXPECT_FALSE(loadMicroRun(run, path));
-    std::remove(path.c_str());
-    EXPECT_FALSE(loadMicroRun(run, "/nonexistent/file"));
-}
-
-TEST(Runner, CachePathEncodesKey)
-{
-    std::string p = cachePath("doom3/trdemo2", 7, 640, 480);
-    EXPECT_NE(p.find("doom3_trdemo2"), std::string::npos);
-    EXPECT_NE(p.find("f7"), std::string::npos);
-    EXPECT_NE(p.find("640x480"), std::string::npos);
-
-    // Default-shape file names are stable, so existing caches stay valid.
-    const char *dir = std::getenv("WC3D_CACHE_DIR");
-    std::string saved = dir ? dir : "";
-    unsetenv("WC3D_CACHE_DIR");
-    EXPECT_EQ(cachePath("doom3/trdemo2", 7, 640, 480),
-              ".wc3d-cache/doom3_trdemo2_f7_640x480_v5.txt");
-    if (dir)
-        setenv("WC3D_CACHE_DIR", saved.c_str(), 1);
 }
 
 TEST(Tables, WorkloadsListsAllTwelve)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden counter lock. Every timedemo, simulated uncached for 2 frames
+ * Golden counter lock. Every timedemo, simulated for 2 frames
  * at 256x192 on the configured thread count (WC3D_THREADS), must
  * reproduce its committed run document tests/golden/<id>.txt line for
  * line: every PipelineCounters field, per-client traffic, the four
@@ -97,8 +97,7 @@ TEST_P(Golden, MatchesCommittedCounters)
         std::string(WC3D_GOLDEN_DIR) + "/" + stem + ".txt";
 
     std::string actual = core::encodeMicroRun(
-        core::runMicroarch(id, kFrames, kWidth, kHeight,
-                           /*allow_cache=*/false));
+        core::runMicroarch(id, kFrames, kWidth, kHeight));
 
     std::ifstream in(golden_path, std::ios::binary);
     std::ostringstream expected;

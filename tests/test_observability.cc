@@ -211,8 +211,7 @@ TEST(Prof, SimulationTraceValidates)
 {
     ProfSandbox sandbox;
     ThreadPool::setGlobalThreads(2);
-    runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight,
-                 /*allow_cache=*/false);
+    runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
     ThreadPool::setGlobalThreads(1);
     ASSERT_GT(prof::eventCount(), 0u);
 
@@ -269,8 +268,7 @@ TEST(RunMeta, MetricsDocumentRoundTripsEveryRegistryEntry)
     meta.reset();
     ThreadPool::setGlobalThreads(1);
     runApiLevel("quake4/demo4", 4);
-    runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight,
-                 /*allow_cache=*/false);
+    runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
 
     auto counters = meta.counterNames();
     auto dists = meta.distributionNames();

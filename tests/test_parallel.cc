@@ -78,13 +78,12 @@ TEST(ThreadPool, ConfiguredThreadsHonoursEnvironment)
 
 namespace {
 
-/** Simulate one OGL game uncached at the given thread count. */
+/** Simulate one OGL game at the given thread count. */
 MicroRun
 simulateAt(int threads)
 {
     ThreadPool::setGlobalThreads(threads);
-    MicroRun run = runMicroarch("ut2004/primeval", 2, 256, 192,
-                                /*allow_cache=*/false);
+    MicroRun run = runMicroarch("ut2004/primeval", 2, 256, 192);
     ThreadPool::setGlobalThreads(1);
     return run;
 }
@@ -202,8 +201,7 @@ TEST(Determinism, FanOutMatchesSerialLoop)
         TaskGroup group;
         for (int i = 0; i < 3; ++i) {
             group.run([&fanned, &ids, i] {
-                fanned[i] = runMicroarch(ids[i], 1, 256, 192,
-                                         /*allow_cache=*/false);
+                fanned[i] = runMicroarch(ids[i], 1, 256, 192);
             });
         }
         group.wait();
@@ -211,8 +209,7 @@ TEST(Determinism, FanOutMatchesSerialLoop)
     ThreadPool::setGlobalThreads(1);
 
     for (int i = 0; i < 3; ++i) {
-        MicroRun serial = runMicroarch(ids[i], 1, 256, 192,
-                                       /*allow_cache=*/false);
+        MicroRun serial = runMicroarch(ids[i], 1, 256, 192);
         EXPECT_EQ(fanned[i].id, serial.id);
         EXPECT_EQ(fanned[i].counters.rasterFragments,
                   serial.counters.rasterFragments);

@@ -11,6 +11,9 @@
  */
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -87,12 +90,10 @@ TEST(Replay, TracingDoesNotPerturbStatistics)
     bool was = prof::enabled();
     ThreadPool::setGlobalThreads(4);
     prof::setEnabled(false);
-    MicroRun off = runMicroarch("doom3/trdemo2", kFrames, kWidth,
-                                kHeight, /*allow_cache=*/false);
+    MicroRun off = runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
     prof::reset();
     prof::setEnabled(true);
-    MicroRun on = runMicroarch("doom3/trdemo2", kFrames, kWidth,
-                               kHeight, /*allow_cache=*/false);
+    MicroRun on = runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
     prof::setEnabled(was);
     prof::reset();
     ThreadPool::setGlobalThreads(1);
@@ -118,6 +119,26 @@ TEST(Replay, ReportsFirstDivergentCounter)
     EXPECT_EQ(r.firstDivergence(), "gpu.indices: live=3 replay=4");
     r.traceError = "trace read: byte 13: unknown command tag 200";
     EXPECT_EQ(r.firstDivergence(), r.traceError);
+}
+
+TEST(Replay, DefaultTracePathIsATemporaryFileRemovedAfterwards)
+{
+    // Without a trace path the scratch trace goes to a pid-suffixed
+    // file in the system temporary directory, so wc3d-verify works
+    // from any working directory and leaves nothing behind.
+    const std::string id = workloads::allTimedemoIds().front();
+    ReplayReport r = replayAndDiff(id, kFrames, kWidth, kHeight);
+    EXPECT_TRUE(r.ok()) << r.firstDivergence();
+    EXPECT_GT(r.commandsRecorded, 0u);
+
+    std::string prefix = "wc3d-replay-" +
+                         std::to_string(static_cast<long>(::getpid())) +
+                         "-";
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::temp_directory_path())) {
+        EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0u)
+            << "left behind: " << entry.path();
+    }
 }
 
 TEST(Replay, SurfacesTraceErrors)

@@ -1,16 +1,56 @@
 /**
  * @file
- * Tests for the report module (API-level paths; the microarch paths
- * are exercised by the bench binaries and test_core's tinyRun).
+ * Tests for the report module: the per-game and whole-paper reports,
+ * including a full microarchitectural run at one frame, and the
+ * results files they write.
  */
+
+#include <algorithm>
+#include <cstdio>
+#include <set>
+#include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "common/faultio.hh"
+#include "common/strutil.hh"
+#include "core/apilevel.hh"
 #include "core/report.hh"
+#include "core/runner.hh"
 #include "workloads/games.hh"
 
 using namespace wc3d;
 using namespace wc3d::core;
+
+namespace {
+
+std::string
+readAllOf(const std::string &path)
+{
+    std::string out;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    std::fclose(f);
+    return out;
+}
+
+const ReportFile *
+findFile(const Report &report, const std::string &name)
+{
+    for (const auto &file : report.files) {
+        if (file.name == name)
+            return &file;
+    }
+    return nullptr;
+}
+
+} // namespace
 
 TEST(Report, GameReportApiOnlyGame)
 {
@@ -31,8 +71,9 @@ TEST(Report, FullReportApiTables)
 {
     ReportOptions opt;
     opt.apiFrames = 2;
+    opt.figureFrames = 2;
     opt.includeMicroarch = false;
-    std::string r = fullReport(opt);
+    std::string r = fullReport(opt).text;
     EXPECT_NE(r.find("Table I: workload description"),
               std::string::npos);
     EXPECT_NE(r.find("Table III: index traffic"), std::string::npos);
@@ -45,4 +86,118 @@ TEST(Report, FullReportApiTables)
     // Every game appears.
     for (const auto &id : workloads::allTimedemoIds())
         EXPECT_NE(r.find(id), std::string::npos) << id;
+}
+
+TEST(Report, FullReportCoversEveryTableAndFigure)
+{
+    ReportOptions opt;
+    opt.apiFrames = 3;
+    opt.figureFrames = 3;
+    opt.microFrames = 1;
+    Report report = fullReport(opt);
+
+    const ReportFile *results = findFile(report, "results.csv");
+    ASSERT_NE(results, nullptr);
+    EXPECT_EQ(report.files.front().name, "results.csv");
+    EXPECT_EQ(results->content.rfind("table,row,column,value\n", 0), 0u);
+
+    const char *tables[] = {"I",   "II",  "III",  "IV",   "V",  "VI",
+                            "VII", "VIII", "IX",  "X",    "XI", "XII",
+                            "XIII", "XIV", "XV",  "XVI",  "XVII"};
+    for (const char *t : tables) {
+        EXPECT_NE(report.text.find(format("== Table %s: ", t)),
+                  std::string::npos)
+            << "Table " << t;
+        EXPECT_NE(results->content.find(format("\nTable %s,", t)),
+                  std::string::npos)
+            << "Table " << t;
+    }
+    for (int fig : {1, 2, 3, 5, 6, 7, 8}) {
+        EXPECT_NE(report.text.find(format("== Figure %d: ", fig)),
+                  std::string::npos)
+            << "Figure " << fig;
+        EXPECT_NE(results->content.find(format("\nFigure %d,", fig)),
+                  std::string::npos)
+            << "Figure " << fig;
+    }
+    EXPECT_NE(report.text.find("worst-case index traffic: "),
+              std::string::npos);
+
+    // One record per cell: no (table, row, column) repeats.
+    std::set<std::string> keys;
+    auto lines = split(results->content, '\n');
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i].empty())
+            continue;
+        std::size_t last = lines[i].rfind(',');
+        EXPECT_TRUE(keys.insert(lines[i].substr(0, last)).second)
+            << lines[i];
+    }
+
+    // Table I's durations (2'13") are quoted in the results file.
+    EXPECT_NE(results->content.find(",Duration@30fps,\""),
+              std::string::npos);
+    EXPECT_NE(results->content.find("\"\"\"\n"), std::string::npos);
+
+    // Series files: one per figure game, one per simulated game.
+    for (const char *id :
+         {"ut2004/primeval", "doom3/trdemo2", "quake4/demo4",
+          "riddick/prisonarea", "fear/interval2", "hl2lc/builtin",
+          "oblivion/anvilcastle", "splintercell3/firstlevel"}) {
+        std::string stem = id;
+        std::replace(stem.begin(), stem.end(), '/', '_');
+        const ReportFile *api = findFile(report, stem + "_api.csv");
+        ASSERT_NE(api, nullptr) << id;
+        EXPECT_EQ(api->content, figureCsv(runApiLevel(id, 3))) << id;
+    }
+    for (const auto &id : workloads::simulatedTimedemoIds()) {
+        std::string stem = id;
+        std::replace(stem.begin(), stem.end(), '/', '_');
+        const ReportFile *micro = findFile(report, stem + "_micro.csv");
+        ASSERT_NE(micro, nullptr) << id;
+        EXPECT_NE(micro->content.find("vcache_hit_rate"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(report.files.size(), 1u + 8u + 3u);
+}
+
+TEST(Report, WriteReportFilesWritesEveryFile)
+{
+    Report report;
+    report.files = {{"results.csv", "table,row,column,value\n"},
+                    {"a_api.csv", "frame,x\n0,1\n"}};
+    std::string dir = ::testing::TempDir() + "wc3d_report_" +
+                      std::to_string(static_cast<long>(::getpid())) +
+                      "/nested/out";
+    std::string error;
+    ASSERT_TRUE(writeReportFiles(report, dir, &error)) << error;
+    for (const auto &file : report.files)
+        EXPECT_EQ(readAllOf(dir + "/" + file.name), file.content);
+}
+
+TEST(Report, WriteReportFilesFailsLoudly)
+{
+    Report report;
+    report.files = {{"results.csv", "table,row,column,value\n"}};
+    std::string base = ::testing::TempDir() + "wc3d_report_fail_" +
+                       std::to_string(static_cast<long>(::getpid()));
+    std::string error;
+
+    // A directory that cannot be made (a file is in the way).
+    ASSERT_TRUE(writeReportFiles(report, base, &error)) << error;
+    EXPECT_FALSE(
+        writeReportFiles(report, base + "/results.csv/sub", &error));
+    EXPECT_NE(error.find("cannot create directory"), std::string::npos)
+        << error;
+
+    // A full disk: the faultio reason reaches the caller.
+    faultio::FaultPlan plan;
+    plan.allEnospc = true;
+    faultio::setPlan(plan);
+    error.clear();
+    bool ok = writeReportFiles(report, base, &error);
+    faultio::setPlan(faultio::FaultPlan{});
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("injected ENOSPC"), std::string::npos) << error;
+    EXPECT_NE(error.find("results.csv"), std::string::npos) << error;
 }

