@@ -4,6 +4,7 @@
  * the paper's Table XIV configuration and reports hit rates and GDDR
  * traffic for a short UT2004 run — the paper's point that "the concrete
  * caches configuration directly affects the memory BW consumed".
+ * The Hierarchical-Z ablation is `timedemo_report --ablation hz`.
  *
  *     ./cache_explorer [frames]
  */
@@ -78,31 +79,6 @@ main(int argc, char **argv)
                         .c_str(),
                     100.0 * r.zHit, 100.0 * r.colorHit,
                     100.0 * r.texL0Hit, r.mbPerFrame);
-    }
-
-    std::printf("\nAlso: Hierarchical-Z on/off (the HZ ablation):\n");
-    for (bool hz : {true, false}) {
-        gpu::GpuConfig config;
-        config.width = 512;
-        config.height = 384;
-        config.hzEnabled = hz;
-        gpu::GpuSimulator sim(config);
-        api::Device device;
-        device.setSink(&sim);
-        auto demo = workloads::makeTimedemo("ut2004/primeval");
-        demo->run(device, frames);
-        auto c = sim.counters();
-        std::printf("  HZ %-3s: z-stage traffic %6.1f MB/frame, "
-                    "quads removed pre-shading %.1f%%\n",
-                    hz ? "on" : "off",
-                    static_cast<double>(
-                        c.traffic.readBytes[static_cast<int>(
-                            memsys::Client::ZStencil)] +
-                        c.traffic.writeBytes[static_cast<int>(
-                            memsys::Client::ZStencil)]) /
-                        frames / 1e6,
-                    c.pctQuadsRemovedHz() +
-                        c.pctQuadsRemovedZStencil());
     }
     return 0;
 }

@@ -1,12 +1,11 @@
 /**
  * @file
  * Validate observability artifacts: a Chrome trace written via
- * WC3D_TRACE_OUT, a metrics manifest written via WC3D_METRICS_OUT,
- * and/or a whole fleet store directory. Used by CI after a traced
- * simulation run.
+ * WC3D_TRACE_OUT and/or a metrics manifest written via
+ * WC3D_METRICS_OUT. Used by CI after a traced simulation run.
  *
  *   obs_lint [--trace trace.json] [--metrics metrics.json]
- *            [--fleet DIR] [--expect-span NAME]...
+ *            [--expect-span NAME]...
  *
  * --expect-span asserts the trace contains at least one complete span
  * with the given name (repeatable). CI uses it to prove the pipeline
@@ -16,7 +15,9 @@
  *
  * Exits 0 when every given file parses and passes structural
  * validation (spans nest, schema present, counters numeric, expected
- * spans present); exits 1 with a diagnostic otherwise.
+ * spans present); exits 1 with a diagnostic otherwise. A valid
+ * manifest's phase breakdown follows its summary line: one row per
+ * phase (name, seconds, calls, share of the total), longest first.
  */
 
 #include <cstdio>
@@ -27,7 +28,6 @@
 #include "common/json.hh"
 #include "common/prof.hh"
 #include "core/runmeta.hh"
-#include "fleet/store.hh"
 
 using namespace wc3d;
 
@@ -108,29 +108,11 @@ lintMetrics(const std::string &path)
     std::printf("%s: valid metrics manifest, %zu runs, %zu counters\n",
                 path.c_str(), runs ? runs->size() : 0,
                 counters ? counters->members().size() : 0);
-    return true;
-}
-
-/** Store-consistency mode: open the fleet store and run check(). */
-bool
-lintFleet(const std::string &dir)
-{
-    fleet::FleetStore store(dir);
-    fleet::FleetError err;
-    if (!store.open(&err)) {
-        std::fprintf(stderr, "obs_lint: %s\n",
-                     err.describe().c_str());
-        return false;
-    }
-    std::vector<std::string> problems;
-    if (!store.check(&problems)) {
-        for (const std::string &p : problems)
-            std::fprintf(stderr, "obs_lint: %s: %s\n", dir.c_str(),
-                         p.c_str());
-        return false;
-    }
-    std::printf("%s: consistent fleet store, %zu entries\n",
-                dir.c_str(), store.entries().size());
+    for (const core::PhaseShare &p : core::phaseBreakdown(doc))
+        std::printf("  %-24s %10.6fs %8llu calls  %5.1f%%\n",
+                    p.name.c_str(), p.seconds,
+                    static_cast<unsigned long long>(p.calls),
+                    p.fraction * 100.0);
     return true;
 }
 
@@ -141,7 +123,6 @@ main(int argc, char **argv)
 {
     std::string trace_path;
     std::string metrics_path;
-    std::string fleet_dir;
     std::vector<std::string> expect_spans;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -149,25 +130,21 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--metrics") == 0 &&
                    i + 1 < argc) {
             metrics_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--fleet") == 0 &&
-                   i + 1 < argc) {
-            fleet_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--expect-span") == 0 &&
                    i + 1 < argc) {
             expect_spans.push_back(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: obs_lint [--trace file] "
-                         "[--metrics file] [--fleet dir] "
+                         "[--metrics file] "
                          "[--expect-span NAME]...\n");
             return 1;
         }
     }
-    if (trace_path.empty() && metrics_path.empty() &&
-        fleet_dir.empty()) {
+    if (trace_path.empty() && metrics_path.empty()) {
         std::fprintf(stderr,
-                     "obs_lint: nothing to validate (pass --trace, "
-                     "--metrics and/or --fleet)\n");
+                     "obs_lint: nothing to validate (pass --trace "
+                     "and/or --metrics)\n");
         return 1;
     }
     if (trace_path.empty() && !expect_spans.empty()) {
@@ -180,7 +157,5 @@ main(int argc, char **argv)
         ok = lintTrace(trace_path, expect_spans) && ok;
     if (!metrics_path.empty())
         ok = lintMetrics(metrics_path) && ok;
-    if (!fleet_dir.empty())
-        ok = lintFleet(fleet_dir) && ok;
     return ok ? 0 : 1;
 }

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -46,20 +45,6 @@ envInt(const char *name, int fallback)
         return fallback;
     }
     return static_cast<int>(parsed);
-}
-
-bool
-parseDouble(const char *text, double *out)
-{
-    if (!text || !*text)
-        return false;
-    char *end = nullptr;
-    double parsed = std::strtod(text, &end);
-    // Overflow comes back as +-HUGE_VAL, i.e. not finite.
-    if (end == text || *end != '\0' || !std::isfinite(parsed))
-        return false;
-    *out = parsed;
-    return true;
 }
 
 std::string

@@ -19,13 +19,6 @@ namespace wc3d {
  */
 int envInt(const char *name, int fallback);
 
-/**
- * Strictly parse @p text as a finite double into @p out.
- * @return false, leaving @p out untouched, for an empty string,
- * trailing characters ("5%", "2.25x", "1 "), overflow, inf or nan.
- */
-bool parseDouble(const char *text, double *out);
-
 /** @return the value of env var @p name, or @p fallback. */
 std::string envString(const char *name, const std::string &fallback);
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fault-injection shim for durable file I/O. Every write that must
- * survive a crash (the report's results and figure files, the fleet
- * store index, metrics manifests) funnels through writeAll()/syncFd() here, so filesystem
+ * survive a crash (the report's results and figure files, metrics
+ * manifests) funnels through writeAll()/syncFd() here, so filesystem
  * failure modes — ENOSPC, short writes — can be injected by a test
  * through setPlan() and the recovery paths tested rather than
  * asserted.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal filesystem helpers shared by the report writer, the metrics
- * manifest and the fleet store.
+ * Minimal filesystem helpers shared by the report writer and the
+ * metrics manifest.
  */
 
 #ifndef WC3D_COMMON_FS_HH

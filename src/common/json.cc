@@ -461,7 +461,7 @@ class Parser
                 return fail("malformed number");
             // Strict: a literal that does not fit a finite double
             // (1e999, ...) is rejected, not silently turned into inf —
-            // a fleet-store counter must never round-trip as infinity.
+            // a manifest counter must never round-trip as infinity.
             if (errno == ERANGE || !std::isfinite(d))
                 return fail("number out of range");
             out = Value::number(d);
@@ -626,7 +626,7 @@ writeFileAtomic(const std::string &path, const std::string &content,
                 std::string *error)
 {
     // Delegates to the faultio-checked durable writer so every JSON
-    // artifact (metrics, runmeta, fleet index/blobs)
+    // artifact (metrics manifest, Chrome trace, bench results)
     // gets fsync discipline and structured short-write/ENOSPC errors.
     return wc3d::atomicWriteFile(path, content, error);
 }

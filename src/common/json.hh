@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON document model, writer and parser. Backs the
  * observability layer: Chrome trace export (common/prof), the run
- * metrics manifest (core/runmeta), the fleet store (fleet/) and the
+ * metrics manifest (core/runmeta), its validator in obs_lint and the
  * bench/e2e results document. Numbers keep their integer width
  * (counters are exact uint64, not doubles); object member order is
  * preserved so exported documents are deterministic and diffable.

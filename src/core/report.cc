@@ -393,10 +393,10 @@ vertexCacheAblationReport()
                       100.0 * c.vertexCacheHitRate(),
                       static_cast<double>(c.vertexCacheMisses) / kFrames);
     }
-    out += "The strip-ordered lists saturate near the theoretical 2/3 "
-           "reuse already at ~16 entries (the paper's R520-era sizing); "
-           "bigger caches buy little, which is why lists won over "
-           "strips once these caches existed.\n";
+    out += "Up to 16 entries (the paper's R520-era sizing) the hit rate "
+           "stays near the 2/3 reuse of strip-ordered lists; 32 entries "
+           "raise it well above that and cut the vertices shaded per "
+           "frame.\n";
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "core/runmeta.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -129,7 +130,7 @@ gitDescribe()
 /**
  * The manifest `host` block: hostname, hardware threads and the
  * machine-shaping knobs (resolved WC3D_TILE_SIZE / WC3D_THREADS), so
- * the fleet store can group runs by host.
+ * two manifests say whether they came from comparable machines.
  */
 json::Value
 hostInfoJson()
@@ -392,21 +393,6 @@ metricsPath()
     return envString("WC3D_METRICS_OUT", "");
 }
 
-std::string
-hostFingerprint(const json::Value &doc)
-{
-    const json::Value *host = doc.find("host");
-    if (!host || !host->isObject())
-        return "unknown";
-    const json::Value *name = host->find("hostname");
-    const json::Value *hw = host->find("hardwareThreads");
-    if (!name || !name->isString() || name->asString().empty())
-        return "unknown";
-    return format("%s/%llu", name->asString().c_str(),
-                  static_cast<unsigned long long>(
-                      hw && hw->isNumber() ? hw->asU64() : 0));
-}
-
 bool
 validateMetrics(const json::Value &doc, std::string *error)
 {
@@ -500,6 +486,36 @@ validateMetrics(const json::Value &doc, std::string *error)
         }
     }
     return true;
+}
+
+std::vector<PhaseShare>
+phaseBreakdown(const json::Value &doc)
+{
+    std::vector<PhaseShare> out;
+    const json::Value *phases = doc.find("phases");
+    if (!phases || !phases->isArray())
+        return out;
+    double total = 0.0;
+    for (const json::Value &phase : phases->items()) {
+        const json::Value *name = phase.find("name");
+        const json::Value *seconds = phase.find("seconds");
+        if (!name || !name->isString() || !seconds ||
+            !seconds->isNumber())
+            continue;
+        const json::Value *calls = phase.find("calls");
+        out.push_back(PhaseShare{
+            name->asString(), seconds->asDouble(),
+            calls && calls->isNumber() ? calls->asU64() : 0, 0.0});
+        total += out.back().seconds;
+    }
+    for (PhaseShare &row : out)
+        row.fraction = total > 0.0 ? row.seconds / total : 0.0;
+    // Stable: phases with equal seconds keep their manifest order.
+    std::stable_sort(out.begin(), out.end(),
+                     [](const PhaseShare &a, const PhaseShare &b) {
+                         return a.seconds > b.seconds;
+                     });
+    return out;
 }
 
 PhaseTimer::PhaseTimer(std::string name)

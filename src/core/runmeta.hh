@@ -11,8 +11,8 @@
  * atomically rewrites that file with one canonical JSON document:
  * config (frames, threads, git describe), phase wall-clocks, one record per run (full
  * PipelineCounters / ApiStats / cache models) and a complete dump of
- * the registry. The fleet store (fleet/) and CI trend tracking read
- * this artifact; tests/test_observability.cc validates its schema.
+ * the registry. obs_lint validates this artifact and prints its phase
+ * breakdown; tests/test_observability.cc validates its schema.
  */
 
 #ifndef WC3D_CORE_RUNMETA_HH
@@ -85,17 +85,26 @@ class RunMeta
 std::string metricsPath();
 
 /**
- * "hostname/NT" fingerprint of a metrics manifest's `host` block
- * (hostname and hardware threads), or "unknown" for pre-v1.1
- * documents.
- */
-std::string hostFingerprint(const json::Value &doc);
-
-/**
  * Structural validation of a parsed metrics document: schema tag,
  * config/runs/registry sections, every registry counter numeric.
  */
 bool validateMetrics(const json::Value &doc, std::string *error);
+
+/** One row of a manifest's `phases` with its share of their total. */
+struct PhaseShare
+{
+    std::string name;
+    double seconds = 0.0;
+    std::uint64_t calls = 0;
+    double fraction = 0.0;
+};
+
+/**
+ * The `phases` of metrics document @p doc, descending by seconds.
+ * Rows without a name or seconds are skipped; empty when the document
+ * carries no phase clock.
+ */
+std::vector<PhaseShare> phaseBreakdown(const json::Value &doc);
 
 /** RAII wall-clock accumulator for one RunMeta phase. */
 class PhaseTimer

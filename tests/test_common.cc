@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for RNG, image, string, env and filesystem utilities,
- * plus the seeded mutation fuzzer for the common/json parser (the
- * fleet store ingests attacker-shaped files; see the JsonFuzz suite
- * below).
+ * plus the seeded mutation fuzzer for the common/json parser
+ * (obs_lint validates manifests written outside this program; see
+ * the JsonFuzz suite below).
  */
 
 #include <cstdio>
@@ -219,26 +219,6 @@ TEST(Env, IntRejectsOutOfRange)
     unsetenv("WC3D_TEST_ENV");
 }
 
-// parseDouble backs `wc3d-fleet query --threshold`, where "5%" read
-// as 5.0 would silently widen the drift bound to 500%.
-TEST(Env, DoubleParseAndReject)
-{
-    double v = 1.5;
-    EXPECT_TRUE(parseDouble("2.25", &v));
-    EXPECT_DOUBLE_EQ(v, 2.25);
-    EXPECT_TRUE(parseDouble("-0.5", &v));
-    EXPECT_DOUBLE_EQ(v, -0.5);
-    EXPECT_TRUE(parseDouble("1e-3", &v));
-    EXPECT_DOUBLE_EQ(v, 1e-3);
-    for (const char *bad : {"", "2.25x", "5%", "junk", "1e999", "-1e999",
-                            "inf", "nan", " -0.5 "}) {
-        v = 1.5;
-        EXPECT_FALSE(parseDouble(bad, &v)) << "'" << bad << "'";
-        EXPECT_DOUBLE_EQ(v, 1.5) << "'" << bad << "'";
-    }
-    EXPECT_FALSE(parseDouble(nullptr, &v));
-}
-
 TEST(Env, StringFallback)
 {
     unsetenv("WC3D_TEST_ENV2");
@@ -250,8 +230,8 @@ TEST(Env, StringFallback)
 
 // --- JSON parser hardening -----------------------------------------
 //
-// The fleet store (src/fleet) feeds the common/json parser files from
-// disk that CI jobs, other hosts and hand edits may have mangled. The
+// obs_lint and the tests feed the common/json parser files from disk
+// that CI jobs, other hosts and hand edits may have mangled. The
 // parser's contract is the WC3DTRC2 one: any input either parses or is
 // rejected with a structured "json: byte N: reason" error — never a
 // crash, hang or silent misparse.
@@ -411,7 +391,7 @@ TEST(JsonFuzz, RawControlCharactersInStringsAreRejected)
 
 // --- faultio: injected filesystem failure modes --------------------
 //
-// Every durable write (report files, fleet index, metrics manifests)
+// Every durable write (report files, figure series, metrics manifests)
 // funnels through faultio::writeAll/syncFd, so injecting failures
 // here exercises the recovery paths of all of them. The plan
 // is process-global state: each test restores the no-fault plan

@@ -342,9 +342,9 @@ TEST(RunMeta, ValidatorRejectsBrokenDocuments)
     EXPECT_FALSE(validateMetrics(doc, &error));
 }
 
-// Fleet ingest keys entries by host; the manifest must identify where
-// it was produced, and the validator must keep accepting pre-host
-// (schemaMinor 0) documents so old archives still lint.
+// The manifest must identify where it was produced, and the validator
+// must keep accepting pre-host (schemaMinor 0) documents so manifests
+// written by older builds still lint.
 TEST(RunMeta, HostBlockVersioningAndValidation)
 {
     RunMeta &meta = RunMeta::global();
@@ -364,14 +364,6 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     ASSERT_NE(host->find("hardwareThreads"), nullptr);
     EXPECT_TRUE(host->find("hardwareThreads")->isNumber());
 
-    // The fingerprint is "<hostname>/<hardwareThreads>".
-    std::string fp = hostFingerprint(doc);
-    EXPECT_NE(fp.find(host->find("hostname")->asString()),
-              std::string::npos);
-    EXPECT_NE(fp.find('/'), std::string::npos);
-    json::Value bare = json::Value::object();
-    EXPECT_EQ(hostFingerprint(bare), "unknown");
-
     // A legacy minor-0 document — no schemaMinor, no host block —
     // still validates.
     json::Value rebuilt = json::Value::object();
@@ -381,7 +373,7 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     }
     ASSERT_TRUE(validateMetrics(rebuilt, &error)) << error;
 
-    // Minor-2 manifests already in fleet stores carry the stats block of
+    // Minor-2 manifests written by older builds carry the stats block of
     // the since-removed native shader compiler; they still validate.
     json::Value legacy_block = json::Value::object();
     legacy_block.set("available", json::Value::boolean(true));
@@ -416,6 +408,38 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     no_hw.set("host", std::move(host2));
     EXPECT_FALSE(validateMetrics(no_hw, &error));
     EXPECT_NE(error.find("hardwareThreads"), std::string::npos);
+}
+
+TEST(RunMeta, PhaseBreakdownSortsAndFractions)
+{
+    json::Value doc = json::Value::object();
+    json::Value phases = json::Value::array();
+    const struct
+    {
+        const char *name;
+        double seconds;
+        std::uint64_t calls;
+    } rows[] = {{"shade", 0.25, 20}, {"raster", 0.75, 10}};
+    for (const auto &row : rows) {
+        json::Value phase = json::Value::object();
+        phase.set("name", json::Value::str(row.name));
+        phase.set("seconds", json::Value::number(row.seconds));
+        phase.set("calls", json::Value::number(row.calls));
+        phases.push(std::move(phase));
+    }
+    doc.set("phases", std::move(phases));
+    auto breakdown = phaseBreakdown(doc);
+    ASSERT_EQ(breakdown.size(), 2u);
+    // Descending by seconds, fractions of the total.
+    EXPECT_EQ(breakdown[0].name, "raster");
+    EXPECT_DOUBLE_EQ(breakdown[0].seconds, 0.75);
+    EXPECT_DOUBLE_EQ(breakdown[0].fraction, 0.75);
+    EXPECT_EQ(breakdown[0].calls, 10u);
+    EXPECT_EQ(breakdown[1].name, "shade");
+    EXPECT_DOUBLE_EQ(breakdown[1].fraction, 0.25);
+    // A document without a phase clock has no breakdown.
+    doc.set("phases", json::Value::null());
+    EXPECT_TRUE(phaseBreakdown(doc).empty());
 }
 
 // --- Log levels ----------------------------------------------------
