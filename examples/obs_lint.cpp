@@ -16,8 +16,9 @@
  * Exits 0 when every given file parses and passes structural
  * validation (spans nest, schema present, counters numeric, expected
  * spans present); exits 1 with a diagnostic otherwise. A valid
- * manifest's phase breakdown follows its summary line: one row per
- * phase (name, seconds, calls, share of the total), longest first.
+ * manifest's summary line counts its runs by kind ("12 api, 3 micro
+ * runs"); its phase breakdown follows, one row per phase (name,
+ * seconds, calls, share of the total), longest first.
  */
 
 #include <cstdio>
@@ -102,12 +103,12 @@ lintMetrics(const std::string &path)
                      error.c_str());
         return false;
     }
-    const json::Value *runs = doc.find("runs");
-    const json::Value *reg = doc.find("registry");
-    const json::Value *counters = reg ? reg->find("counters") : nullptr;
-    std::printf("%s: valid metrics manifest, %zu runs, %zu counters\n",
-                path.c_str(), runs ? runs->size() : 0,
-                counters ? counters->members().size() : 0);
+    std::size_t api = 0;
+    std::size_t micro = 0;
+    for (const json::Value &run : doc.find("runs")->items())
+        ++(run.find("kind")->asString() == "api" ? api : micro);
+    std::printf("%s: valid metrics manifest, %zu api, %zu micro runs\n",
+                path.c_str(), api, micro);
     for (const core::PhaseShare &p : core::phaseBreakdown(doc))
         std::printf("  %-24s %10.6fs %8llu calls  %5.1f%%\n",
                     p.name.c_str(), p.seconds,

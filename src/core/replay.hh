@@ -4,10 +4,12 @@
  * paper's methodology claim that a recorded timedemo "replays exactly
  * the same input several times". A workload is run live (recording a
  * trace as it goes), the trace is replayed into a fresh Device + GPU
- * simulator, and every statistic both runs produce — the full ApiStats,
+ * simulator, and both sides' run records — the command count and
+ * encodeApiRun / encodeMicroRun texts, which hold the full ApiStats,
  * all PipelineCounters, the four cache models and both per-frame series
- * — is diffed bit for bit. Any divergence names the first counter that
- * differs; any trace IO failure surfaces its TraceError.
+ * — are diffed line by line with core::diffRecords. A divergence names
+ * the record key that differs; any trace IO failure surfaces its
+ * TraceError.
  *
  * Exposed as the `wc3d-verify` example binary and the Replay.* ctest
  * targets (see DESIGN.md "Trace format & validation").
@@ -35,9 +37,10 @@ struct ReplayReport
     std::string traceError;
 
     /**
-     * Counters that differ between the live and replayed run, in
-     * pipeline order, formatted "name: live=X replay=Y". Empty when
-     * the replay is bit-identical.
+     * Record lines that differ between the live and replayed run, in
+     * record order: "key: live=X replay=Y" with the golden key of a
+     * simulator counter, "api key: live=X replay=Y" for the command
+     * count and ApiStats. Empty when the replay is bit-identical.
      */
     std::vector<std::string> divergences;
 

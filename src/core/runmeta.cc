@@ -18,12 +18,7 @@ namespace wc3d::core {
 
 namespace {
 
-constexpr const char *kSchema = "wc3d-metrics-v1";
-/** Minor schema revision: 1 added the host block, 2 a native shader
- *  compiler's stats block, which writers no longer emit and the
- *  validator ignores (older readers that only check the schema tag
- *  still accept the document). */
-constexpr std::uint64_t kSchemaMinor = 2;
+constexpr const char *kSchema = "wc3d-metrics-v2";
 
 double
 nowSeconds()
@@ -34,84 +29,35 @@ nowSeconds()
 }
 
 json::Value
-cacheStatsToJson(const memsys::CacheStats &s)
+fieldsToJson(const std::vector<RecordField> &fields)
 {
     json::Value out = json::Value::object();
-    out.set("accesses", json::Value::number(s.accesses));
-    out.set("hits", json::Value::number(s.hits));
-    out.set("misses", json::Value::number(s.misses));
-    out.set("writebacks", json::Value::number(s.writebacks));
+    for (const auto &[key, value] : fields)
+        out.set(key, value);
     return out;
 }
 
-/** Field list shared by the JSON record and the registry names. */
-struct CounterField
+/** Quote @p s as one POSIX shell word. */
+std::string
+shellQuote(const std::string &s)
 {
-    const char *name;
-    std::uint64_t gpu::PipelineCounters::*member;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"indices", &gpu::PipelineCounters::indices},
-    {"vertexCacheHits", &gpu::PipelineCounters::vertexCacheHits},
-    {"vertexCacheMisses", &gpu::PipelineCounters::vertexCacheMisses},
-    {"trianglesAssembled", &gpu::PipelineCounters::trianglesAssembled},
-    {"trianglesClipped", &gpu::PipelineCounters::trianglesClipped},
-    {"trianglesCulled", &gpu::PipelineCounters::trianglesCulled},
-    {"trianglesTraversed", &gpu::PipelineCounters::trianglesTraversed},
-    {"rasterQuads", &gpu::PipelineCounters::rasterQuads},
-    {"rasterFullQuads", &gpu::PipelineCounters::rasterFullQuads},
-    {"rasterFragments", &gpu::PipelineCounters::rasterFragments},
-    {"quadsRemovedHz", &gpu::PipelineCounters::quadsRemovedHz},
-    {"quadsRemovedZStencil",
-     &gpu::PipelineCounters::quadsRemovedZStencil},
-    {"quadsRemovedAlpha", &gpu::PipelineCounters::quadsRemovedAlpha},
-    {"quadsRemovedColorMask",
-     &gpu::PipelineCounters::quadsRemovedColorMask},
-    {"quadsBlended", &gpu::PipelineCounters::quadsBlended},
-    {"zStencilQuads", &gpu::PipelineCounters::zStencilQuads},
-    {"zStencilFullQuads", &gpu::PipelineCounters::zStencilFullQuads},
-    {"zStencilFragments", &gpu::PipelineCounters::zStencilFragments},
-    {"shadedQuads", &gpu::PipelineCounters::shadedQuads},
-    {"shadedFragments", &gpu::PipelineCounters::shadedFragments},
-    {"blendedFragments", &gpu::PipelineCounters::blendedFragments},
-    {"vertexInstructions", &gpu::PipelineCounters::vertexInstructions},
-    {"fragmentInstructions",
-     &gpu::PipelineCounters::fragmentInstructions},
-    {"fragmentTexInstructions",
-     &gpu::PipelineCounters::fragmentTexInstructions},
-    {"textureRequests", &gpu::PipelineCounters::textureRequests},
-    {"bilinearSamples", &gpu::PipelineCounters::bilinearSamples},
-};
-
-json::Value
-countersToJson(const gpu::PipelineCounters &c)
-{
-    json::Value out = json::Value::object();
-    for (const auto &field : kCounterFields)
-        out.set(field.name, json::Value::number(c.*field.member));
-    json::Value read = json::Value::array();
-    json::Value write = json::Value::array();
-    for (int i = 0; i < memsys::kNumClients; ++i) {
-        read.push(json::Value::number(c.traffic.readBytes[i]));
-        write.push(json::Value::number(c.traffic.writeBytes[i]));
-    }
-    json::Value traffic = json::Value::object();
-    traffic.set("readBytes", std::move(read));
-    traffic.set("writeBytes", std::move(write));
-    traffic.set("totalBytes", json::Value::number(c.traffic.total()));
-    out.set("traffic", std::move(traffic));
-    return out;
+    std::string out = "'";
+    for (char c : s)
+        out += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    return out + "'";
 }
 
-/** `git describe --always --dirty` of the cwd, or "unknown". */
+/** `git describe --always --dirty` of the source tree this binary was
+ *  built from (whatever the working directory), or "unknown" when that
+ *  tree is not a git checkout. */
 std::string
 gitDescribe()
 {
     static const std::string kDescribe = [] {
         std::string out = "unknown";
-        std::FILE *p =
-            ::popen("git describe --always --dirty 2>/dev/null", "r");
+        std::string cmd = "git -C " + shellQuote(WC3D_SOURCE_DIR) +
+                          " describe --always --dirty 2>/dev/null";
+        std::FILE *p = ::popen(cmd.c_str(), "r");
         if (!p)
             return out;
         char buf[256];
@@ -163,57 +109,14 @@ RunMeta::global()
 void
 RunMeta::noteApiRun(const ApiRun &run, double seconds)
 {
-    const api::ApiStats &s = run.stats;
-
     json::Value record = json::Value::object();
     record.set("kind", json::Value::str("api"));
     record.set("id", json::Value::str(run.id));
     record.set("frames", json::Value::number(run.frames));
     record.set("seconds", json::Value::number(seconds));
-    json::Value agg = json::Value::object();
-    agg.set("batches", json::Value::number(s.batches()));
-    agg.set("indices", json::Value::number(s.indices()));
-    agg.set("indexBytes", json::Value::number(s.indexBytes()));
-    agg.set("stateCalls", json::Value::number(s.stateCalls()));
-    agg.set("primitives", json::Value::number(s.primitives()));
-    agg.set("avgBatchesPerFrame",
-            json::Value::number(s.avgBatchesPerFrame()));
-    agg.set("avgVertexShaderInstructions",
-            json::Value::number(s.avgVertexShaderInstructions()));
-    agg.set("avgFragmentInstructions",
-            json::Value::number(s.avgFragmentInstructions()));
-    agg.set("aluToTexRatio", json::Value::number(s.aluToTexRatio()));
-    record.set("api", std::move(agg));
-    record.set("series", stats::toJson(s.series()));
-
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::string prefix = "api." + run.id + ".";
-    auto put = [&](const char *name, std::uint64_t v) {
-        stats::Counter &c = _registry.counter(prefix + name);
-        c.reset();
-        c.inc(v);
-    };
-    put("frames", s.frames());
-    put("batches", s.batches());
-    put("indices", s.indices());
-    put("indexBytes", s.indexBytes());
-    put("stateCalls", s.stateCalls());
-    put("primitives", s.primitives());
-    for (const auto &name : s.series().names()) {
-        stats::Distribution &d =
-            _registry.distribution(prefix + "series." + name);
-        d.reset();
-        d.merge(s.series().summary(name));
-    }
-
-    std::string key = "api:" + run.id;
-    for (auto &existing : _runs) {
-        if (existing.first == key) {
-            existing.second = std::move(record);
-            return;
-        }
-    }
-    _runs.emplace_back(key, std::move(record));
+    record.set("api", fieldsToJson(apiStatsFields(run.stats)));
+    record.set("series", stats::toJson(run.stats.series()));
+    noteRun("api:" + run.id, std::move(record));
 }
 
 void
@@ -226,47 +129,17 @@ RunMeta::noteMicroRun(const MicroRun &run, double seconds)
     record.set("width", json::Value::number(run.width));
     record.set("height", json::Value::number(run.height));
     record.set("seconds", json::Value::number(seconds));
-    record.set("counters", countersToJson(run.counters));
-    json::Value caches = json::Value::object();
-    caches.set("z", cacheStatsToJson(run.zCache));
-    caches.set("color", cacheStatsToJson(run.colorCache));
-    caches.set("texL0", cacheStatsToJson(run.texL0));
-    caches.set("texL1", cacheStatsToJson(run.texL1));
-    record.set("caches", std::move(caches));
+    record.set("counters", fieldsToJson(microRunFields(run)));
     record.set("series", stats::toJson(run.series));
+    noteRun(format("micro:%s:%dx%d:f%d", run.id.c_str(), run.width,
+                   run.height, run.frames),
+            std::move(record));
+}
 
+void
+RunMeta::noteRun(const std::string &key, json::Value record)
+{
     std::lock_guard<std::mutex> lock(_mutex);
-    std::string prefix = "sim." + run.id + ".";
-    auto put = [&](const std::string &name, std::uint64_t v) {
-        stats::Counter &c = _registry.counter(prefix + name);
-        c.reset();
-        c.inc(v);
-    };
-    for (const auto &field : kCounterFields)
-        put(field.name, run.counters.*field.member);
-    put("traffic.readBytes", run.counters.traffic.totalRead());
-    put("traffic.writeBytes", run.counters.traffic.totalWrite());
-    const std::pair<const char *, const memsys::CacheStats *> caches_kv[] =
-        {{"cache.z", &run.zCache},
-         {"cache.color", &run.colorCache},
-         {"cache.texL0", &run.texL0},
-         {"cache.texL1", &run.texL1}};
-    for (const auto &kv : caches_kv) {
-        put(std::string(kv.first) + ".accesses", kv.second->accesses);
-        put(std::string(kv.first) + ".hits", kv.second->hits);
-        put(std::string(kv.first) + ".misses", kv.second->misses);
-        put(std::string(kv.first) + ".writebacks",
-            kv.second->writebacks);
-    }
-    for (const auto &name : run.series.names()) {
-        stats::Distribution &d =
-            _registry.distribution(prefix + "series." + name);
-        d.reset();
-        d.merge(run.series.summary(name));
-    }
-
-    std::string key = format("micro:%s:%dx%d:f%d", run.id.c_str(),
-                             run.width, run.height, run.frames);
     for (auto &existing : _runs) {
         if (existing.first == key) {
             existing.second = std::move(record);
@@ -290,27 +163,6 @@ RunMeta::notePhase(const std::string &name, double seconds)
     _phaseOrder.push_back(name);
     _phaseSeconds.push_back(seconds);
     _phaseCalls.push_back(1);
-}
-
-std::vector<std::string>
-RunMeta::counterNames() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _registry.counterNames();
-}
-
-std::vector<std::string>
-RunMeta::distributionNames() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _registry.distributionNames();
-}
-
-std::uint64_t
-RunMeta::counterValue(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _registry.counterValue(name);
 }
 
 json::Value
@@ -346,12 +198,10 @@ RunMeta::toJson() const
 
     json::Value doc = json::Value::object();
     doc.set("schema", json::Value::str(kSchema));
-    doc.set("schemaMinor", json::Value::number(kSchemaMinor));
     doc.set("host", hostInfoJson());
     doc.set("config", std::move(config));
     doc.set("phases", std::move(phases));
     doc.set("runs", std::move(runs));
-    doc.set("registry", stats::toJson(_registry));
     return doc;
 }
 
@@ -380,7 +230,6 @@ void
 RunMeta::reset()
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    _registry = stats::Registry();
     _runs.clear();
     _phaseOrder.clear();
     _phaseSeconds.clear();
@@ -410,29 +259,15 @@ validateMetrics(const json::Value &doc, std::string *error)
         return fail(format("missing or wrong schema tag (want '%s')",
                            kSchema));
     }
-    // schemaMinor is optional: minor 0 documents predate the host
-    // block, minor >= 1 documents must carry one. Both validate.
-    const json::Value *minor = doc.find("schemaMinor");
-    std::uint64_t minor_rev = 0;
-    if (minor) {
-        if (!minor->isNumber())
-            return fail("schemaMinor is not numeric");
-        minor_rev = minor->asU64();
-    }
     const json::Value *host = doc.find("host");
-    if (minor_rev >= 1 && (!host || !host->isObject()))
-        return fail("schemaMinor >= 1 but host block missing");
-    if (host) {
-        if (!host->isObject())
-            return fail("host is not an object");
-        const json::Value *hostname = host->find("hostname");
-        const json::Value *hw = host->find("hardwareThreads");
-        if (!hostname || !hostname->isString() ||
-            hostname->asString().empty())
-            return fail("host.hostname missing");
-        if (!hw || !hw->isNumber())
-            return fail("host.hardwareThreads missing");
-    }
+    if (!host || !host->isObject())
+        return fail("missing host object");
+    const json::Value *hostname = host->find("hostname");
+    const json::Value *hw = host->find("hardwareThreads");
+    if (!hostname || !hostname->isString() || hostname->asString().empty())
+        return fail("host.hostname missing");
+    if (!hw || !hw->isNumber())
+        return fail("host.hardwareThreads missing");
     const json::Value *config = doc.find("config");
     if (!config || !config->isObject())
         return fail("missing config object");
@@ -456,33 +291,15 @@ validateMetrics(const json::Value &doc, std::string *error)
         if (kind->asString() != "api" && kind->asString() != "micro")
             return fail(format("run %zu: unknown kind '%s'", i,
                                kind->asString().c_str()));
-        if (kind->asString() == "micro") {
-            const json::Value *counters = run.find("counters");
-            if (!counters || !counters->isObject())
-                return fail(format("micro run %zu lacks counters", i));
-        }
-    }
-    const json::Value *registry = doc.find("registry");
-    if (!registry || !registry->isObject())
-        return fail("missing registry object");
-    const json::Value *counters = registry->find("counters");
-    const json::Value *dists = registry->find("distributions");
-    if (!counters || !counters->isObject())
-        return fail("registry.counters missing");
-    if (!dists || !dists->isObject())
-        return fail("registry.distributions missing");
-    for (const auto &member : counters->members()) {
-        if (!member.second.isNumber())
-            return fail(format("registry counter '%s' is not numeric",
-                               member.first.c_str()));
-    }
-    for (const auto &member : dists->members()) {
-        if (!member.second.isObject() ||
-            !member.second.find("mean") ||
-            !member.second.find("count")) {
-            return fail(format(
-                "registry distribution '%s' lacks count/mean",
-                member.first.c_str()));
+        const char *block =
+            kind->asString() == "micro" ? "counters" : "api";
+        const json::Value *fields = run.find(block);
+        if (!fields || !fields->isObject())
+            return fail(format("run %zu lacks %s", i, block));
+        for (const auto &member : fields->members()) {
+            if (!member.second.isNumber())
+                return fail(format("run %zu: '%s' is not numeric", i,
+                                   member.first.c_str()));
         }
     }
     return true;

@@ -4,15 +4,16 @@
  *
  * Every runner entry point (runApiLevel, runMicroarch and their
  * fan-out wrappers) reports its results to the process-global RunMeta
- * collector: per-run statistics land in a stats::Registry under
- * hierarchical names ("sim.<id>.indices", "api.<id>.batches",
- * "sim.<id>.series.<name>") and wall-clock per phase accumulates
- * alongside. When WC3D_METRICS_OUT=<file> is set, each completed run
- * atomically rewrites that file with one canonical JSON document:
- * config (frames, threads, git describe), phase wall-clocks, one record per run (full
- * PipelineCounters / ApiStats / cache models) and a complete dump of
- * the registry. obs_lint validates this artifact and prints its phase
- * breakdown; tests/test_observability.cc validates its schema.
+ * collector, which keeps one record per run and the wall clock per
+ * phase. When WC3D_METRICS_OUT=<file> is set, each completed run
+ * atomically rewrites that file with one canonical JSON document
+ * (schema wc3d-metrics-v2): host, config (frames, threads, git
+ * describe of the source tree), phase wall-clocks and one record per
+ * run. A record's `api` or `counters` object is the run's field list
+ * (core::apiStatsFields / core::microRunFields), so its keys and values
+ * are the lines of encodeApiRun / encodeMicroRun and of the goldens.
+ * obs_lint validates this artifact and prints its phase breakdown;
+ * tests/test_observability.cc validates its schema.
  */
 
 #ifndef WC3D_CORE_RUNMETA_HH
@@ -24,7 +25,6 @@
 
 #include "common/json.hh"
 #include "core/runner.hh"
-#include "stats/registry.hh"
 
 namespace wc3d::core {
 
@@ -43,13 +43,6 @@ class RunMeta
     /** Accumulate @p seconds of wall clock under phase @p name. */
     void notePhase(const std::string &name, double seconds);
 
-    /** @name Registry snapshot (copies; safe against concurrent runs) */
-    /// @{
-    std::vector<std::string> counterNames() const;
-    std::vector<std::string> distributionNames() const;
-    std::uint64_t counterValue(const std::string &name) const;
-    /// @}
-
     /** The full metrics document. */
     json::Value toJson() const;
 
@@ -67,14 +60,16 @@ class RunMeta
      */
     bool writeIfRequested() const;
 
-    /** Drop all recorded runs, phases and registry entries (tests). */
+    /** Drop all recorded runs and phases (tests). */
     void reset();
 
   private:
     RunMeta() = default;
 
+    /** Store @p record under @p key, replacing a same-key record. */
+    void noteRun(const std::string &key, json::Value record);
+
     mutable std::mutex _mutex;
-    stats::Registry _registry;
     std::vector<std::pair<std::string, json::Value>> _runs; // key -> record
     std::vector<std::string> _phaseOrder;
     std::vector<double> _phaseSeconds;
@@ -85,8 +80,9 @@ class RunMeta
 std::string metricsPath();
 
 /**
- * Structural validation of a parsed metrics document: schema tag,
- * config/runs/registry sections, every registry counter numeric.
+ * Structural validation of a parsed metrics document: schema tag, host
+ * and config blocks, and runs whose `api` / `counters` fields are all
+ * numeric.
  */
 bool validateMetrics(const json::Value &doc, std::string *error);
 

@@ -1,5 +1,6 @@
 #include "core/runner.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/env.hh"
@@ -35,22 +36,18 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 void
-put(std::string &out, const char *key, std::uint64_t v)
+putFields(std::string &out, const std::vector<RecordField> &fields)
 {
-    out += format("%s=%llu\n", key, static_cast<unsigned long long>(v));
+    for (const auto &[key, value] : fields)
+        out += key + "=" + value.serialize() + "\n";
 }
 
 void
-putCache(std::string &out, const char *prefix,
-         const memsys::CacheStats &s)
+putSeries(std::string &out, const stats::FrameSeries &series)
 {
-    out += format("%s.accesses=%llu\n%s.hits=%llu\n%s.misses=%llu\n"
-                  "%s.writebacks=%llu\n",
-                  prefix, static_cast<unsigned long long>(s.accesses),
-                  prefix, static_cast<unsigned long long>(s.hits),
-                  prefix, static_cast<unsigned long long>(s.misses),
-                  prefix,
-                  static_cast<unsigned long long>(s.writebacks));
+    out += "series-csv:\n";
+    out += series.toCsv();
+    out += "#end\n"; // a cut-off document never equals a whole one
 }
 
 } // namespace
@@ -87,58 +84,129 @@ runApiLevel(const std::string &id, int frames)
     return run;
 }
 
+std::vector<RecordField>
+apiStatsFields(const api::ApiStats &s)
+{
+    auto count = [](std::uint64_t v) { return json::Value::number(v); };
+    return {
+        {"frames", count(s.frames())},
+        {"batches", count(s.batches())},
+        {"indices", count(s.indices())},
+        {"indexBytes", count(s.indexBytes())},
+        {"stateCalls", count(s.stateCalls())},
+        {"primsTL",
+         count(s.primitivesOfType(geom::PrimitiveType::TriangleList))},
+        {"primsTS",
+         count(s.primitivesOfType(geom::PrimitiveType::TriangleStrip))},
+        {"primsTF",
+         count(s.primitivesOfType(geom::PrimitiveType::TriangleFan))},
+        {"vsInstrAvg", json::Value::number(s.avgVertexShaderInstructions())},
+        {"fsInstrAvg", json::Value::number(s.avgFragmentInstructions())},
+        {"fsTexInstrAvg",
+         json::Value::number(s.avgFragmentTexInstructions())},
+    };
+}
+
+std::vector<RecordField>
+microRunFields(const MicroRun &run)
+{
+    std::vector<RecordField> out;
+    for (const gpu::CounterField &f : gpu::kCounterFields)
+        out.emplace_back(f.key, json::Value::number(run.counters.*f.member));
+    const memsys::TrafficSnapshot &t = run.counters.traffic;
+    for (int i = 0; i < memsys::kNumClients; ++i) {
+        out.emplace_back(format("read%d", i),
+                         json::Value::number(t.readBytes[i]));
+        out.emplace_back(format("write%d", i),
+                         json::Value::number(t.writeBytes[i]));
+    }
+    const std::pair<const char *, const memsys::CacheStats *> caches[] = {
+        {"zc", &run.zCache},
+        {"cc", &run.colorCache},
+        {"t0", &run.texL0},
+        {"t1", &run.texL1}};
+    for (const auto &[prefix, c] : caches) {
+        const std::pair<const char *, std::uint64_t> stats[] = {
+            {"accesses", c->accesses},
+            {"hits", c->hits},
+            {"misses", c->misses},
+            {"writebacks", c->writebacks}};
+        for (const auto &[name, value] : stats)
+            out.emplace_back(format("%s.%s", prefix, name),
+                             json::Value::number(value));
+    }
+    return out;
+}
+
+std::string
+encodeApiRun(const ApiRun &run)
+{
+    std::string out = "wc3d-apirun-v1\n";
+    out += format("id=%s\n", run.id.c_str());
+    putFields(out, apiStatsFields(run.stats));
+    putSeries(out, run.stats.series());
+    return out;
+}
+
 std::string
 encodeMicroRun(const MicroRun &run)
 {
     std::string out = "wc3d-microrun-v1\n";
     out += format("id=%s\n", run.id.c_str());
-    put(out, "frames", static_cast<std::uint64_t>(run.frames));
-    put(out, "width", static_cast<std::uint64_t>(run.width));
-    put(out, "height", static_cast<std::uint64_t>(run.height));
-
-    const gpu::PipelineCounters &c = run.counters;
-    put(out, "indices", c.indices);
-    put(out, "vcacheHits", c.vertexCacheHits);
-    put(out, "vcacheMisses", c.vertexCacheMisses);
-    put(out, "triAssembled", c.trianglesAssembled);
-    put(out, "triClipped", c.trianglesClipped);
-    put(out, "triCulled", c.trianglesCulled);
-    put(out, "triTraversed", c.trianglesTraversed);
-    put(out, "rasterQuads", c.rasterQuads);
-    put(out, "rasterFullQuads", c.rasterFullQuads);
-    put(out, "rasterFragments", c.rasterFragments);
-    put(out, "quadsHz", c.quadsRemovedHz);
-    put(out, "quadsZst", c.quadsRemovedZStencil);
-    put(out, "quadsAlpha", c.quadsRemovedAlpha);
-    put(out, "quadsMask", c.quadsRemovedColorMask);
-    put(out, "quadsBlend", c.quadsBlended);
-    put(out, "zstQuads", c.zStencilQuads);
-    put(out, "zstFullQuads", c.zStencilFullQuads);
-    put(out, "zstFragments", c.zStencilFragments);
-    put(out, "shadedQuads", c.shadedQuads);
-    put(out, "shadedFragments", c.shadedFragments);
-    put(out, "blendedFragments", c.blendedFragments);
-    put(out, "vsInstr", c.vertexInstructions);
-    put(out, "fsInstr", c.fragmentInstructions);
-    put(out, "fsTexInstr", c.fragmentTexInstructions);
-    put(out, "texRequests", c.textureRequests);
-    put(out, "bilinears", c.bilinearSamples);
-    for (int i = 0; i < memsys::kNumClients; ++i) {
-        out += format("read%d=%llu\nwrite%d=%llu\n", i,
-                      static_cast<unsigned long long>(
-                          c.traffic.readBytes[i]),
-                      i,
-                      static_cast<unsigned long long>(
-                          c.traffic.writeBytes[i]));
-    }
-    putCache(out, "zc", run.zCache);
-    putCache(out, "cc", run.colorCache);
-    putCache(out, "t0", run.texL0);
-    putCache(out, "t1", run.texL1);
-    out += "series-csv:\n";
-    out += run.series.toCsv();
-    out += "#end\n"; // a cut-off document never equals a whole one
+    putFields(out, {{"frames", json::Value::number(run.frames)},
+                    {"width", json::Value::number(run.width)},
+                    {"height", json::Value::number(run.height)}});
+    putFields(out, microRunFields(run));
+    putSeries(out, run.series);
     return out;
+}
+
+std::vector<std::string>
+diffRecords(const std::string &a, const std::string &b,
+            const std::string &a_name, const std::string &b_name)
+{
+    std::vector<std::string> out;
+    if (a == b)
+        return out;
+    const std::vector<std::string> la = split(a, '\n');
+    const std::vector<std::string> lb = split(b, '\n');
+    for (std::size_t i = 0; i < std::max(la.size(), lb.size()); ++i) {
+        const std::string x = i < la.size() ? la[i] : "<missing>";
+        const std::string y = i < lb.size() ? lb[i] : "<missing>";
+        if (x == y)
+            continue;
+        std::size_t eq = x.find('=');
+        if (eq != std::string::npos &&
+            y.compare(0, eq + 1, x, 0, eq + 1) == 0) {
+            out.push_back(format("%s: %s=%s %s=%s",
+                                 x.substr(0, eq).c_str(), a_name.c_str(),
+                                 x.c_str() + eq + 1, b_name.c_str(),
+                                 y.c_str() + eq + 1));
+        } else {
+            out.push_back(format("line %zu: %s '%s' %s '%s'", i + 1,
+                                 a_name.c_str(), x.c_str(),
+                                 b_name.c_str(), y.c_str()));
+        }
+    }
+    return out;
+}
+
+MicroRun
+collectMicroRun(const std::string &id, int frames,
+                const gpu::GpuSimulator &sim)
+{
+    MicroRun run;
+    run.id = id;
+    run.frames = frames;
+    run.width = sim.config().width;
+    run.height = sim.config().height;
+    run.counters = sim.counters();
+    run.zCache = sim.zCacheStats();
+    run.colorCache = sim.colorCacheStats();
+    run.texL0 = sim.texL0Stats();
+    run.texL1 = sim.texL1Stats();
+    run.series = sim.frameSeries();
+    return run;
 }
 
 MicroRun
@@ -159,17 +227,7 @@ runMicroarch(const std::string &id, int frames, int width, int height)
            width, height);
     demo->run(device, frames);
 
-    MicroRun run;
-    run.id = id;
-    run.frames = frames;
-    run.width = width;
-    run.height = height;
-    run.counters = sim.counters();
-    run.zCache = sim.zCacheStats();
-    run.colorCache = sim.colorCacheStats();
-    run.texL0 = sim.texL0Stats();
-    run.texL1 = sim.texL1Stats();
-    run.series = sim.frameSeries();
+    MicroRun run = collectMicroRun(id, frames, sim);
 
     RunMeta::global().noteMicroRun(run, secondsSince(start));
     RunMeta::global().writeIfRequested();

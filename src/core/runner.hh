@@ -20,9 +20,11 @@
 #define WC3D_CORE_RUNNER_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/apistats.hh"
+#include "common/json.hh"
 #include "gpu/pipeline.hh"
 #include "gpu/simulator.hh"
 #include "memory/cache.hh"
@@ -96,10 +98,46 @@ std::vector<MicroRun> runSimulatedGames(int frames);
 /** Convenience: API runs for all twelve games. */
 std::vector<ApiRun> runAllGamesApi(int frames);
 
-/** Serialize every statistic of @p run to text. Two runs are
- *  bit-identical exactly when their encodings are equal, so the
- *  goldens and the end-to-end benchmark digest compare these. */
+/** The record of the simulation @p sim after @p frames frames of
+ *  timedemo @p id. */
+MicroRun collectMicroRun(const std::string &id, int frames,
+                         const gpu::GpuSimulator &sim);
+
+/** One statistic of a run record: its key and exact value (a count,
+ *  or a double for the ApiStats shader averages). */
+using RecordField = std::pair<std::string, json::Value>;
+
+/** The ApiStats aggregates in record order: frames, batches, indices,
+ *  indexBytes, stateCalls, primitives per topology (primsTL, primsTS,
+ *  primsTF) and the shader averages (vsInstrAvg, fsInstrAvg,
+ *  fsTexInstrAvg). */
+std::vector<RecordField> apiStatsFields(const api::ApiStats &s);
+
+/** Every counter of @p run in record order: gpu::kCounterFields, the
+ *  per-client traffic as read<i>/write<i>, then the four caches as
+ *  zc.*, cc.*, t0.* and t1.* (accesses, hits, misses, writebacks). */
+std::vector<RecordField> microRunFields(const MicroRun &run);
+
+/** Serialize every statistic of @p run to text, one key=value line per
+ *  field and then the per-frame series. Two runs are bit-identical
+ *  exactly when their encodings are equal. */
+std::string encodeApiRun(const ApiRun &run);
+
+/** The same text for a simulated run: id, frames, width, height,
+ *  microRunFields and the series. The goldens and the end-to-end
+ *  benchmark digest compare these texts. */
 std::string encodeMicroRun(const MicroRun &run);
+
+/**
+ * The lines where two encoded records differ, in order: "key:
+ * <a_name>=X <b_name>=Y" for a key=value line, "line N: <a_name> 'text'
+ * <b_name> 'text'" for any other (a series row, a missing line). Empty
+ * exactly when @p a == @p b.
+ */
+std::vector<std::string> diffRecords(const std::string &a,
+                                     const std::string &b,
+                                     const std::string &a_name,
+                                     const std::string &b_name);
 
 } // namespace wc3d::core
 

@@ -25,39 +25,8 @@ PipelineCounters
 PipelineCounters::since(const PipelineCounters &earlier) const
 {
     PipelineCounters d;
-    d.indices = sub(indices, earlier.indices);
-    d.vertexCacheHits = sub(vertexCacheHits, earlier.vertexCacheHits);
-    d.vertexCacheMisses = sub(vertexCacheMisses, earlier.vertexCacheMisses);
-    d.trianglesAssembled =
-        sub(trianglesAssembled, earlier.trianglesAssembled);
-    d.trianglesClipped = sub(trianglesClipped, earlier.trianglesClipped);
-    d.trianglesCulled = sub(trianglesCulled, earlier.trianglesCulled);
-    d.trianglesTraversed =
-        sub(trianglesTraversed, earlier.trianglesTraversed);
-    d.rasterQuads = sub(rasterQuads, earlier.rasterQuads);
-    d.rasterFullQuads = sub(rasterFullQuads, earlier.rasterFullQuads);
-    d.rasterFragments = sub(rasterFragments, earlier.rasterFragments);
-    d.quadsRemovedHz = sub(quadsRemovedHz, earlier.quadsRemovedHz);
-    d.quadsRemovedZStencil =
-        sub(quadsRemovedZStencil, earlier.quadsRemovedZStencil);
-    d.quadsRemovedAlpha = sub(quadsRemovedAlpha, earlier.quadsRemovedAlpha);
-    d.quadsRemovedColorMask =
-        sub(quadsRemovedColorMask, earlier.quadsRemovedColorMask);
-    d.quadsBlended = sub(quadsBlended, earlier.quadsBlended);
-    d.zStencilQuads = sub(zStencilQuads, earlier.zStencilQuads);
-    d.zStencilFullQuads = sub(zStencilFullQuads, earlier.zStencilFullQuads);
-    d.zStencilFragments = sub(zStencilFragments, earlier.zStencilFragments);
-    d.shadedQuads = sub(shadedQuads, earlier.shadedQuads);
-    d.shadedFragments = sub(shadedFragments, earlier.shadedFragments);
-    d.blendedFragments = sub(blendedFragments, earlier.blendedFragments);
-    d.vertexInstructions =
-        sub(vertexInstructions, earlier.vertexInstructions);
-    d.fragmentInstructions =
-        sub(fragmentInstructions, earlier.fragmentInstructions);
-    d.fragmentTexInstructions =
-        sub(fragmentTexInstructions, earlier.fragmentTexInstructions);
-    d.textureRequests = sub(textureRequests, earlier.textureRequests);
-    d.bilinearSamples = sub(bilinearSamples, earlier.bilinearSamples);
+    for (const CounterField &f : kCounterFields)
+        d.*f.member = sub(this->*f.member, earlier.*f.member);
     d.traffic = traffic.since(earlier.traffic);
     return d;
 }
@@ -65,32 +34,8 @@ PipelineCounters::since(const PipelineCounters &earlier) const
 void
 PipelineCounters::add(const PipelineCounters &o)
 {
-    indices += o.indices;
-    vertexCacheHits += o.vertexCacheHits;
-    vertexCacheMisses += o.vertexCacheMisses;
-    trianglesAssembled += o.trianglesAssembled;
-    trianglesClipped += o.trianglesClipped;
-    trianglesCulled += o.trianglesCulled;
-    trianglesTraversed += o.trianglesTraversed;
-    rasterQuads += o.rasterQuads;
-    rasterFullQuads += o.rasterFullQuads;
-    rasterFragments += o.rasterFragments;
-    quadsRemovedHz += o.quadsRemovedHz;
-    quadsRemovedZStencil += o.quadsRemovedZStencil;
-    quadsRemovedAlpha += o.quadsRemovedAlpha;
-    quadsRemovedColorMask += o.quadsRemovedColorMask;
-    quadsBlended += o.quadsBlended;
-    zStencilQuads += o.zStencilQuads;
-    zStencilFullQuads += o.zStencilFullQuads;
-    zStencilFragments += o.zStencilFragments;
-    shadedQuads += o.shadedQuads;
-    shadedFragments += o.shadedFragments;
-    blendedFragments += o.blendedFragments;
-    vertexInstructions += o.vertexInstructions;
-    fragmentInstructions += o.fragmentInstructions;
-    fragmentTexInstructions += o.fragmentTexInstructions;
-    textureRequests += o.textureRequests;
-    bilinearSamples += o.bilinearSamples;
+    for (const CounterField &f : kCounterFields)
+        this->*f.member += o.*f.member;
     for (int i = 0; i < memsys::kNumClients; ++i) {
         traffic.readBytes[i] += o.traffic.readBytes[i];
         traffic.writeBytes[i] += o.traffic.writeBytes[i];

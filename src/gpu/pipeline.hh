@@ -10,6 +10,7 @@
 #define WC3D_GPU_PIPELINE_HH
 
 #include <cstdint>
+#include <iterator>
 
 #include "memory/controller.hh"
 
@@ -103,6 +104,54 @@ struct PipelineCounters
     double aluPerBilinear() const;
     /// @}
 };
+
+/** One PipelineCounters field and its key in a run record. */
+struct CounterField
+{
+    const char *key;
+    std::uint64_t PipelineCounters::*member;
+};
+
+/**
+ * Every scalar PipelineCounters field, in declaration order, under the
+ * key the goldens use. since(), add(), the run record and every diff of
+ * two runs walk this table; the traffic words follow as read<i> and
+ * write<i>.
+ */
+inline constexpr CounterField kCounterFields[] = {
+    {"indices", &PipelineCounters::indices},
+    {"vcacheHits", &PipelineCounters::vertexCacheHits},
+    {"vcacheMisses", &PipelineCounters::vertexCacheMisses},
+    {"triAssembled", &PipelineCounters::trianglesAssembled},
+    {"triClipped", &PipelineCounters::trianglesClipped},
+    {"triCulled", &PipelineCounters::trianglesCulled},
+    {"triTraversed", &PipelineCounters::trianglesTraversed},
+    {"rasterQuads", &PipelineCounters::rasterQuads},
+    {"rasterFullQuads", &PipelineCounters::rasterFullQuads},
+    {"rasterFragments", &PipelineCounters::rasterFragments},
+    {"quadsHz", &PipelineCounters::quadsRemovedHz},
+    {"quadsZst", &PipelineCounters::quadsRemovedZStencil},
+    {"quadsAlpha", &PipelineCounters::quadsRemovedAlpha},
+    {"quadsMask", &PipelineCounters::quadsRemovedColorMask},
+    {"quadsBlend", &PipelineCounters::quadsBlended},
+    {"zstQuads", &PipelineCounters::zStencilQuads},
+    {"zstFullQuads", &PipelineCounters::zStencilFullQuads},
+    {"zstFragments", &PipelineCounters::zStencilFragments},
+    {"shadedQuads", &PipelineCounters::shadedQuads},
+    {"shadedFragments", &PipelineCounters::shadedFragments},
+    {"blendedFragments", &PipelineCounters::blendedFragments},
+    {"vsInstr", &PipelineCounters::vertexInstructions},
+    {"fsInstr", &PipelineCounters::fragmentInstructions},
+    {"fsTexInstr", &PipelineCounters::fragmentTexInstructions},
+    {"texRequests", &PipelineCounters::textureRequests},
+    {"bilinears", &PipelineCounters::bilinearSamples},
+};
+
+// A field added to PipelineCounters must be added to the table too.
+static_assert(sizeof(PipelineCounters) ==
+                  std::size(kCounterFields) * sizeof(std::uint64_t) +
+                      sizeof(memsys::TrafficSnapshot),
+              "PipelineCounters field missing from kCounterFields");
 
 } // namespace wc3d::gpu
 

@@ -17,21 +17,6 @@ toJson(const Distribution &d)
 }
 
 json::Value
-toJson(const Registry &r)
-{
-    json::Value counters = json::Value::object();
-    for (const auto &name : r.counterNames())
-        counters.set(name, json::Value::number(r.counterValue(name)));
-    json::Value dists = json::Value::object();
-    for (const auto &name : r.distributionNames())
-        dists.set(name, toJson(r.distributionValue(name)));
-    json::Value out = json::Value::object();
-    out.set("counters", std::move(counters));
-    out.set("distributions", std::move(dists));
-    return out;
-}
-
-json::Value
 toJson(const FrameSeries &s)
 {
     json::Value series = json::Value::object();

@@ -1,9 +1,8 @@
 /**
  * @file
  * JSON serialization of the statistics types: the run metrics manifest
- * (core/runmeta) dumps every registered counter and distribution
- * through these converters, giving benches and CI one machine-readable
- * artifact per run.
+ * (core/runmeta) summarizes each run's per-frame series through these
+ * converters.
  */
 
 #ifndef WC3D_STATS_JSONIO_HH
@@ -11,19 +10,12 @@
 
 #include "common/json.hh"
 #include "stats/distribution.hh"
-#include "stats/registry.hh"
 #include "stats/series.hh"
 
 namespace wc3d::stats {
 
 /** {"count", "sum", "mean", "stddev", "min", "max"} (0s when empty). */
 json::Value toJson(const Distribution &d);
-
-/**
- * {"counters": {name: value}, "distributions": {name: {...}}} with
- * every registered name present, in registration order.
- */
-json::Value toJson(const Registry &r);
 
 /**
  * {"frames": N, "series": {name: {summary...}}} — per-frame series are

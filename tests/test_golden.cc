@@ -9,17 +9,15 @@
  * The other determinism tests compare executors and thread counts with
  * each other; this one catches a change that moves all of them alike.
  * On a mismatch the case names the first differing key with both
- * values, writes the full actual document under
+ * values (core::diffRecords), writes the full actual document under
  * <build>/tests/golden-actual/ and prints the cp command that accepts
  * it as the new golden file.
  */
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,44 +43,6 @@ stemOf(const std::string &id)
             c = '_';
     }
     return out;
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::istringstream in(text);
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    return lines;
-}
-
-/** Describe the first line where @p expected and @p actual differ. */
-std::string
-firstDifference(const std::string &expected, const std::string &actual)
-{
-    std::vector<std::string> want = splitLines(expected);
-    std::vector<std::string> got = splitLines(actual);
-    std::size_t n = std::max(want.size(), got.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string w = i < want.size() ? want[i] : "<missing>";
-        const std::string g = i < got.size() ? got[i] : "<missing>";
-        if (w == g)
-            continue;
-        std::ostringstream msg;
-        msg << "line " << i + 1;
-        std::size_t eq = w.find('=');
-        bool same_key = eq != std::string::npos &&
-                        g.compare(0, eq + 1, w, 0, eq + 1) == 0;
-        if (same_key) {
-            msg << ": " << w.substr(0, eq) << " expected "
-                << w.substr(eq + 1) << ", actual " << g.substr(eq + 1);
-        } else {
-            msg << ": expected \"" << w << "\", actual \"" << g << "\"";
-        }
-        return msg.str();
-    }
-    return "documents differ only in line endings";
 }
 
 class Golden : public ::testing::TestWithParam<std::string>
@@ -113,8 +73,11 @@ TEST_P(Golden, MatchesCommittedCounters)
         out << actual;
         ASSERT_TRUE(out.good()) << actual_path;
     }
-    std::string why = in ? firstDifference(expected.str(), actual)
-                         : "no golden file " + golden_path;
+    std::string why =
+        in ? core::diffRecords(expected.str(), actual, "expected",
+                               "actual")
+                 .front()
+           : "no golden file " + golden_path;
     ADD_FAILURE() << id << ": counters differ from the golden file, "
                   << why << "\nIf the change is intended, accept it with:\n"
                   << "  cp " << actual_path << " " << golden_path;

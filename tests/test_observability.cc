@@ -2,9 +2,9 @@
  * @file
  * Observability layer: the JSON model round-trips exactly, Chrome
  * traces written by common/prof parse and validate (spans nest, no
- * negative durations), the WC3D_METRICS_OUT document carries every
- * registered counter/distribution, and the WC3D_LOG_LEVEL knob parses
- * the documented spellings.
+ * negative durations), the WC3D_METRICS_OUT document carries each run's
+ * record exactly as encodeApiRun / encodeMicroRun print it, and the
+ * WC3D_LOG_LEVEL knob parses the documented spellings.
  */
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
+#include "common/strutil.hh"
 #include "common/threadpool.hh"
 #include "core/runmeta.hh"
 #include "core/runner.hh"
@@ -262,18 +263,42 @@ TEST(Prof, ValidatorRejectsBrokenTraces)
 
 // --- Run metrics ---------------------------------------------------
 
-TEST(RunMeta, MetricsDocumentRoundTripsEveryRegistryEntry)
+namespace {
+
+/** @p record's @p block object as the key=value lines it holds. */
+std::vector<std::string>
+recordLines(const json::Value &record, const char *block)
+{
+    std::vector<std::string> lines;
+    const json::Value *fields = record.find(block);
+    if (!fields)
+        return lines;
+    for (const auto &[key, value] : fields->members())
+        lines.push_back(key + "=" + value.serialize());
+    return lines;
+}
+
+/** Whole lines of @p text that hold a key=value pair. */
+std::vector<std::string>
+keyLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    for (const std::string &line : split(text, '\n')) {
+        if (line.find('=') != std::string::npos)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(RunMeta, MetricsDocumentRoundTripsEveryRunRecord)
 {
     RunMeta &meta = RunMeta::global();
     meta.reset();
     ThreadPool::setGlobalThreads(1);
-    runApiLevel("quake4/demo4", 4);
-    runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
-
-    auto counters = meta.counterNames();
-    auto dists = meta.distributionNames();
-    ASSERT_FALSE(counters.empty());
-    ASSERT_FALSE(dists.empty());
+    ApiRun api = runApiLevel("quake4/demo4", 4);
+    MicroRun micro = runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
 
     std::string path = tempPath("wc3d_metrics_unit.json");
     std::string error;
@@ -282,27 +307,24 @@ TEST(RunMeta, MetricsDocumentRoundTripsEveryRegistryEntry)
     ASSERT_TRUE(json::parseFile(path, doc, &error)) << error;
     EXPECT_TRUE(validateMetrics(doc, &error)) << error;
     std::remove(path.c_str());
+    EXPECT_EQ(doc.find("schema")->asString(), "wc3d-metrics-v2");
+    EXPECT_EQ(doc.find("registry"), nullptr);
+    EXPECT_EQ(doc.find("schemaMinor"), nullptr);
 
-    // Every registered name survives the trip, with its exact value.
-    const json::Value *reg = doc.find("registry");
-    ASSERT_NE(reg, nullptr);
-    const json::Value *cjson = reg->find("counters");
-    const json::Value *djson = reg->find("distributions");
-    ASSERT_NE(cjson, nullptr);
-    ASSERT_NE(djson, nullptr);
-    for (const auto &name : counters) {
-        const json::Value *v = cjson->find(name);
-        ASSERT_NE(v, nullptr) << name;
-        EXPECT_EQ(v->asU64(), meta.counterValue(name)) << name;
-    }
-    for (const auto &name : dists)
-        EXPECT_NE(djson->find(name), nullptr) << name;
-
-    // Spot-check the hierarchical naming contract.
-    EXPECT_NE(cjson->find("api.quake4/demo4.indices"), nullptr);
-    EXPECT_NE(cjson->find("sim.doom3/trdemo2.indices"), nullptr);
-    EXPECT_NE(cjson->find("sim.doom3/trdemo2.cache.z.accesses"),
-              nullptr);
+    // Each record's fields, read back, are the key=value lines of the
+    // run's encoding in order (after its id, and frames/width/height
+    // for a simulated run), with the exact values.
+    const json::Value *runs = doc.find("runs");
+    ASSERT_NE(runs, nullptr);
+    ASSERT_EQ(runs->size(), 2u);
+    std::vector<std::string> want = keyLines(encodeApiRun(api));
+    want.erase(want.begin()); // id
+    EXPECT_EQ(recordLines(runs->at(0), "api"), want);
+    want = keyLines(encodeMicroRun(micro));
+    want.erase(want.begin(), want.begin() + 4); // id, frames, width, height
+    EXPECT_EQ(recordLines(runs->at(1), "counters"), want);
+    EXPECT_NE(runs->at(1).find("counters")->find("vcacheHits"), nullptr);
+    EXPECT_NE(runs->at(1).find("counters")->find("zc.accesses"), nullptr);
 
     // Config section carries the run shape.
     const json::Value *config = doc.find("config");
@@ -311,7 +333,7 @@ TEST(RunMeta, MetricsDocumentRoundTripsEveryRegistryEntry)
     EXPECT_NE(config->find("git"), nullptr);
 
     meta.reset();
-    EXPECT_TRUE(meta.counterNames().empty());
+    EXPECT_EQ(meta.toJson().find("runs")->size(), 0u);
 }
 
 TEST(RunMeta, RerunsReplaceNotAccumulate)
@@ -319,16 +341,16 @@ TEST(RunMeta, RerunsReplaceNotAccumulate)
     RunMeta &meta = RunMeta::global();
     meta.reset();
     ThreadPool::setGlobalThreads(1);
+    auto indices = [&meta] {
+        const json::Value *runs = meta.toJson().find("runs");
+        EXPECT_EQ(runs->size(), 1u); // exactly one record for the id
+        return runs->at(0).find("api")->find("indices")->asU64();
+    };
     runApiLevel("quake4/demo4", 4);
-    std::uint64_t first =
-        meta.counterValue("api.quake4/demo4.indices");
+    std::uint64_t first = indices();
+    EXPECT_GT(first, 0u);
     runApiLevel("quake4/demo4", 4);
-    EXPECT_EQ(meta.counterValue("api.quake4/demo4.indices"), first);
-
-    // Still exactly one run record for the id.
-    json::Value doc = meta.toJson();
-    ASSERT_NE(doc.find("runs"), nullptr);
-    EXPECT_EQ(doc.find("runs")->size(), 1u);
+    EXPECT_EQ(indices(), first);
     meta.reset();
 }
 
@@ -342,9 +364,8 @@ TEST(RunMeta, ValidatorRejectsBrokenDocuments)
     EXPECT_FALSE(validateMetrics(doc, &error));
 }
 
-// The manifest must identify where it was produced, and the validator
-// must keep accepting pre-host (schemaMinor 0) documents so manifests
-// written by older builds still lint.
+// The manifest must identify where it was produced: a v2 document
+// without its host block, or any v1 document, is rejected.
 TEST(RunMeta, HostBlockVersioningAndValidation)
 {
     RunMeta &meta = RunMeta::global();
@@ -353,9 +374,7 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     std::string error;
     ASSERT_TRUE(validateMetrics(doc, &error)) << error;
 
-    const json::Value *minor = doc.find("schemaMinor");
-    ASSERT_NE(minor, nullptr);
-    EXPECT_GE(minor->asU64(), 1u);
+    EXPECT_EQ(doc.find("schema")->asString(), "wc3d-metrics-v2");
     const json::Value *host = doc.find("host");
     ASSERT_NE(host, nullptr);
     ASSERT_TRUE(host->isObject());
@@ -364,34 +383,17 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     ASSERT_NE(host->find("hardwareThreads"), nullptr);
     EXPECT_TRUE(host->find("hardwareThreads")->isNumber());
 
-    // A legacy minor-0 document — no schemaMinor, no host block —
-    // still validates.
-    json::Value rebuilt = json::Value::object();
+    json::Value v1 = doc;
+    v1.set("schema", json::Value::str("wc3d-metrics-v1"));
+    EXPECT_FALSE(validateMetrics(v1, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos);
+
+    json::Value no_host = json::Value::object();
     for (const auto &member : doc.members()) {
-        if (member.first != "host" && member.first != "schemaMinor")
-            rebuilt.set(member.first, member.second);
+        if (member.first != "host")
+            no_host.set(member.first, member.second);
     }
-    ASSERT_TRUE(validateMetrics(rebuilt, &error)) << error;
-
-    // Minor-2 manifests written by older builds carry the stats block of
-    // the since-removed native shader compiler; they still validate.
-    json::Value legacy_block = json::Value::object();
-    legacy_block.set("available", json::Value::boolean(true));
-    legacy_block.set("enabled", json::Value::boolean(true));
-    legacy_block.set("programsCompiled", json::Value::number(12));
-    legacy_block.set("compileSeconds", json::Value::number(0.004));
-    legacy_block.set("fallbacks", json::Value::number(0));
-    legacy_block.set("codeBytes", json::Value::number(40960));
-    json::Value minor2 = doc;
-    minor2.set("schemaMinor", json::Value::number(std::uint64_t(2)));
-    minor2.set("jit", std::move(legacy_block));
-    EXPECT_TRUE(validateMetrics(minor2, &error)) << error;
-
-    // Claiming minor >= 1 without the host block is rejected, as are
-    // host blocks with a missing/empty hostname.
-    json::Value lying = rebuilt;
-    lying.set("schemaMinor", json::Value::number(std::uint64_t(1)));
-    EXPECT_FALSE(validateMetrics(lying, &error));
+    EXPECT_FALSE(validateMetrics(no_host, &error));
     EXPECT_NE(error.find("host"), std::string::npos);
 
     json::Value anon = doc;
@@ -408,6 +410,51 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     no_hw.set("host", std::move(host2));
     EXPECT_FALSE(validateMetrics(no_hw, &error));
     EXPECT_NE(error.find("hardwareThreads"), std::string::npos);
+}
+
+namespace {
+
+/** `git describe --always --dirty` run in the current directory. */
+std::string
+describeCwd()
+{
+    std::string out;
+    std::FILE *p = ::popen("git describe --always --dirty 2>/dev/null", "r");
+    if (!p)
+        return "unknown";
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p))
+        out += buf;
+    int status = ::pclose(p);
+    out = trim(out);
+    return status == 0 && !out.empty() ? out : "unknown";
+}
+
+} // namespace
+
+TEST(RunMeta, ConfigGitNamesTheSourceTreeFromAnyDirectory)
+{
+    // The first manifest of this process is written from a temporary
+    // directory outside the checkout; its config.git must still
+    // describe the source tree the binary was built from.
+    char cwd[4096];
+    ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
+    std::string dir = ::testing::TempDir();
+    ASSERT_EQ(::chdir(dir.c_str()), 0) << dir;
+    RunMeta &meta = RunMeta::global();
+    meta.reset();
+    std::string path = tempPath("wc3d_metrics_git.json");
+    std::string error;
+    bool wrote = meta.write(path, &error);
+    ASSERT_EQ(::chdir(WC3D_SOURCE_DIR), 0);
+    std::string expected = describeCwd();
+    ASSERT_EQ(::chdir(cwd), 0);
+    ASSERT_TRUE(wrote) << error;
+
+    json::Value doc;
+    ASSERT_TRUE(json::parseFile(path, doc, &error)) << error;
+    std::remove(path.c_str());
+    EXPECT_EQ(doc.find("config")->find("git")->asString(), expected);
 }
 
 TEST(RunMeta, PhaseBreakdownSortsAndFractions)

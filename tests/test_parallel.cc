@@ -88,78 +88,19 @@ simulateAt(int threads)
     return run;
 }
 
-void
-expectCacheEqual(const memsys::CacheStats &a, const memsys::CacheStats &b,
-                 const std::string &which)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << which;
-    EXPECT_EQ(a.hits, b.hits) << which;
-    EXPECT_EQ(a.misses, b.misses) << which;
-    EXPECT_EQ(a.writebacks, b.writebacks) << which;
-}
-
 /**
- * Assert two runs of the same workload are bit-identical: every
- * counter, every cache model, every per-client traffic byte and every
- * per-frame series sample.
+ * Assert two runs of the same workload are bit-identical: their
+ * encoded records (every counter, per-client traffic byte, cache model
+ * and per-frame series sample) must be equal, and a failure names each
+ * key that differs.
  */
 void
 expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
                        const std::string &label)
 {
-    SCOPED_TRACE(label);
-    const gpu::PipelineCounters &a = run.counters;
-    const gpu::PipelineCounters &b = ref.counters;
-    EXPECT_EQ(a.indices, b.indices);
-    EXPECT_EQ(a.vertexCacheHits, b.vertexCacheHits);
-    EXPECT_EQ(a.vertexCacheMisses, b.vertexCacheMisses);
-    EXPECT_EQ(a.trianglesAssembled, b.trianglesAssembled);
-    EXPECT_EQ(a.trianglesClipped, b.trianglesClipped);
-    EXPECT_EQ(a.trianglesCulled, b.trianglesCulled);
-    EXPECT_EQ(a.trianglesTraversed, b.trianglesTraversed);
-    EXPECT_EQ(a.rasterQuads, b.rasterQuads);
-    EXPECT_EQ(a.rasterFullQuads, b.rasterFullQuads);
-    EXPECT_EQ(a.rasterFragments, b.rasterFragments);
-    EXPECT_EQ(a.quadsRemovedHz, b.quadsRemovedHz);
-    EXPECT_EQ(a.quadsRemovedZStencil, b.quadsRemovedZStencil);
-    EXPECT_EQ(a.quadsRemovedAlpha, b.quadsRemovedAlpha);
-    EXPECT_EQ(a.quadsRemovedColorMask, b.quadsRemovedColorMask);
-    EXPECT_EQ(a.quadsBlended, b.quadsBlended);
-    EXPECT_EQ(a.zStencilQuads, b.zStencilQuads);
-    EXPECT_EQ(a.zStencilFullQuads, b.zStencilFullQuads);
-    EXPECT_EQ(a.zStencilFragments, b.zStencilFragments);
-    EXPECT_EQ(a.shadedQuads, b.shadedQuads);
-    EXPECT_EQ(a.shadedFragments, b.shadedFragments);
-    EXPECT_EQ(a.blendedFragments, b.blendedFragments);
-    EXPECT_EQ(a.vertexInstructions, b.vertexInstructions);
-    EXPECT_EQ(a.fragmentInstructions, b.fragmentInstructions);
-    EXPECT_EQ(a.fragmentTexInstructions, b.fragmentTexInstructions);
-    EXPECT_EQ(a.textureRequests, b.textureRequests);
-    EXPECT_EQ(a.bilinearSamples, b.bilinearSamples);
-
-    // All four cache models saw the identical access stream.
-    expectCacheEqual(run.zCache, ref.zCache, "z cache");
-    expectCacheEqual(run.colorCache, ref.colorCache, "color cache");
-    expectCacheEqual(run.texL0, ref.texL0, "tex L0");
-    expectCacheEqual(run.texL1, ref.texL1, "tex L1");
-
-    // Per-client memory traffic, byte for byte.
-    for (int i = 0; i < memsys::kNumClients; ++i) {
-        EXPECT_EQ(a.traffic.readBytes[i], b.traffic.readBytes[i])
-            << "read client " << i;
-        EXPECT_EQ(a.traffic.writeBytes[i], b.traffic.writeBytes[i])
-            << "write client " << i;
-    }
-
-    // Per-frame series line up too (same values, frame by frame).
-    ASSERT_EQ(run.series.frames(), ref.series.frames());
-    for (const auto &name : ref.series.names()) {
-        const auto &sa = run.series.series(name);
-        const auto &sb = ref.series.series(name);
-        ASSERT_EQ(sa.size(), sb.size()) << name;
-        for (std::size_t i = 0; i < sb.size(); ++i)
-            EXPECT_EQ(sa[i], sb[i]) << name << " frame " << i;
-    }
+    for (const std::string &d : diffRecords(
+             encodeMicroRun(run), encodeMicroRun(ref), "run", "reference"))
+        ADD_FAILURE() << label << ": " << d;
 }
 
 } // namespace
@@ -208,14 +149,7 @@ TEST(Determinism, FanOutMatchesSerialLoop)
     }
     ThreadPool::setGlobalThreads(1);
 
-    for (int i = 0; i < 3; ++i) {
-        MicroRun serial = runMicroarch(ids[i], 1, 256, 192);
-        EXPECT_EQ(fanned[i].id, serial.id);
-        EXPECT_EQ(fanned[i].counters.rasterFragments,
-                  serial.counters.rasterFragments);
-        EXPECT_EQ(fanned[i].counters.shadedFragments,
-                  serial.counters.shadedFragments);
-        EXPECT_EQ(fanned[i].counters.traffic.total(),
-                  serial.counters.traffic.total());
-    }
+    for (int i = 0; i < 3; ++i)
+        expectRunsBitIdentical(fanned[i], runMicroarch(ids[i], 1, 256, 192),
+                               std::string("fanned out ") + ids[i]);
 }

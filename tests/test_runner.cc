@@ -2,13 +2,17 @@
  * @file
  * Tests for encodeMicroRun, the text the goldens and the end-to-end
  * benchmark digests compare: every statistic of a run must reach it,
- * so a counter that drifts can never hide from those locks.
+ * so a counter that drifts can never hide from those locks. The
+ * counter field table behind it, add() and since() is checked word by
+ * word, and diffRecords must name the key that differs.
  */
 
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,10 +94,59 @@ bumpWord(T &fields, std::size_t word)
     std::memcpy(bytes + word * sizeof v, &v, sizeof v);
 }
 
+namespace {
+
+/** Counters that are zero but for @p value in word @p word. */
+gpu::PipelineCounters
+onlyWord(std::size_t word, std::uint64_t value)
+{
+    gpu::PipelineCounters c;
+    std::memcpy(reinterpret_cast<unsigned char *>(&c) +
+                    word * sizeof value,
+                &value, sizeof value);
+    return c;
+}
+
+/** Byte offset of the counter word @p word points at in @p c. */
+std::size_t
+offsetIn(const gpu::PipelineCounters &c, const std::uint64_t &word)
+{
+    return reinterpret_cast<const char *>(&word) -
+           reinterpret_cast<const char *>(&c);
+}
+
+/** The record key of the @p word'th 64-bit word of PipelineCounters:
+ *  its one kCounterFields entry, or read<i>/write<i> for traffic. */
+std::string
+keyOfWord(std::size_t word)
+{
+    const gpu::PipelineCounters c;
+    const std::size_t at = word * sizeof(std::uint64_t);
+    std::string key;
+    for (const gpu::CounterField &f : gpu::kCounterFields) {
+        if (offsetIn(c, c.*f.member) == at) {
+            EXPECT_TRUE(key.empty()) << "word " << word << " in the table "
+                                     << "twice: " << key << ", " << f.key;
+            key = f.key;
+        }
+    }
+    for (int i = 0; i < memsys::kNumClients; ++i) {
+        if (offsetIn(c, c.traffic.readBytes[i]) == at)
+            key = "read" + std::to_string(i);
+        if (offsetIn(c, c.traffic.writeBytes[i]) == at)
+            key = "write" + std::to_string(i);
+    }
+    return key;
+}
+
+} // namespace
+
 TEST(EncodeMicroRun, EveryCounterChangesTheText)
 {
     // Walking the raw words covers every PipelineCounters field,
-    // including the per-client traffic and any field added later.
+    // including the per-client traffic and any field added later. A
+    // value set in one word alone must survive add() and since() in
+    // that word only, and reach the encoding under that field's key.
     const MicroRun base = syntheticRun();
     const std::string base_text = encodeMicroRun(base);
     constexpr std::size_t kWords =
@@ -102,6 +155,26 @@ TEST(EncodeMicroRun, EveryCounterChangesTheText)
         MicroRun run = base;
         bumpWord(run.counters, w);
         EXPECT_NE(encodeMicroRun(run), base_text) << "counter word " << w;
+
+        const std::uint64_t value = 0x5eed0000u + w;
+        const gpu::PipelineCounters one = onlyWord(w, value);
+        gpu::PipelineCounters twice;
+        twice.add(one);
+        twice.add(one);
+        const gpu::PipelineCounters doubled = onlyWord(w, 2 * value);
+        EXPECT_EQ(std::memcmp(&twice, &doubled, sizeof twice), 0)
+            << "add() loses or moves counter word " << w;
+        gpu::PipelineCounters back = twice.since(one);
+        EXPECT_EQ(std::memcmp(&back, &one, sizeof back), 0)
+            << "since() loses or moves counter word " << w;
+
+        const std::string key = keyOfWord(w);
+        ASSERT_FALSE(key.empty()) << "counter word " << w << " has no key";
+        run.counters = one;
+        EXPECT_NE(encodeMicroRun(run).find(
+                      "\n" + key + "=" + std::to_string(value) + "\n"),
+                  std::string::npos)
+            << key << " (word " << w << ") not encoded";
     }
 }
 
@@ -159,4 +232,27 @@ TEST(EncodeMicroRun, EverySeriesValueAndKeyChangesTheText)
     run = base;
     ++run.height;
     EXPECT_NE(encodeMicroRun(run), base_text);
+}
+
+TEST(DiffRecords, NamesEachDifferingKey)
+{
+    const MicroRun base = syntheticRun();
+    const std::string base_text = encodeMicroRun(base);
+    EXPECT_TRUE(diffRecords(base_text, base_text, "a", "b").empty());
+
+    MicroRun run = base;
+    ++run.counters.quadsRemovedColorMask;
+    ++run.texL1.hits;
+    EXPECT_EQ(diffRecords(base_text, encodeMicroRun(run), "live",
+                          "replay"),
+              (std::vector<std::string>{
+                  "quadsMask: live=1204 replay=1205",
+                  "t1.hits: live=1500 replay=1501"}));
+
+    // A line that is not key=value (a series row) or is missing is
+    // named by its line number.
+    const std::string cut = base_text.substr(0, base_text.size() - 5);
+    std::vector<std::string> d = diffRecords(base_text, cut, "a", "b");
+    ASSERT_FALSE(d.empty());
+    EXPECT_EQ(d.front().rfind("line ", 0), 0u) << d.front();
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the statistics framework (counters, distributions,
+ * Unit tests for the statistics framework (distributions, histograms,
  * frame series, tables).
  */
 
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/distribution.hh"
-#include "stats/registry.hh"
 #include "stats/series.hh"
 #include "stats/table.hh"
 
@@ -99,50 +98,6 @@ TEST(Histogram, BucketsAndOutOfRange)
     EXPECT_EQ(h.binCount(4), 1u);
     EXPECT_EQ(h.total(), 5u);
     EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-}
-
-TEST(Registry, CountersCreateOnDemand)
-{
-    Registry r;
-    EXPECT_FALSE(r.hasCounter("a.b"));
-    r.counter("a.b").inc(5);
-    r.counter("a.b").inc();
-    EXPECT_TRUE(r.hasCounter("a.b"));
-    EXPECT_EQ(r.counterValue("a.b"), 6u);
-    EXPECT_EQ(r.counterValue("missing"), 0u);
-}
-
-TEST(Registry, OrderPreserved)
-{
-    Registry r;
-    r.counter("z");
-    r.counter("a");
-    r.counter("m");
-    ASSERT_EQ(r.counterNames().size(), 3u);
-    EXPECT_EQ(r.counterNames()[0], "z");
-    EXPECT_EQ(r.counterNames()[1], "a");
-    EXPECT_EQ(r.counterNames()[2], "m");
-}
-
-TEST(Registry, ResetAllZeroesValues)
-{
-    Registry r;
-    r.counter("c").inc(10);
-    r.distribution("d").sample(4.0);
-    r.resetAll();
-    EXPECT_EQ(r.counterValue("c"), 0u);
-    EXPECT_EQ(r.distributionValue("d").count(), 0u);
-    EXPECT_TRUE(r.hasCounter("c"));
-}
-
-TEST(Registry, DumpMentionsNames)
-{
-    Registry r;
-    r.counter("raster.quads").inc(3);
-    r.distribution("tri.size").sample(100.0);
-    std::string dump = r.dump();
-    EXPECT_NE(dump.find("raster.quads"), std::string::npos);
-    EXPECT_NE(dump.find("tri.size"), std::string::npos);
 }
 
 TEST(FrameSeries, RecordsPerFrame)
