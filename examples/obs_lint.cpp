@@ -1,8 +1,9 @@
 /**
  * @file
  * Validate observability artifacts: a Chrome trace written via
- * WC3D_TRACE_OUT and/or a metrics manifest written via
- * WC3D_METRICS_OUT. Used by CI after a traced simulation run.
+ * WC3D_TRACE_OUT and/or the metrics manifest timedemo_report writes
+ * as metrics.json into its --out directory. Used by CI after a traced
+ * report run.
  *
  *   obs_lint [--trace trace.json] [--metrics metrics.json]
  *            [--expect-span NAME]...

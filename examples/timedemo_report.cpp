@@ -1,8 +1,8 @@
 /**
  * @file
  * Reproduces the paper: every table and figure summary on stdout, and
- * the results CSV (one record per table cell) plus the figure series
- * CSVs in one directory.
+ * the results CSV (one record per table cell), the run manifest
+ * (metrics.json) and the figure series CSVs in one directory.
  *
  *     ./timedemo_report                  # everything; files in wc3d-results/
  *     ./timedemo_report --out DIR        # the same, files in DIR
@@ -115,7 +115,8 @@ main(int argc, char **argv)
                      error.c_str());
         return 1;
     }
-    std::printf("results.csv and %zu figure series written to %s/\n",
-                report.files.size() - 1, out_dir.c_str());
+    std::printf("results.csv, metrics.json and %zu figure series "
+                "written to %s/\n",
+                report.files.size() - 2, out_dir.c_str());
     return 0;
 }

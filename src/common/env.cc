@@ -26,7 +26,7 @@ restIsSpace(const char *p)
 } // namespace
 
 int
-envInt(const char *name, int fallback)
+envInt(const char *name, int fallback, int min)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
@@ -42,6 +42,11 @@ envInt(const char *name, int fallback)
     if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
         warn("%s='%s' is out of integer range; using default %d", name,
              v, fallback);
+        return fallback;
+    }
+    if (parsed < min) {
+        warn("%s='%s' is below %d; using default %d", name, v, min,
+             fallback);
         return fallback;
     }
     return static_cast<int>(parsed);

@@ -116,9 +116,6 @@ atexitFlush()
         writeChromeTrace(path);
 }
 
-bool writeChromeTraceLocked(Registry &r, const std::string &path,
-                            std::string *error);
-
 /** Output path for the signal handler, cached at install time
  *  (getenv/std::string are off-limits inside a handler). */
 char gSignalPath[512];
@@ -131,13 +128,12 @@ volatile std::sig_atomic_t gSignalFlushDone = 0;
 volatile std::sig_atomic_t gRegistryReady = 0;
 
 /**
- * Fixed-buffer fd writer for the signal handler: write(2) only, no
- * heap, no stdio. malloc is not async-signal-safe — a signal landing
- * while some thread is inside the allocator would deadlock on the
- * arena lock instead of letting the process die — so the handler's
- * serializer formats everything by hand into this buffer.
+ * Fixed-buffer fd sink for the signal handler: write(2) only, no heap,
+ * no stdio. malloc is not async-signal-safe — a signal landing while
+ * some thread is inside the allocator would deadlock on the arena lock
+ * instead of letting the process die.
  */
-struct SigWriter
+struct FdSink
 {
     int fd = -1;
     std::size_t len = 0;
@@ -176,77 +172,164 @@ struct SigWriter
             n -= take;
         }
     }
+};
+
+/** String sink of the exit and explicit writers. */
+struct StringSink
+{
+    std::string out;
 
     void
-    put(const char *s)
+    putRaw(const char *s, std::size_t n)
     {
-        putRaw(s, std::strlen(s));
-    }
-
-    void
-    putU64(std::uint64_t v)
-    {
-        char tmp[20];
-        std::size_t n = 0;
-        do {
-            tmp[n++] = static_cast<char>('0' + v % 10);
-            v /= 10;
-        } while (v != 0);
-        while (n > 0)
-            putRaw(&tmp[--n], 1);
-    }
-
-    void
-    putI64(std::int64_t v)
-    {
-        if (v < 0) {
-            putRaw("-", 1);
-            putU64(static_cast<std::uint64_t>(-v));
-        } else {
-            putU64(static_cast<std::uint64_t>(v));
-        }
-    }
-
-    /** Nanoseconds as "<microseconds>.<3-digit remainder>". */
-    void
-    putTimeUs(std::uint64_t ns)
-    {
-        putU64(ns / 1000);
-        std::uint64_t r = ns % 1000;
-        char frac[4] = {'.', static_cast<char>('0' + r / 100),
-                        static_cast<char>('0' + r / 10 % 10),
-                        static_cast<char>('0' + r % 10)};
-        putRaw(frac, 4);
-    }
-
-    /** JSON string-escape: quote, backslash, control chars. */
-    void
-    putEscaped(const char *s, std::size_t n)
-    {
-        static const char kHex[] = "0123456789abcdef";
-        for (std::size_t i = 0; i < n; ++i) {
-            unsigned char c = static_cast<unsigned char>(s[i]);
-            if (c == '"' || c == '\\') {
-                char esc[2] = {'\\', static_cast<char>(c)};
-                putRaw(esc, 2);
-            } else if (c < 0x20) {
-                char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
-                               kHex[c & 15]};
-                putRaw(esc, 6);
-            } else {
-                putRaw(s + i, 1);
-            }
-        }
+        out.append(s, n);
     }
 };
 
+/** @p s onto sink @p w. This and the helpers below format by hand,
+ *  without allocating, so the signal handler can use them. */
+template <typename Sink>
+void
+put(Sink &w, const char *s)
+{
+    w.putRaw(s, std::strlen(s));
+}
+
+template <typename Sink>
+void
+putU64(Sink &w, std::uint64_t v)
+{
+    char tmp[20];
+    std::size_t n = sizeof(tmp);
+    do {
+        tmp[--n] = static_cast<char>('0' + v % 10);
+        v /= 10;
+    } while (v != 0);
+    w.putRaw(tmp + n, sizeof(tmp) - n);
+}
+
+template <typename Sink>
+void
+putI64(Sink &w, std::int64_t v)
+{
+    if (v < 0) {
+        w.putRaw("-", 1);
+        putU64(w, static_cast<std::uint64_t>(-v));
+    } else {
+        putU64(w, static_cast<std::uint64_t>(v));
+    }
+}
+
+/** Nanoseconds as "<microseconds>.<3-digit remainder>". */
+template <typename Sink>
+void
+putTimeUs(Sink &w, std::uint64_t ns)
+{
+    putU64(w, ns / 1000);
+    std::uint64_t r = ns % 1000;
+    char frac[4] = {'.', static_cast<char>('0' + r / 100),
+                    static_cast<char>('0' + r / 10 % 10),
+                    static_cast<char>('0' + r % 10)};
+    w.putRaw(frac, 4);
+}
+
+/** @p s JSON-escaped exactly as json::escape does it. */
+template <typename Sink>
+void
+putEscaped(Sink &w, const std::string &s)
+{
+    static const char kHex[] = "0123456789abcdef";
+    std::size_t plain = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        char esc[6] = {'\\', static_cast<char>(c)};
+        std::size_t n = 2;
+        if (c == '\n')
+            esc[1] = 'n';
+        else if (c == '\r')
+            esc[1] = 'r';
+        else if (c == '\t')
+            esc[1] = 't';
+        else if (c < 0x20) {
+            esc[1] = 'u';
+            esc[2] = esc[3] = '0';
+            esc[4] = kHex[c >> 4];
+            esc[5] = kHex[c & 15];
+            n = 6;
+        } else if (c != '"' && c != '\\') {
+            continue;
+        }
+        w.putRaw(s.data() + plain, i - plain);
+        w.putRaw(esc, n);
+        plain = i + 1;
+    }
+    w.putRaw(s.data() + plain, s.size() - plain);
+}
+
 /**
- * Async-signal-safe variant of writeChromeTraceLocked: same document,
- * but built with open/write/rename(2) and hand formatting — zero
- * allocations. Written to "<path>.sig" then renamed so a half-written
- * flush never clobbers a good trace. The caller holds (try_lock'ed)
- * the registry mutex; reading a buffer whose owner thread is mid-append
- * can still tear the newest event — best-effort by design.
+ * The Chrome trace document of @p r onto @p w: process and thread name
+ * metadata, then every complete event, timestamps in microseconds with
+ * ns precision. The caller holds the registry mutex. The one owner of
+ * the layout: the exit/explicit writer and the signal handler both
+ * call it, so they write the same bytes for the same events.
+ */
+template <typename Sink>
+void
+serializeTrace(const Registry &r, Sink &w)
+{
+    bool first = true;
+    auto comma = [&] {
+        if (!first)
+            put(w, ",\n");
+        first = false;
+    };
+
+    put(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    for (const auto &kv : r.processNames) {
+        comma();
+        put(w, "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
+        putI64(w, kv.first);
+        put(w, ",\"tid\":0,\"args\":{\"name\":\"");
+        putEscaped(w, kv.second);
+        put(w, "\"}}");
+    }
+    for (const auto &buf : r.buffers) {
+        if (buf->threadName.empty())
+            continue;
+        comma();
+        put(w, "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,"
+               "\"tid\":");
+        putI64(w, buf->tid);
+        put(w, ",\"args\":{\"name\":\"");
+        putEscaped(w, buf->threadName);
+        put(w, "\"}}");
+    }
+    for (const auto &buf : r.buffers) {
+        for (const Event &ev : buf->events) {
+            comma();
+            put(w, "{\"ph\":\"X\",\"name\":\"");
+            putEscaped(w, ev.name);
+            put(w, "\",\"cat\":\"wc3d\",\"pid\":");
+            putI64(w, ev.pid);
+            put(w, ",\"tid\":");
+            putI64(w, buf->tid);
+            put(w, ",\"ts\":");
+            putTimeUs(w, ev.startNs);
+            put(w, ",\"dur\":");
+            putTimeUs(w, ev.durNs);
+            put(w, "}");
+        }
+    }
+    put(w, "\n]}\n");
+}
+
+/**
+ * The signal handler's writer: serializeTrace onto an FdSink, with
+ * open/write/rename(2) only — zero allocations. Written to
+ * "<path>.sig" then renamed so a half-written flush never clobbers a
+ * good trace. The caller holds (try_lock'ed) the registry mutex;
+ * reading a buffer whose owner thread is mid-append can still tear
+ * the newest event — best-effort by design.
  */
 bool
 writeChromeTraceSignalSafe(Registry &r, const char *path)
@@ -261,52 +344,9 @@ writeChromeTraceSignalSafe(Registry &r, const char *path)
     if (fd < 0)
         return false;
 
-    SigWriter w;
+    FdSink w;
     w.fd = fd;
-    bool first = true;
-    auto comma = [&] {
-        if (!first)
-            w.put(",\n");
-        first = false;
-    };
-
-    w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (const auto &kv : r.processNames) {
-        comma();
-        w.put("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-        w.putI64(kv.first);
-        w.put(",\"tid\":0,\"args\":{\"name\":\"");
-        w.putEscaped(kv.second.data(), kv.second.size());
-        w.put("\"}}");
-    }
-    for (const auto &buf : r.buffers) {
-        if (buf->threadName.empty())
-            continue;
-        comma();
-        w.put("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,"
-              "\"tid\":");
-        w.putI64(buf->tid);
-        w.put(",\"args\":{\"name\":\"");
-        w.putEscaped(buf->threadName.data(), buf->threadName.size());
-        w.put("\"}}");
-    }
-    for (const auto &buf : r.buffers) {
-        for (const Event &ev : buf->events) {
-            comma();
-            w.put("{\"ph\":\"X\",\"name\":\"");
-            w.putEscaped(ev.name.data(), ev.name.size());
-            w.put("\",\"cat\":\"wc3d\",\"pid\":");
-            w.putI64(ev.pid);
-            w.put(",\"tid\":");
-            w.putI64(buf->tid);
-            w.put(",\"ts\":");
-            w.putTimeUs(ev.startNs);
-            w.put(",\"dur\":");
-            w.putTimeUs(ev.durNs);
-            w.put("}");
-        }
-    }
-    w.put("\n]}\n");
+    serializeTrace(r, w);
     w.flush();
     bool ok = w.ok;
     ::close(fd);
@@ -465,61 +505,14 @@ reset()
 bool
 writeChromeTrace(const std::string &path, std::string *error)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    return writeChromeTraceLocked(r, path, error);
+    StringSink sink;
+    {
+        Registry &r = registry();
+        std::lock_guard<std::mutex> lock(r.mutex);
+        serializeTrace(r, sink);
+    }
+    return json::writeFileAtomic(path, sink.out, error);
 }
-
-namespace {
-
-/** Serialization body; the caller holds the registry mutex. */
-bool
-writeChromeTraceLocked(Registry &r, const std::string &path,
-                       std::string *error)
-{
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-    bool first = true;
-    auto append = [&](const std::string &line) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += line;
-    };
-
-    // Metadata: process names (one pid per game) and thread names.
-    for (const auto &kv : r.processNames) {
-        append(format("{\"ph\":\"M\",\"name\":\"process_name\","
-                      "\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                      kv.first, json::escape(kv.second).c_str()));
-    }
-    for (const auto &buf : r.buffers) {
-        if (buf->threadName.empty())
-            continue;
-        append(format("{\"ph\":\"M\",\"name\":\"thread_name\","
-                      "\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                      buf->tid,
-                      json::escape(buf->threadName).c_str()));
-    }
-
-    // Complete events; timestamps are microseconds with ns precision.
-    for (const auto &buf : r.buffers) {
-        for (const Event &ev : buf->events) {
-            append(format(
-                "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"wc3d\","
-                "\"pid\":%d,\"tid\":%d,\"ts\":%llu.%03llu,"
-                "\"dur\":%llu.%03llu}",
-                json::escape(ev.name).c_str(), ev.pid, buf->tid,
-                static_cast<unsigned long long>(ev.startNs / 1000),
-                static_cast<unsigned long long>(ev.startNs % 1000),
-                static_cast<unsigned long long>(ev.durNs / 1000),
-                static_cast<unsigned long long>(ev.durNs % 1000)));
-        }
-    }
-    out += "\n]}\n";
-    return json::writeFileAtomic(path, out, error);
-}
-
-} // namespace
 
 bool
 validateChromeTrace(const json::Value &doc, std::string *error,

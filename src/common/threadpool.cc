@@ -47,6 +47,11 @@ int
 ThreadPool::configuredThreads()
 {
     int n = envInt("WC3D_THREADS", 0);
+    if (n > kMaxThreads) {
+        warn("WC3D_THREADS=%d exceeds %d; using %d", n, kMaxThreads,
+             kMaxThreads);
+        n = kMaxThreads;
+    }
     if (n <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
         n = hw ? static_cast<int>(hw) : 1;

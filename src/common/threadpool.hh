@@ -63,7 +63,13 @@ class ThreadPool
     /** The process-global pool, lazily sized from WC3D_THREADS. */
     static ThreadPool &global();
 
-    /** WC3D_THREADS value, or hardware concurrency when unset/<=0. */
+    /** Largest WC3D_THREADS value configuredThreads() honours. */
+    static constexpr int kMaxThreads = 256;
+
+    /**
+     * WC3D_THREADS value, or hardware concurrency when unset/<=0. A
+     * value above kMaxThreads warns and is clamped to it.
+     */
     static int configuredThreads();
 
     /**

@@ -1,6 +1,7 @@
 #include "core/report.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "api/device.hh"
 #include "common/env.hh"
@@ -116,23 +117,37 @@ microFigure(ReportBuilder &out, const char *key, const char *title,
     out.text("\n");
 }
 
-/** API-level runs of the figure games, fanned out on the pool. */
-std::vector<ApiRun>
-runFigureGames(int frames)
+/**
+ * Run @p run for every id of @p ids on the pool under span @p span and
+ * append the wall clock to @p phases as @p phase. Results land at
+ * their id's index, so the order matches a serial loop; each run's
+ * simulator is confined to the task executing it (nested shading
+ * parallelism shards only pure work), so its statistics are untouched
+ * by the fan-out.
+ */
+template <typename Run>
+std::vector<Run>
+fanOut(const char *phase, const char *span,
+       const std::vector<std::string> &ids,
+       Run (*run)(const std::string &, int), int frames,
+       std::vector<RunPhase> &phases)
 {
-    std::vector<ApiRun> runs(kFigureGames.size());
+    auto start = std::chrono::steady_clock::now();
+    std::vector<Run> runs(ids.size());
     {
-        PhaseTimer phase("figure_runs");
-        WC3D_PROF_SCOPE("run.fanout.figures");
+        WC3D_PROF_SCOPE(span);
         TaskGroup group;
-        for (std::size_t i = 0; i < kFigureGames.size(); ++i) {
-            group.run([&runs, i, frames] {
-                runs[i] = runApiLevel(kFigureGames[i], frames);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            group.run([&runs, &ids, run, i, frames] {
+                runs[i] = run(ids[i], frames);
             });
         }
         group.wait();
     }
-    RunMeta::global().writeIfRequested();
+    phases.push_back(
+        {phase, std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count()});
     return runs;
 }
 
@@ -141,7 +156,7 @@ runFigureGames(int frames)
 int
 defaultFigureFrames()
 {
-    return envInt("WC3D_FIG_FRAMES", 600);
+    return envInt("WC3D_FIG_FRAMES", 600, 1);
 }
 
 Report
@@ -154,13 +169,24 @@ fullReport(const ReportOptions &options)
     int figure_frames = options.figureFrames > 0 ? options.figureFrames
                                                  : defaultFigureFrames();
 
-    // The figure set runs first: the run manifest keeps one API record
-    // per id, the last one noted, which must be the table run's.
-    auto figure_runs = runFigureGames(figure_frames);
-    auto api_runs = runAllGamesApi(api_frames);
+    std::vector<RunPhase> phases;
+    auto figure_runs =
+        fanOut<ApiRun>("figure_runs", "run.fanout.figures", kFigureGames,
+                       runApiLevel, figure_frames, phases);
+    auto api_runs =
+        fanOut<ApiRun>("api_runs", "run.fanout.api",
+                       workloads::allTimedemoIds(), runApiLevel,
+                       api_frames, phases);
     std::vector<MicroRun> micro;
-    if (options.includeMicroarch)
-        micro = runSimulatedGames(micro_frames);
+    if (options.includeMicroarch) {
+        micro = fanOut<MicroRun>(
+            "micro_runs", "run.fanout.micro",
+            workloads::simulatedTimedemoIds(),
+            [](const std::string &id, int frames) {
+                return runMicroarch(id, frames);
+            },
+            micro_frames, phases);
+    }
 
     ReportBuilder out;
     out.table("Table I", "workload description", tableWorkloads());
@@ -247,6 +273,9 @@ fullReport(const ReportOptions &options)
     Report report;
     report.text = out.takeText();
     report.files.push_back({"results.csv", out.resultsCsv()});
+    report.files.push_back(
+        {"metrics.json",
+         metricsDocument(api_runs, micro, phases).serialize(1) + "\n"});
     for (const auto &run : figure_runs)
         report.files.push_back({fileStem(run.id) + "_api.csv",
                                 figureCsv(run)});

@@ -3,8 +3,9 @@
  * Whole-paper characterization report: runs the workloads once and
  * renders every reproduced table and figure summary in paper order,
  * plus the files that go with them (one results CSV with a record per
- * table cell, and the figure series). The timedemo_report example is
- * its command line; EXPERIMENTS.md is regenerated from its output.
+ * table cell, the run manifest and the figure series). The
+ * timedemo_report example is its command line; EXPERIMENTS.md is
+ * regenerated from its output.
  */
 
 #ifndef WC3D_CORE_REPORT_HH
@@ -41,7 +42,8 @@ struct Report
     std::string text;
     /**
      * "results.csv" (table,row,column,value: one record per data cell,
-     * the row named by the cell in its first column), then
+     * the row named by the cell in its first column), "metrics.json"
+     * (the run manifest of the table runs, core/runmeta), then
      * "<id>_api.csv" per figure game and "<id>_micro.csv" per simulated
      * game, '/' in ids written as '_'.
      */
@@ -51,6 +53,8 @@ struct Report
 /**
  * Run the figure set, the API-level set and (unless disabled) the
  * microarchitectural set once each, in that order, and render them.
+ * Each set fans out on the global pool and is timed as one phase of
+ * the manifest (figure_runs, api_runs, micro_runs).
  */
 Report fullReport(const ReportOptions &options = ReportOptions{});
 

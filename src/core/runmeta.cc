@@ -1,17 +1,13 @@
 #include "core/runmeta.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
 #include <unistd.h>
 
-#include "common/env.hh"
-#include "common/log.hh"
 #include "common/strutil.hh"
 #include "common/threadpool.hh"
-#include "raster/tilegrid.hh"
 #include "stats/jsonio.hh"
 
 namespace wc3d::core {
@@ -19,14 +15,6 @@ namespace wc3d::core {
 namespace {
 
 constexpr const char *kSchema = "wc3d-metrics-v2";
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 json::Value
 fieldsToJson(const std::vector<RecordField> &fields)
@@ -75,8 +63,8 @@ gitDescribe()
 
 /**
  * The manifest `host` block: hostname, hardware threads and the
- * machine-shaping knobs (resolved WC3D_TILE_SIZE / WC3D_THREADS), so
- * two manifests say whether they came from comparable machines.
+ * resolved WC3D_THREADS, so two manifests say whether they came from
+ * comparable machines.
  */
 json::Value
 hostInfoJson()
@@ -89,38 +77,26 @@ hostInfoJson()
     host.set("hardwareThreads",
              json::Value::number(static_cast<std::uint64_t>(
                  std::thread::hardware_concurrency())));
-    host.set("tileSize",
-             json::Value::number(raster::resolveTileSize(0)));
     host.set("threads",
              json::Value::number(ThreadPool::configuredThreads()));
     return host;
 }
 
-} // namespace
-
-RunMeta &
-RunMeta::global()
-{
-    static RunMeta *meta = new RunMeta(); // never destroyed: fan-out
-                                          // threads may report late
-    return *meta;
-}
-
-void
-RunMeta::noteApiRun(const ApiRun &run, double seconds)
+json::Value
+apiRecord(const ApiRun &run)
 {
     json::Value record = json::Value::object();
     record.set("kind", json::Value::str("api"));
     record.set("id", json::Value::str(run.id));
     record.set("frames", json::Value::number(run.frames));
-    record.set("seconds", json::Value::number(seconds));
+    record.set("seconds", json::Value::number(run.seconds));
     record.set("api", fieldsToJson(apiStatsFields(run.stats)));
     record.set("series", stats::toJson(run.stats.series()));
-    noteRun("api:" + run.id, std::move(record));
+    return record;
 }
 
-void
-RunMeta::noteMicroRun(const MicroRun &run, double seconds)
+json::Value
+microRecord(const MicroRun &run)
 {
     json::Value record = json::Value::object();
     record.set("kind", json::Value::str("micro"));
@@ -128,48 +104,19 @@ RunMeta::noteMicroRun(const MicroRun &run, double seconds)
     record.set("frames", json::Value::number(run.frames));
     record.set("width", json::Value::number(run.width));
     record.set("height", json::Value::number(run.height));
-    record.set("seconds", json::Value::number(seconds));
+    record.set("seconds", json::Value::number(run.seconds));
     record.set("counters", fieldsToJson(microRunFields(run)));
     record.set("series", stats::toJson(run.series));
-    noteRun(format("micro:%s:%dx%d:f%d", run.id.c_str(), run.width,
-                   run.height, run.frames),
-            std::move(record));
+    return record;
 }
 
-void
-RunMeta::noteRun(const std::string &key, json::Value record)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    for (auto &existing : _runs) {
-        if (existing.first == key) {
-            existing.second = std::move(record);
-            return;
-        }
-    }
-    _runs.emplace_back(key, std::move(record));
-}
-
-void
-RunMeta::notePhase(const std::string &name, double seconds)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    for (std::size_t i = 0; i < _phaseOrder.size(); ++i) {
-        if (_phaseOrder[i] == name) {
-            _phaseSeconds[i] += seconds;
-            ++_phaseCalls[i];
-            return;
-        }
-    }
-    _phaseOrder.push_back(name);
-    _phaseSeconds.push_back(seconds);
-    _phaseCalls.push_back(1);
-}
+} // namespace
 
 json::Value
-RunMeta::toJson() const
+metricsDocument(const std::vector<ApiRun> &api_runs,
+                const std::vector<MicroRun> &micro_runs,
+                const std::vector<RunPhase> &phases)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-
     json::Value config = json::Value::object();
     config.set("threads",
                json::Value::number(ThreadPool::global().threads()));
@@ -179,67 +126,35 @@ RunMeta::toJson() const
                json::Value::number(static_cast<std::uint64_t>(
                    std::thread::hardware_concurrency())));
     config.set("microFrames",
-               json::Value::number(defaultMicroFrames()));
-    config.set("apiFrames", json::Value::number(defaultApiFrames()));
+               json::Value::number(
+                   micro_runs.empty() ? 0 : micro_runs.front().frames));
+    config.set("apiFrames",
+               json::Value::number(
+                   api_runs.empty() ? 0 : api_runs.front().frames));
     config.set("git", json::Value::str(gitDescribe()));
 
-    json::Value phases = json::Value::array();
-    for (std::size_t i = 0; i < _phaseOrder.size(); ++i) {
+    json::Value phase_list = json::Value::array();
+    for (const RunPhase &p : phases) {
         json::Value phase = json::Value::object();
-        phase.set("name", json::Value::str(_phaseOrder[i]));
-        phase.set("seconds", json::Value::number(_phaseSeconds[i]));
-        phase.set("calls", json::Value::number(_phaseCalls[i]));
-        phases.push(std::move(phase));
+        phase.set("name", json::Value::str(p.name));
+        phase.set("seconds", json::Value::number(p.seconds));
+        phase.set("calls", json::Value::number(1));
+        phase_list.push(std::move(phase));
     }
 
     json::Value runs = json::Value::array();
-    for (const auto &kv : _runs)
-        runs.push(kv.second);
+    for (const ApiRun &run : api_runs)
+        runs.push(apiRecord(run));
+    for (const MicroRun &run : micro_runs)
+        runs.push(microRecord(run));
 
     json::Value doc = json::Value::object();
     doc.set("schema", json::Value::str(kSchema));
     doc.set("host", hostInfoJson());
     doc.set("config", std::move(config));
-    doc.set("phases", std::move(phases));
+    doc.set("phases", std::move(phase_list));
     doc.set("runs", std::move(runs));
     return doc;
-}
-
-bool
-RunMeta::write(const std::string &path, std::string *error) const
-{
-    return json::writeFileAtomic(path, toJson().serialize(1) + "\n",
-                                 error);
-}
-
-bool
-RunMeta::writeIfRequested() const
-{
-    std::string path = metricsPath();
-    if (path.empty())
-        return false;
-    std::string error;
-    if (!write(path, &error)) {
-        warn("metrics export failed: %s", error.c_str());
-        return false;
-    }
-    return true;
-}
-
-void
-RunMeta::reset()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _runs.clear();
-    _phaseOrder.clear();
-    _phaseSeconds.clear();
-    _phaseCalls.clear();
-}
-
-std::string
-metricsPath()
-{
-    return envString("WC3D_METRICS_OUT", "");
 }
 
 bool
@@ -333,16 +248,6 @@ phaseBreakdown(const json::Value &doc)
                          return a.seconds > b.seconds;
                      });
     return out;
-}
-
-PhaseTimer::PhaseTimer(std::string name)
-    : _name(std::move(name)), _start(nowSeconds())
-{
-}
-
-PhaseTimer::~PhaseTimer()
-{
-    RunMeta::global().notePhase(_name, nowSeconds() - _start);
 }
 
 } // namespace wc3d::core

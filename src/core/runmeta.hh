@@ -1,25 +1,24 @@
 /**
  * @file
- * Run manifest and machine-readable metrics export.
+ * The run manifest: one machine-readable document per report.
  *
- * Every runner entry point (runApiLevel, runMicroarch and their
- * fan-out wrappers) reports its results to the process-global RunMeta
- * collector, which keeps one record per run and the wall clock per
- * phase. When WC3D_METRICS_OUT=<file> is set, each completed run
- * atomically rewrites that file with one canonical JSON document
- * (schema wc3d-metrics-v2): host, config (frames, threads, git
- * describe of the source tree), phase wall-clocks and one record per
- * run. A record's `api` or `counters` object is the run's field list
- * (core::apiStatsFields / core::microRunFields), so its keys and values
- * are the lines of encodeApiRun / encodeMicroRun and of the goldens.
- * obs_lint validates this artifact and prints its phase breakdown;
+ * metricsDocument() is a pure function of the runs a report made and
+ * the wall clock of its run sets; core::fullReport returns it as
+ * `metrics.json`, one more of its files, written once beside
+ * `results.csv`. The document (schema wc3d-metrics-v2) holds host,
+ * config (frames, threads, git describe of the source tree), phase
+ * wall-clocks and one record per run, the API runs first and then the
+ * simulated ones, each in the order given. A record's `api` or
+ * `counters` object is the run's field list (core::apiStatsFields /
+ * core::microRunFields), so its keys and values are the lines of
+ * encodeApiRun / encodeMicroRun and of the goldens. obs_lint validates
+ * this artifact and prints its phase breakdown;
  * tests/test_observability.cc validates its schema.
  */
 
 #ifndef WC3D_CORE_RUNMETA_HH
 #define WC3D_CORE_RUNMETA_HH
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,56 +27,21 @@
 
 namespace wc3d::core {
 
-/** Process-global collector behind WC3D_METRICS_OUT. */
-class RunMeta
+/** The wall clock of one timed run set (one call). */
+struct RunPhase
 {
-  public:
-    static RunMeta &global();
-
-    /** Record a completed API-level run (replaces a same-id record). */
-    void noteApiRun(const ApiRun &run, double seconds);
-
-    /** Record a completed microarchitectural run. */
-    void noteMicroRun(const MicroRun &run, double seconds);
-
-    /** Accumulate @p seconds of wall clock under phase @p name. */
-    void notePhase(const std::string &name, double seconds);
-
-    /** The full metrics document. */
-    json::Value toJson() const;
-
-    /**
-     * Serialize to @p path (durable atomic write, pretty-printed).
-     * Short writes and ENOSPC come back as structured errors via the
-     * faultio-checked helper; an existing manifest is never truncated.
-     */
-    bool write(const std::string &path,
-               std::string *error = nullptr) const;
-
-    /**
-     * Write to the WC3D_METRICS_OUT path when that knob is set.
-     * @return true when a document was written.
-     */
-    bool writeIfRequested() const;
-
-    /** Drop all recorded runs and phases (tests). */
-    void reset();
-
-  private:
-    RunMeta() = default;
-
-    /** Store @p record under @p key, replacing a same-key record. */
-    void noteRun(const std::string &key, json::Value record);
-
-    mutable std::mutex _mutex;
-    std::vector<std::pair<std::string, json::Value>> _runs; // key -> record
-    std::vector<std::string> _phaseOrder;
-    std::vector<double> _phaseSeconds;
-    std::vector<std::uint64_t> _phaseCalls;
+    std::string name;
+    double seconds = 0.0;
 };
 
-/** The WC3D_METRICS_OUT path ("" when unset). */
-std::string metricsPath();
+/**
+ * The wc3d-metrics-v2 document of @p api_runs, then @p micro_runs, and
+ * the phase clock @p phases. config.apiFrames / microFrames are the
+ * frames of the first run of each kind (0 when there is none).
+ */
+json::Value metricsDocument(const std::vector<ApiRun> &api_runs,
+                            const std::vector<MicroRun> &micro_runs,
+                            const std::vector<RunPhase> &phases);
 
 /**
  * Structural validation of a parsed metrics document: schema tag, host
@@ -101,21 +65,6 @@ struct PhaseShare
  * carries no phase clock.
  */
 std::vector<PhaseShare> phaseBreakdown(const json::Value &doc);
-
-/** RAII wall-clock accumulator for one RunMeta phase. */
-class PhaseTimer
-{
-  public:
-    explicit PhaseTimer(std::string name);
-    ~PhaseTimer();
-
-    PhaseTimer(const PhaseTimer &) = delete;
-    PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-  private:
-    std::string _name;
-    double _start;
-};
 
 } // namespace wc3d::core
 

@@ -7,8 +7,6 @@
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
-#include "common/threadpool.hh"
-#include "core/runmeta.hh"
 #include "workloads/games.hh"
 
 namespace wc3d::core {
@@ -55,13 +53,13 @@ putSeries(std::string &out, const stats::FrameSeries &series)
 int
 defaultMicroFrames()
 {
-    return envInt("WC3D_FRAMES", 4);
+    return envInt("WC3D_FRAMES", 4, 1);
 }
 
 int
 defaultApiFrames()
 {
-    return envInt("WC3D_API_FRAMES", 300);
+    return envInt("WC3D_API_FRAMES", 300, 1);
 }
 
 ApiRun
@@ -78,9 +76,7 @@ runApiLevel(const std::string &id, int frames)
     auto demo = workloads::makeTimedemo(id);
     demo->run(device, frames);
     run.stats = device.stats();
-
-    RunMeta::global().noteApiRun(run, secondsSince(start));
-    RunMeta::global().writeIfRequested();
+    run.seconds = secondsSince(start);
     return run;
 }
 
@@ -228,56 +224,8 @@ runMicroarch(const std::string &id, int frames, int width, int height)
     demo->run(device, frames);
 
     MicroRun run = collectMicroRun(id, frames, sim);
-
-    RunMeta::global().noteMicroRun(run, secondsSince(start));
-    RunMeta::global().writeIfRequested();
+    run.seconds = secondsSince(start);
     return run;
-}
-
-std::vector<MicroRun>
-runSimulatedGames(int frames)
-{
-    // Independent (game, frames) runs fan out onto the global pool;
-    // results land at their id's index, so ordering matches the serial
-    // loop. Each run's simulator is confined to the thread executing
-    // its task (nested shading parallelism shards only pure work), so
-    // per-run statistics are untouched by the fan-out.
-    auto ids = workloads::simulatedTimedemoIds();
-    std::vector<MicroRun> runs(ids.size());
-    {
-        PhaseTimer phase("micro_runs");
-        WC3D_PROF_SCOPE("run.fanout.micro");
-        TaskGroup group;
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            group.run([&runs, &ids, i, frames] {
-                runs[i] = runMicroarch(ids[i], frames);
-            });
-        }
-        group.wait();
-    }
-    // Re-export so the manifest includes this phase's wall clock.
-    RunMeta::global().writeIfRequested();
-    return runs;
-}
-
-std::vector<ApiRun>
-runAllGamesApi(int frames)
-{
-    auto ids = workloads::allTimedemoIds();
-    std::vector<ApiRun> runs(ids.size());
-    {
-        PhaseTimer phase("api_runs");
-        WC3D_PROF_SCOPE("run.fanout.api");
-        TaskGroup group;
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            group.run([&runs, &ids, i, frames] {
-                runs[i] = runApiLevel(ids[i], frames);
-            });
-        }
-        group.wait();
-    }
-    RunMeta::global().writeIfRequested();
-    return runs;
 }
 
 } // namespace wc3d::core

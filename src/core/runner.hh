@@ -3,9 +3,12 @@
  * Experiment runners: execute a synthetic timedemo at the API level
  * (statistics only) or through the full GPU simulator. Workloads and
  * the simulator are deterministic, so a run's results depend only on
- * (id, frames, resolution).
+ * (id, frames, resolution); a run also carries its own wall clock,
+ * which its encoding leaves out. The runners keep no state between
+ * calls: core::fullReport fans them out and builds the run manifest
+ * (core/runmeta) from the runs they return.
  *
- * Environment knobs:
+ * Environment knobs (a value below 1 warns and keeps the default):
  *  - WC3D_FRAMES:     frames for microarchitectural runs (default 4)
  *  - WC3D_API_FRAMES: frames for API-level runs (default 300)
  *  - WC3D_THREADS:    simulation threads (default: hardware
@@ -42,6 +45,7 @@ struct ApiRun
     std::string id;
     int frames = 0;
     api::ApiStats stats;
+    double seconds = 0.0; ///< wall clock of the run; not encoded
 };
 
 /**
@@ -63,6 +67,7 @@ struct MicroRun
     memsys::CacheStats texL0;
     memsys::CacheStats texL1;
     stats::FrameSeries series;
+    double seconds = 0.0; ///< wall clock of the run; not encoded
 
     /** Framebuffer pixels per frame. */
     std::uint64_t
@@ -91,12 +96,6 @@ struct MicroRun
 /** Run timedemo @p id through the full GPU simulator. */
 MicroRun runMicroarch(const std::string &id, int frames,
                       int width = 1024, int height = 768);
-
-/** Convenience: microarch runs for the three simulated OGL games. */
-std::vector<MicroRun> runSimulatedGames(int frames);
-
-/** Convenience: API runs for all twelve games. */
-std::vector<ApiRun> runAllGamesApi(int frames);
 
 /** The record of the simulation @p sim after @p frames frames of
  *  timedemo @p id. */

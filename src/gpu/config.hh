@@ -39,8 +39,7 @@ struct GpuConfig
 
     /**
      * Screen-tile edge for the tile-parallel back-end, in pixels.
-     * 0 (the default) resolves from the WC3D_TILE_SIZE environment
-     * knob, falling back to 32; any value is clamped to 16..1024 and
+     * 0 (the default) means 32; any value is clamped to 16..1024 and
      * rounded up to a multiple of the rasterizer's 16-pixel upper tile
      * (see raster/tilegrid.hh).
      * Statistics are bit-identical for every tile size.

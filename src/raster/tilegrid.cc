@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "common/log.hh"
 
 namespace wc3d::raster {
@@ -10,7 +9,7 @@ namespace wc3d::raster {
 int
 resolveTileSize(int configured)
 {
-    int size = configured > 0 ? configured : envInt("WC3D_TILE_SIZE", 32);
+    int size = configured > 0 ? configured : 32;
     // Clamping before rounding keeps the round-up below INT_MAX.
     size = std::clamp(size, kUpperTile, kMaxTileSize);
     int rem = size % kUpperTile;

@@ -23,8 +23,7 @@ constexpr int kMaxTileSize = 1024;
 
 /**
  * Resolve the screen-tile edge length in pixels: @p configured when
- * positive, else the WC3D_TILE_SIZE environment knob, else 32. The
- * result is clamped to [kUpperTile, kMaxTileSize] and rounded up to a
+ * positive, else 32. The result is clamped to [kUpperTile, kMaxTileSize] and rounded up to a
  * multiple of kUpperTile (the ownership argument above requires the
  * alignment).
  */

@@ -216,6 +216,11 @@ TEST(Env, IntRejectsOutOfRange)
     EXPECT_EQ(envInt("WC3D_TEST_ENV", 7), 7);
     setenv("WC3D_TEST_ENV", "2147483647", 1);
     EXPECT_EQ(envInt("WC3D_TEST_ENV", 7), 2147483647);
+    // Below the caller's minimum falls back too.
+    setenv("WC3D_TEST_ENV", "0", 1);
+    EXPECT_EQ(envInt("WC3D_TEST_ENV", 7, 1), 7);
+    setenv("WC3D_TEST_ENV", "1", 1);
+    EXPECT_EQ(envInt("WC3D_TEST_ENV", 7, 1), 1);
     unsetenv("WC3D_TEST_ENV");
 }
 

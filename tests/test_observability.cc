@@ -2,8 +2,8 @@
  * @file
  * Observability layer: the JSON model round-trips exactly, Chrome
  * traces written by common/prof parse and validate (spans nest, no
- * negative durations), the WC3D_METRICS_OUT document carries each run's
- * record exactly as encodeApiRun / encodeMicroRun print it, and the
+ * negative durations), the run manifest carries each run's record
+ * exactly as encodeApiRun / encodeMicroRun print it, and the
  * WC3D_LOG_LEVEL knob parses the documented spellings.
  */
 
@@ -41,6 +41,22 @@ std::string
 tempPath(const char *name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** The bytes of file @p path into @p out; false when it cannot open. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    char buf[4096];
+    std::size_t n;
+    out.clear();
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    std::fclose(f);
+    return true;
 }
 
 /** Restores prof recording state and buffers around a test. */
@@ -292,17 +308,19 @@ keyLines(const std::string &text)
 
 } // namespace
 
-TEST(RunMeta, MetricsDocumentRoundTripsEveryRunRecord)
+TEST(Manifest, MetricsDocumentRoundTripsEveryRunRecord)
 {
-    RunMeta &meta = RunMeta::global();
-    meta.reset();
     ThreadPool::setGlobalThreads(1);
     ApiRun api = runApiLevel("quake4/demo4", 4);
     MicroRun micro = runMicroarch("doom3/trdemo2", kFrames, kWidth, kHeight);
+    EXPECT_GT(api.seconds, 0.0);
+    EXPECT_GT(micro.seconds, 0.0);
 
     std::string path = tempPath("wc3d_metrics_unit.json");
     std::string error;
-    ASSERT_TRUE(meta.write(path, &error)) << error;
+    ASSERT_TRUE(json::writeFileAtomic(
+        path, metricsDocument({api}, {micro}, {}).serialize(1), &error))
+        << error;
     json::Value doc;
     ASSERT_TRUE(json::parseFile(path, doc, &error)) << error;
     EXPECT_TRUE(validateMetrics(doc, &error)) << error;
@@ -325,36 +343,22 @@ TEST(RunMeta, MetricsDocumentRoundTripsEveryRunRecord)
     EXPECT_EQ(recordLines(runs->at(1), "counters"), want);
     EXPECT_NE(runs->at(1).find("counters")->find("vcacheHits"), nullptr);
     EXPECT_NE(runs->at(1).find("counters")->find("zc.accesses"), nullptr);
+    EXPECT_EQ(runs->at(0).find("seconds")->asDouble(), api.seconds);
+    EXPECT_EQ(runs->at(1).find("seconds")->asDouble(), micro.seconds);
 
-    // Config section carries the run shape.
+    // Config section carries the run shape: the frames actually run.
     const json::Value *config = doc.find("config");
     ASSERT_NE(config, nullptr);
     EXPECT_NE(config->find("threads"), nullptr);
     EXPECT_NE(config->find("git"), nullptr);
+    EXPECT_EQ(config->find("apiFrames")->asU64(), 4u);
+    EXPECT_EQ(config->find("microFrames")->asU64(),
+              static_cast<std::uint64_t>(kFrames));
 
-    meta.reset();
-    EXPECT_EQ(meta.toJson().find("runs")->size(), 0u);
+    EXPECT_EQ(metricsDocument({}, {}, {}).find("runs")->size(), 0u);
 }
 
-TEST(RunMeta, RerunsReplaceNotAccumulate)
-{
-    RunMeta &meta = RunMeta::global();
-    meta.reset();
-    ThreadPool::setGlobalThreads(1);
-    auto indices = [&meta] {
-        const json::Value *runs = meta.toJson().find("runs");
-        EXPECT_EQ(runs->size(), 1u); // exactly one record for the id
-        return runs->at(0).find("api")->find("indices")->asU64();
-    };
-    runApiLevel("quake4/demo4", 4);
-    std::uint64_t first = indices();
-    EXPECT_GT(first, 0u);
-    runApiLevel("quake4/demo4", 4);
-    EXPECT_EQ(indices(), first);
-    meta.reset();
-}
-
-TEST(RunMeta, ValidatorRejectsBrokenDocuments)
+TEST(Manifest, ValidatorRejectsBrokenDocuments)
 {
     std::string error;
     json::Value doc;
@@ -366,11 +370,9 @@ TEST(RunMeta, ValidatorRejectsBrokenDocuments)
 
 // The manifest must identify where it was produced: a v2 document
 // without its host block, or any v1 document, is rejected.
-TEST(RunMeta, HostBlockVersioningAndValidation)
+TEST(Manifest, HostBlockVersioningAndValidation)
 {
-    RunMeta &meta = RunMeta::global();
-    meta.reset();
-    json::Value doc = meta.toJson();
+    json::Value doc = metricsDocument({}, {}, {});
     std::string error;
     ASSERT_TRUE(validateMetrics(doc, &error)) << error;
 
@@ -382,6 +384,7 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     EXPECT_FALSE(host->find("hostname")->asString().empty());
     ASSERT_NE(host->find("hardwareThreads"), nullptr);
     EXPECT_TRUE(host->find("hardwareThreads")->isNumber());
+    EXPECT_EQ(host->find("tileSize"), nullptr);
 
     json::Value v1 = doc;
     v1.set("schema", json::Value::str("wc3d-metrics-v1"));
@@ -432,32 +435,24 @@ describeCwd()
 
 } // namespace
 
-TEST(RunMeta, ConfigGitNamesTheSourceTreeFromAnyDirectory)
+TEST(Manifest, ConfigGitNamesTheSourceTreeFromAnyDirectory)
 {
-    // The first manifest of this process is written from a temporary
+    // The first manifest of this process is built from a temporary
     // directory outside the checkout; its config.git must still
     // describe the source tree the binary was built from.
     char cwd[4096];
     ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
     std::string dir = ::testing::TempDir();
     ASSERT_EQ(::chdir(dir.c_str()), 0) << dir;
-    RunMeta &meta = RunMeta::global();
-    meta.reset();
-    std::string path = tempPath("wc3d_metrics_git.json");
-    std::string error;
-    bool wrote = meta.write(path, &error);
+    json::Value doc = metricsDocument({}, {}, {});
     ASSERT_EQ(::chdir(WC3D_SOURCE_DIR), 0);
     std::string expected = describeCwd();
     ASSERT_EQ(::chdir(cwd), 0);
-    ASSERT_TRUE(wrote) << error;
 
-    json::Value doc;
-    ASSERT_TRUE(json::parseFile(path, doc, &error)) << error;
-    std::remove(path.c_str());
     EXPECT_EQ(doc.find("config")->find("git")->asString(), expected);
 }
 
-TEST(RunMeta, PhaseBreakdownSortsAndFractions)
+TEST(Manifest, PhaseBreakdownSortsAndFractions)
 {
     json::Value doc = json::Value::object();
     json::Value phases = json::Value::array();
@@ -554,12 +549,17 @@ TEST(Log, ConcurrentWritersDoNotRace)
 // the std::atexit writer never runs on a signal death, so
 // prof::installSignalFlush() is the only thing standing between an
 // interrupted run and a silently empty trace file. Forks a traced
-// child, kills it, and validates what it left behind.
+// child, kills it, and validates what it left behind. The child also
+// writes the same events through the regular writer first: both
+// writers share one serializer, so the two files are byte-identical.
 TEST(Prof, SignalTerminationStillFlushesTrace)
 {
+    static const char *const kProcessName = "game \"q\" \\ \t\x01";
     std::string trace_path = tempPath("wc3d_signal_trace.json");
+    std::string explicit_path = tempPath("wc3d_signal_explicit.json");
     std::string ready_path = tempPath("wc3d_signal_ready");
     std::remove(trace_path.c_str());
+    std::remove(explicit_path.c_str());
     std::remove(ready_path.c_str());
 
     pid_t pid = fork();
@@ -575,6 +575,14 @@ TEST(Prof, SignalTerminationStillFlushesTrace)
         for (int i = 0; i < 50; ++i) {
             WC3D_PROF_SCOPE("signal.span");
         }
+        {
+            // Every escape class: quote, backslash, the short control
+            // escapes and a \u00XX one.
+            prof::ScopedProcess process(9, kProcessName);
+            WC3D_PROF_SCOPE("signal.escaped", "a\nb\rc");
+        }
+        if (!prof::writeChromeTrace(explicit_path))
+            ::_exit(4);
         std::FILE *f = std::fopen(ready_path.c_str(), "wb");
         if (f) {
             std::fputc('1', f);
@@ -612,8 +620,20 @@ TEST(Prof, SignalTerminationStillFlushesTrace)
     std::size_t events = 0;
     EXPECT_TRUE(prof::validateChromeTrace(doc, &error, &events))
         << error;
-    EXPECT_GE(events, 50u);
+    EXPECT_GE(events, 51u);
+
+    std::string signal_text;
+    std::string explicit_text;
+    ASSERT_TRUE(readFile(trace_path, signal_text));
+    ASSERT_TRUE(readFile(explicit_path, explicit_text));
+    EXPECT_EQ(signal_text, explicit_text);
+    // Names are spelled as json::escape spells them.
+    for (const char *name : {kProcessName, "signal.escaped:a\nb\rc"}) {
+        std::string quoted = "\"name\":\"" + json::escape(name) + "\"";
+        EXPECT_NE(explicit_text.find(quoted), std::string::npos) << quoted;
+    }
 
     std::remove(trace_path.c_str());
+    std::remove(explicit_path.c_str());
     std::remove(ready_path.c_str());
 }

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/device.hh"
 #include "common/threadpool.hh"
 #include "core/runner.hh"
+#include "gpu/simulator.hh"
+#include "workloads/games.hh"
 
 using namespace wc3d;
 using namespace wc3d::core;
@@ -72,20 +75,34 @@ TEST(ThreadPool, ConfiguredThreadsHonoursEnvironment)
 {
     setenv("WC3D_THREADS", "3", 1);
     EXPECT_EQ(ThreadPool::configuredThreads(), 3);
+    // A huge value clamps (only the count is checked; no pool is built
+    // from it).
+    setenv("WC3D_THREADS", "2147483647", 1);
+    EXPECT_EQ(ThreadPool::configuredThreads(), ThreadPool::kMaxThreads);
     unsetenv("WC3D_THREADS");
     EXPECT_GE(ThreadPool::configuredThreads(), 1);
 }
 
 namespace {
 
-/** Simulate one OGL game at the given thread count. */
+/** Simulate one OGL game at the given thread count and screen-tile
+ *  edge (0: the default, 32 px). */
 MicroRun
-simulateAt(int threads)
+simulateAt(int threads, int tile = 0)
 {
+    const std::string id = "ut2004/primeval";
+    constexpr int kFrames = 2;
     ThreadPool::setGlobalThreads(threads);
-    MicroRun run = runMicroarch("ut2004/primeval", 2, 256, 192);
+    gpu::GpuConfig config;
+    config.width = 256;
+    config.height = 192;
+    config.tileSize = tile;
+    gpu::GpuSimulator sim(config);
+    api::Device device(workloads::gameProfile(id).apiKind);
+    device.setSink(&sim);
+    workloads::makeTimedemo(id)->run(device, kFrames);
     ThreadPool::setGlobalThreads(1);
-    return run;
+    return collectMicroRun(id, kFrames, sim);
 }
 
 /**
@@ -120,9 +137,7 @@ TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
     const Config configs[] = {{2, 32}, {4, 32}, {8, 32}, {1, 16},
                               {4, 16}, {4, 64}};
     for (const Config &c : configs) {
-        setenv("WC3D_TILE_SIZE", std::to_string(c.tile).c_str(), 1);
-        MicroRun run = simulateAt(c.threads);
-        unsetenv("WC3D_TILE_SIZE");
+        MicroRun run = simulateAt(c.threads, c.tile);
         expectRunsBitIdentical(run, ref,
                                "threads=" + std::to_string(c.threads) +
                                    " tile=" + std::to_string(c.tile));
@@ -131,8 +146,8 @@ TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
 
 TEST(Determinism, FanOutMatchesSerialLoop)
 {
-    // Games fanned out onto the pool (the runSimulatedGames dispatch
-    // shape, at test resolution) must match individual serial runs:
+    // Games fanned out onto the pool (the report's fan-out shape, at
+    // test resolution) must match individual serial runs:
     // each run's simulator is confined to the task executing it.
     const char *ids[] = {"doom3/trdemo2", "quake4/demo4",
                          "ut2004/primeval"};

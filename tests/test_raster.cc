@@ -424,23 +424,18 @@ TEST(RasterProperty, RectangleDecompositionExact)
 
 TEST(TileGrid, ResolveTileSizeClampsAndRounds)
 {
-    unsetenv("WC3D_TILE_SIZE");
     EXPECT_EQ(resolveTileSize(32), 32);
     EXPECT_EQ(resolveTileSize(48), 48);
+    EXPECT_EQ(resolveTileSize(64), 64);
     EXPECT_EQ(resolveTileSize(20), 32);  // rounds up to a 16 multiple
+    EXPECT_EQ(resolveTileSize(24), 32);
     EXPECT_EQ(resolveTileSize(8), 16);   // clamps to the upper tile
-    EXPECT_EQ(resolveTileSize(0), 32);   // env default
-    setenv("WC3D_TILE_SIZE", "64", 1);
-    EXPECT_EQ(resolveTileSize(0), 64);
-    setenv("WC3D_TILE_SIZE", "24", 1);
-    EXPECT_EQ(resolveTileSize(0), 32);
+    EXPECT_EQ(resolveTileSize(0), 32);   // default
+    EXPECT_EQ(resolveTileSize(-5), 32);
     // Out-of-range sizes clamp to kMaxTileSize instead of overflowing
     // int while rounding up (INT_MAX - 15 is already a 16 multiple).
     EXPECT_EQ(resolveTileSize(INT_MAX), 1024);
     EXPECT_EQ(resolveTileSize(INT_MAX - 15), 1024);
-    setenv("WC3D_TILE_SIZE", "2147483647", 1);
-    EXPECT_EQ(resolveTileSize(0), 1024);
-    unsetenv("WC3D_TILE_SIZE");
 }
 
 TEST(TileGrid, BinRangeAndRectsCoverScreen)

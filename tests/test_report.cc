@@ -2,7 +2,7 @@
  * @file
  * Tests for the report module: the per-game and whole-paper reports,
  * including a full microarchitectural run at one frame, and the
- * results files they write.
+ * results files they write, the run manifest among them.
  */
 
 #include <algorithm>
@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "common/faultio.hh"
+#include "common/json.hh"
 #include "common/strutil.hh"
+#include "common/threadpool.hh"
 #include "core/apilevel.hh"
 #include "core/report.hh"
+#include "core/runmeta.hh"
 #include "core/runner.hh"
 #include "workloads/games.hh"
 
@@ -94,6 +97,10 @@ TEST(Report, FullReportCoversEveryTableAndFigure)
     opt.apiFrames = 3;
     opt.figureFrames = 3;
     opt.microFrames = 1;
+    // Four threads: the run sets fan out concurrently, and the
+    // manifest must still list its runs in id order.
+    int threads = ThreadPool::global().threads();
+    ThreadPool::setGlobalThreads(4);
     Report report = fullReport(opt);
 
     const ReportFile *results = findFile(report, "results.csv");
@@ -158,7 +165,48 @@ TEST(Report, FullReportCoversEveryTableAndFigure)
         EXPECT_NE(micro->content.find("vcache_hit_rate"),
                   std::string::npos);
     }
-    EXPECT_EQ(report.files.size(), 1u + 8u + 3u);
+
+    // The run manifest: the 12 table API runs, then the 3 simulated
+    // runs, in id order, and one call per timed run set.
+    const ReportFile *metrics = findFile(report, "metrics.json");
+    ASSERT_NE(metrics, nullptr);
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(metrics->content, doc, &error)) << error;
+    EXPECT_TRUE(validateMetrics(doc, &error)) << error;
+    std::vector<std::string> want_ids = workloads::allTimedemoIds();
+    for (const auto &id : workloads::simulatedTimedemoIds())
+        want_ids.push_back(id);
+    const json::Value &runs = *doc.find("runs");
+    ASSERT_EQ(runs.size(), want_ids.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        bool api = i < workloads::allTimedemoIds().size();
+        EXPECT_EQ(runs.at(i).find("kind")->asString(),
+                  api ? "api" : "micro");
+        EXPECT_EQ(runs.at(i).find("id")->asString(), want_ids[i]);
+        EXPECT_EQ(runs.at(i).find("frames")->asU64(), api ? 3u : 1u);
+        if (api)
+            continue;
+        std::vector<RecordField> want =
+            microRunFields(runMicroarch(want_ids[i], 1));
+        const auto &got = runs.at(i).find("counters")->members();
+        ASSERT_EQ(got.size(), want.size()) << want_ids[i];
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].first, want[k].first) << want_ids[i];
+            EXPECT_EQ(got[k].second.serialize(), want[k].second.serialize())
+                << want_ids[i] << " " << got[k].first;
+        }
+    }
+    const json::Value &phases = *doc.find("phases");
+    const char *phase_names[] = {"figure_runs", "api_runs", "micro_runs"};
+    ASSERT_EQ(phases.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(phases.at(i).find("name")->asString(), phase_names[i]);
+        EXPECT_EQ(phases.at(i).find("calls")->asU64(), 1u);
+    }
+
+    EXPECT_EQ(report.files.size(), 2u + 8u + 3u);
+    ThreadPool::setGlobalThreads(threads);
 }
 
 TEST(Report, WriteReportFilesWritesEveryFile)

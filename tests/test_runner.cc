@@ -4,10 +4,12 @@
  * benchmark digests compare: every statistic of a run must reach it,
  * so a counter that drifts can never hide from those locks. The
  * counter field table behind it, add() and since() is checked word by
- * word, and diffRecords must name the key that differs.
+ * word, and diffRecords must name the key that differs. The frame-count
+ * knobs keep their defaults on a value below 1.
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/report.hh"
 #include "core/runner.hh"
 
 using namespace wc3d;
@@ -232,6 +235,36 @@ TEST(EncodeMicroRun, EverySeriesValueAndKeyChangesTheText)
     run = base;
     ++run.height;
     EXPECT_NE(encodeMicroRun(run), base_text);
+}
+
+// Identical runs differ in wall clock; the record the goldens and the
+// benchmark digests compare must not carry it.
+TEST(EncodeMicroRun, WallClockIsNotEncoded)
+{
+    MicroRun run = syntheticRun();
+    const std::string text = encodeMicroRun(run);
+    run.seconds = 12.5;
+    EXPECT_EQ(encodeMicroRun(run), text);
+    ApiRun api;
+    api.id = "quake4/demo4";
+    const std::string api_text = encodeApiRun(api);
+    api.seconds = 3.0;
+    EXPECT_EQ(encodeApiRun(api), api_text);
+}
+
+TEST(RunnerDefaults, FrameCountsBelowOneKeepTheDefault)
+{
+    setenv("WC3D_FRAMES", "-3", 1);
+    EXPECT_EQ(defaultMicroFrames(), 4);
+    setenv("WC3D_API_FRAMES", "0", 1);
+    EXPECT_EQ(defaultApiFrames(), 300);
+    setenv("WC3D_FIG_FRAMES", "-1", 1);
+    EXPECT_EQ(defaultFigureFrames(), 600);
+    setenv("WC3D_FRAMES", "2", 1);
+    EXPECT_EQ(defaultMicroFrames(), 2);
+    unsetenv("WC3D_FRAMES");
+    unsetenv("WC3D_API_FRAMES");
+    unsetenv("WC3D_FIG_FRAMES");
 }
 
 TEST(DiffRecords, NamesEachDifferingKey)
