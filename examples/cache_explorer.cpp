@@ -6,9 +6,14 @@
  * caches configuration directly affects the memory BW consumed".
  * The Hierarchical-Z ablation is `timedemo_report --ablation hz`.
  *
- *     ./cache_explorer [frames]
+ *     ./cache_explorer [frames]      # frames >= 1, default 2
+ *
+ * A frame count that is not a whole number of at least 1 prints the
+ * usage line and exits with status 2.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -43,12 +48,30 @@ runWith(const gpu::GpuConfig &config, int frames)
     return r;
 }
 
+/** @return the frame count @p arg names, or 0 when it is not a whole
+ *  number in [1, INT_MAX]. */
+int
+parseFrames(const char *arg)
+{
+    errno = 0;
+    char *end = nullptr;
+    long frames = std::strtol(arg, &end, 10);
+    if (end == arg || *end != '\0' || errno == ERANGE || frames < 1 ||
+        frames > INT_MAX)
+        return 0;
+    return static_cast<int>(frames);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    int frames = argc > 1 ? std::atoi(argv[1]) : 2;
+    int frames = argc > 1 ? parseFrames(argv[1]) : 2;
+    if (argc > 2 || frames < 1) {
+        std::fprintf(stderr, "usage: cache_explorer [frames >= 1]\n");
+        return 2;
+    }
     std::printf("sweeping cache sizes on ut2004/primeval "
                 "(%d frames, 512x384)\n\n",
                 frames);

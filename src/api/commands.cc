@@ -9,42 +9,4 @@ isStateCall(const Command &cmd)
            !std::holds_alternative<EndFrameCmd>(cmd);
 }
 
-namespace {
-
-struct NameVisitor
-{
-    const char *operator()(const CreateVertexBufferCmd &) const
-    { return "CreateVertexBuffer"; }
-    const char *operator()(const CreateIndexBufferCmd &) const
-    { return "CreateIndexBuffer"; }
-    const char *operator()(const CreateTextureCmd &) const
-    { return "CreateTexture"; }
-    const char *operator()(const CreateProgramCmd &) const
-    { return "CreateProgram"; }
-    const char *operator()(const BindProgramCmd &) const
-    { return "BindProgram"; }
-    const char *operator()(const BindTextureCmd &) const
-    { return "BindTexture"; }
-    const char *operator()(const SetDepthStencilCmd &) const
-    { return "SetDepthStencil"; }
-    const char *operator()(const SetBlendCmd &) const
-    { return "SetBlend"; }
-    const char *operator()(const SetCullModeCmd &) const
-    { return "SetCullMode"; }
-    const char *operator()(const SetConstantCmd &) const
-    { return "SetConstant"; }
-    const char *operator()(const ClearCmd &) const { return "Clear"; }
-    const char *operator()(const DrawCmd &) const { return "Draw"; }
-    const char *operator()(const EndFrameCmd &) const
-    { return "EndFrame"; }
-};
-
-} // namespace
-
-const char *
-commandName(const Command &cmd)
-{
-    return std::visit(NameVisitor{}, cmd);
-}
-
 } // namespace wc3d::api

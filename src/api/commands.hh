@@ -1,10 +1,9 @@
 /**
  * @file
- * The API command stream. Every interaction between a game (workload
- * generator or trace player) and the device is one of these commands;
- * the stream is what the tracer serializes and the paper's API-level
- * statistics (batches, indices, state calls per frame) are computed
- * over.
+ * The API command stream. Every interaction between a game (a workload
+ * generator, driving the device in-process) and the device is one of
+ * these commands; the paper's API-level statistics (batches, indices,
+ * state calls per frame) are computed over this stream.
  */
 
 #ifndef WC3D_API_COMMANDS_HH
@@ -116,9 +115,6 @@ using Command =
 /** @return true for commands that count as API state calls (everything
  *  that is not a draw or a frame boundary). */
 bool isStateCall(const Command &cmd);
-
-/** Short mnemonic for logging/inspection. */
-const char *commandName(const Command &cmd);
 
 } // namespace wc3d::api
 

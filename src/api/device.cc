@@ -1,6 +1,5 @@
 #include "api/device.hh"
 
-#include "api/trace.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
@@ -25,8 +24,6 @@ Device::setSink(DrawSink *sink)
 void
 Device::submit(const Command &cmd)
 {
-    if (_recorder)
-        _recorder->write(cmd);
     if (isStateCall(cmd))
         _stats.noteStateCall();
     apply(cmd);

@@ -2,8 +2,8 @@
  * @file
  * The graphics device: an API state machine that owns resources,
  * validates and applies the command stream, feeds the API statistics
- * collector, optionally records a trace and forwards resolved draw
- * calls to a sink (the GPU simulator, or nothing for API-only runs).
+ * collector and forwards resolved draw calls to a sink (the GPU
+ * simulator, or nothing for API-only runs).
  *
  * Textures are built in one place, on the global thread pool, and only
  * when something reads them. With a sink, each run of consecutive
@@ -27,8 +27,6 @@
 #include "texture/texture.hh"
 
 namespace wc3d::api {
-
-class TraceWriter;
 
 /** A draw call with every referenced resource resolved. */
 struct DrawCall
@@ -79,9 +77,6 @@ class Device
     /** Attach the GPU (or other) sink; may be null. Textures still
      *  waiting to be announced go to the previous sink first. */
     void setSink(DrawSink *sink);
-
-    /** Attach a trace recorder; every submitted command is recorded. */
-    void setRecorder(TraceWriter *recorder) { _recorder = recorder; }
 
     /** Apply one command (the single entry point for all callers). */
     void submit(const Command &cmd);
@@ -146,7 +141,6 @@ class Device
 
     GraphicsApi _apiKind;
     DrawSink *_sink = nullptr;
-    TraceWriter *_recorder = nullptr;
     ApiStats _stats;
     RenderState _current;
     std::uint32_t _nextId = 1;

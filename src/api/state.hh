@@ -2,8 +2,9 @@
  * @file
  * Graphics-API-level render state and resource descriptions. The API is
  * OpenGL/Direct3D-neutral: both of the paper's API families drive the
- * same in-process command set, mirroring how the paper collects one set
- * of statistics from GLInterceptor (OGL) and a PIX-trace player (D3D).
+ * same in-process command set, so one set of statistics covers both
+ * (the paper collected them with GLInterceptor for OGL and a PIX-trace
+ * player for D3D).
  */
 
 #ifndef WC3D_API_STATE_HH

@@ -1,8 +1,7 @@
 /**
  * @file
- * Environment-variable helpers used by benches to scale run lengths
- * (e.g. WC3D_FRAMES) without recompiling, and the strict number parser
- * command-line flags share with them.
+ * Environment-variable helpers used to scale run lengths (e.g.
+ * WC3D_FRAMES) without recompiling.
  */
 
 #ifndef WC3D_COMMON_ENV_HH

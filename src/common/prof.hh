@@ -14,7 +14,7 @@
  *
  * Spans observe, never steer: they touch no statistic, so simulation
  * results are bit-identical with tracing on or off (enforced by
- * tests/test_replay.cc).
+ * tests/test_observability.cc).
  */
 
 #ifndef WC3D_COMMON_PROF_HH

@@ -2,8 +2,8 @@
  * @file
  * The GPU simulator: a functional, event-exact model of the ATTILA-style
  * rendering pipeline the paper measures. It implements api::DrawSink, so
- * a Device (driven live by a workload generator or by a trace player)
- * renders through the full pipeline:
+ * a Device (driven in-process by a workload generator) renders through
+ * the full pipeline:
  *
  *   vertex fetch -> post-transform vertex cache -> vertex shading ->
  *   primitive assembly -> clip/cull -> viewport -> tiled recursive

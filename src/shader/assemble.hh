@@ -1,8 +1,9 @@
 /**
  * @file
  * Textual shader assembler: parses the assembly dialect produced by
- * Program::disassemble() back into a Program, giving a round-trippable
- * on-disk representation for shaders in traces and tests.
+ * Program::disassemble() back into a Program: the round-trippable text
+ * form in which the workload generators and tests hand shaders to the
+ * device.
  *
  * Grammar (one statement per line, ';' optional, '#'/'//' comments):
  *

@@ -1,10 +1,9 @@
 /**
  * @file
  * Unit tests for the API layer: device state machine, resource
- * management, draw dispatch, API statistics and the trace round trip.
+ * management, draw dispatch and API statistics.
  */
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -13,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "api/device.hh"
-#include "api/trace.hh"
 #include "common/threadpool.hh"
 
 using namespace wc3d;
@@ -455,137 +453,6 @@ TEST(ApiStats, IndexBwAtFps)
     EXPECT_DOUBLE_EQ(f.dev.stats().indexBwAtFps(100.0), 600.0);
 }
 
-TEST(Trace, RoundTripPreservesStream)
-{
-    std::string path = ::testing::TempDir() + "wc3d_trace_test.bin";
-    {
-        Device dev;
-        TraceWriter writer(path);
-        dev.setRecorder(&writer);
-        auto vb = dev.createVertexBuffer(smallVb(5));
-        auto ib = dev.createIndexBuffer(smallIb({0, 1, 2, 3, 4},
-                                                IndexType::U32));
-        auto vp = dev.createProgram(shader::ProgramKind::Vertex, kVs);
-        auto fp = dev.createProgram(shader::ProgramKind::Fragment, kFs);
-        dev.bindProgram(shader::ProgramKind::Vertex, vp);
-        dev.bindProgram(shader::ProgramKind::Fragment, fp);
-        TextureSpec spec;
-        spec.kind = TextureSpec::Kind::Noise;
-        spec.size = 32;
-        spec.seed = 99;
-        auto t = dev.createTexture(spec);
-        tex::SamplerState ss;
-        ss.filter = tex::TexFilter::Anisotropic;
-        ss.maxAniso = 16;
-        dev.bindTexture(0, t, ss);
-        frag::DepthStencilState ds;
-        ds.stencilTest = true;
-        ds.back.zfail = frag::StencilOp::IncrWrap;
-        dev.setDepthStencil(ds);
-        frag::BlendState bs;
-        bs.enabled = true;
-        bs.srcFactor = frag::BlendFactor::SrcAlpha;
-        dev.setBlend(bs);
-        dev.setCullMode(geom::CullMode::Front);
-        dev.setConstant(shader::ProgramKind::Vertex, 3, {1, 2, 3, 4});
-        dev.clear();
-        dev.draw(vb, ib, 0, 5, geom::PrimitiveType::TriangleStrip);
-        dev.endFrame();
-        EXPECT_EQ(writer.commandsWritten(), 15u);
-    }
-
-    // Replay into a fresh device: identical API statistics.
-    Device replayed;
-    TraceReader reader(path);
-    ASSERT_TRUE(reader.ok());
-    std::uint64_t n = playTrace(reader, replayed);
-    EXPECT_EQ(n, 15u);
-    EXPECT_EQ(replayed.stats().batches(), 1u);
-    EXPECT_EQ(replayed.stats().indices(), 5u);
-    EXPECT_EQ(replayed.stats().indexBytes(), 20u);
-    EXPECT_EQ(replayed.stats().frames(), 1u);
-    EXPECT_EQ(replayed.stats().primitivesOfType(
-                  geom::PrimitiveType::TriangleStrip), 3u);
-    // Resolved state survived the round trip.
-    EXPECT_EQ(replayed.currentState().cullMode, geom::CullMode::Front);
-    EXPECT_TRUE(replayed.currentState().blend.enabled);
-    EXPECT_EQ(replayed.currentState().depthStencil.back.zfail,
-              frag::StencilOp::IncrWrap);
-    EXPECT_EQ(replayed.currentState().samplers[0].maxAniso, 16);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, BadFileRejected)
-{
-    std::string path = ::testing::TempDir() + "wc3d_bad_trace.bin";
-    std::FILE *fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("not a trace", fp);
-    std::fclose(fp);
-    TraceReader reader(path);
-    EXPECT_FALSE(reader.ok());
-    ASSERT_TRUE(reader.error().has_value());
-    EXPECT_EQ(reader.error()->offset, 0u);
-    EXPECT_FALSE(reader.error()->reason.empty());
-    EXPECT_FALSE(reader.next().has_value());
-    std::remove(path.c_str());
-    TraceReader missing(::testing::TempDir() + "nonexistent.bin");
-    EXPECT_FALSE(missing.ok());
-    ASSERT_TRUE(missing.error().has_value());
-}
-
-TEST(Trace, TruncatedStreamReportsStructuredError)
-{
-    std::string path = ::testing::TempDir() + "wc3d_trunc_trace.bin";
-    {
-        Device dev;
-        TraceWriter writer(path);
-        dev.setRecorder(&writer);
-        dev.createVertexBuffer(smallVb(100));
-        EXPECT_TRUE(writer.close());
-    }
-    // Truncate mid-payload.
-    std::FILE *fp = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(fp, nullptr);
-    std::fseek(fp, 0, SEEK_END);
-    long size = std::ftell(fp);
-    ASSERT_EQ(0, ftruncate(fileno(fp), size / 2));
-    std::fclose(fp);
-
-    TraceReader reader(path);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_FALSE(reader.next().has_value());
-    EXPECT_FALSE(reader.atEnd());
-    ASSERT_TRUE(reader.error().has_value());
-    EXPECT_FALSE(reader.error()->reason.empty());
-    EXPECT_LE(reader.error()->offset,
-              static_cast<std::uint64_t>(size / 2));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, WriterErrorStateInsteadOfFatal)
-{
-    // Unopenable path: the writer reports the error and stays inert.
-    TraceWriter bad(::testing::TempDir() +
-                    "no_such_dir/sub/trace.bin");
-    EXPECT_FALSE(bad.ok());
-    ASSERT_TRUE(bad.error().has_value());
-    EXPECT_FALSE(bad.error()->reason.empty());
-    EXPECT_FALSE(bad.write(Command{EndFrameCmd{}}));
-    EXPECT_EQ(bad.commandsWritten(), 0u);
-    EXPECT_FALSE(bad.close());
-
-    // Write-after-close is an error, not an assert/abort.
-    std::string path = ::testing::TempDir() + "wc3d_waclose.bin";
-    TraceWriter writer(path);
-    ASSERT_TRUE(writer.ok());
-    EXPECT_TRUE(writer.write(Command{EndFrameCmd{}}));
-    EXPECT_TRUE(writer.close());
-    EXPECT_FALSE(writer.write(Command{EndFrameCmd{}}));
-    EXPECT_FALSE(writer.ok());
-    std::remove(path.c_str());
-}
-
 TEST(Misc, NamesAndSizes)
 {
     EXPECT_STREQ(graphicsApiName(GraphicsApi::OpenGL), "OpenGL");
@@ -593,7 +460,6 @@ TEST(Misc, NamesAndSizes)
     EXPECT_EQ(indexTypeBytes(IndexType::U16), 2);
     EXPECT_EQ(indexTypeBytes(IndexType::U32), 4);
     Command draw = DrawCmd{};
-    EXPECT_STREQ(commandName(draw), "Draw");
     EXPECT_FALSE(isStateCall(draw));
     Command bind = BindProgramCmd{};
     EXPECT_TRUE(isStateCall(bind));

@@ -237,9 +237,9 @@ TEST(Env, StringFallback)
 //
 // obs_lint and the tests feed the common/json parser files from disk
 // that CI jobs, other hosts and hand edits may have mangled. The
-// parser's contract is the WC3DTRC2 one: any input either parses or is
-// rejected with a structured "json: byte N: reason" error — never a
-// crash, hang or silent misparse.
+// parser's contract: any input either parses or is rejected with a
+// structured "json: byte N: reason" error — never a crash, hang or
+// silent misparse.
 
 namespace {
 

@@ -2,7 +2,8 @@
  * @file
  * Observability layer: the JSON model round-trips exactly, Chrome
  * traces written by common/prof parse and validate (spans nest, no
- * negative durations), the run manifest carries each run's record
+ * negative durations), spans leave every statistic bit-identical, the
+ * run manifest carries each run's record
  * exactly as encodeApiRun / encodeMicroRun print it, and the
  * WC3D_LOG_LEVEL knob parses the documented spellings.
  */
@@ -242,6 +243,29 @@ TEST(Prof, SimulationTraceValidates)
         << error;
     EXPECT_GT(events, 0u);
     std::remove(path.c_str());
+}
+
+TEST(Prof, TracedSimulationIsBitIdenticalToUntraced)
+{
+    // The same simulation with spans off and on: the whole run record
+    // (every counter, cache model and per-frame series) must be
+    // bit-identical.
+    constexpr int width = 160;
+    constexpr int height = 120;
+    bool was = prof::enabled();
+    ThreadPool::setGlobalThreads(4);
+    prof::setEnabled(false);
+    MicroRun off = runMicroarch("doom3/trdemo2", kFrames, width, height);
+    prof::reset();
+    prof::setEnabled(true);
+    MicroRun on = runMicroarch("doom3/trdemo2", kFrames, width, height);
+    prof::setEnabled(was);
+    prof::reset();
+    ThreadPool::setGlobalThreads(1);
+
+    for (const std::string &d : diffRecords(
+             encodeMicroRun(on), encodeMicroRun(off), "traced", "untraced"))
+        ADD_FAILURE() << d;
 }
 
 TEST(Prof, ValidatorRejectsBrokenTraces)
