@@ -90,12 +90,6 @@ ApiStats::avgBatchesPerFrame() const
 }
 
 double
-ApiStats::avgStateCallsPerFrame() const
-{
-    return _frames ? static_cast<double>(_stateCalls) / _frames : 0.0;
-}
-
-double
 ApiStats::avgIndexBytesPerFrame() const
 {
     return _frames ? static_cast<double>(_indexBytes) / _frames : 0.0;

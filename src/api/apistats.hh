@@ -56,7 +56,6 @@ class ApiStats
     double avgIndicesPerFrame() const;
     double avgPrimitivesPerFrame() const;
     double avgBatchesPerFrame() const;
-    double avgStateCallsPerFrame() const;
     double avgIndexBytesPerFrame() const;
 
     /** Index bandwidth in bytes/s at @p fps (Table III "BW@100fps"). */

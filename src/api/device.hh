@@ -1,17 +1,20 @@
 /**
  * @file
  * The graphics device: an API state machine that owns resources,
- * validates and applies the command stream, feeds the API statistics
- * collector and forwards resolved draw calls to a sink (the GPU
- * simulator, or nothing for API-only runs).
+ * assigns their ids, validates and applies each call, feeds the API
+ * statistics collector and forwards resolved draw calls to a sink (the
+ * GPU simulator, or nothing for API-only runs). Its typed calls are the
+ * API: there is no separate command vocabulary. Every call except
+ * draw() and endFrame() counts as one state call, whether or not it
+ * passes validation; a malformed call is dropped with a warning.
  *
  * Textures are built in one place, on the global thread pool, and only
  * when something reads them. With a sink, each run of consecutive
- * texture creations is built together and announced in submission
- * order before the next command of any other kind is applied (or at
- * setSink() or at a lookup), so the sink sees the same calls in the
- * same order as if each had been built on creation. Without a sink a
- * texture is built on its first lookup.
+ * texture creations is built together and announced in call order
+ * before the next call of any other kind is applied (or at setSink() or
+ * at a lookup), so the sink sees the same calls in the same order as if
+ * each had been built on creation. Without a sink a texture is built on
+ * its first lookup.
  */
 
 #ifndef WC3D_API_DEVICE_HH
@@ -23,10 +26,22 @@
 #include <vector>
 
 #include "api/apistats.hh"
-#include "api/commands.hh"
+#include "api/state.hh"
+#include "geom/types.hh"
 #include "texture/texture.hh"
 
 namespace wc3d::api {
+
+/** Framebuffer clear. */
+struct ClearCmd
+{
+    bool color = true;
+    bool depth = true;
+    bool stencil = true;
+    std::uint32_t colorValue = 0xff000000; ///< packed RGBA8
+    float depthValue = 1.0f;
+    std::uint8_t stencilValue = 0;
+};
 
 /** A draw call with every referenced resource resolved. */
 struct DrawCall
@@ -78,10 +93,8 @@ class Device
      *  waiting to be announced go to the previous sink first. */
     void setSink(DrawSink *sink);
 
-    /** Apply one command (the single entry point for all callers). */
-    void submit(const Command &cmd);
-
-    /** @name Typed conveniences (build a Command and submit it) */
+    /** @name The API calls
+     *  Resource ids are assigned by the device; 0 is never an id. */
     /// @{
     std::uint32_t createVertexBuffer(VertexBufferData data);
     std::uint32_t createIndexBuffer(IndexBufferData data);
@@ -95,12 +108,19 @@ class Device
     void setDepthStencil(const frag::DepthStencilState &state);
     void setBlend(const frag::BlendState &state);
     void setCullMode(geom::CullMode mode);
+    /** Dropped with a warning when @p index >= shader::kMaxConsts. */
     void setConstant(shader::ProgramKind kind, std::uint32_t index,
                      Vec4 value);
     void clear(const ClearCmd &cmd = ClearCmd{});
+    /** A draw batch: "the different vertex input streams which are
+     *  processed down through the rendering pipeline" (Figure 1).
+     *  Dropped with a warning, and not counted, when a buffer is
+     *  unknown, the vertex buffer is empty, the index range overruns
+     *  the index buffer or a program is unbound. */
     void draw(std::uint32_t vertex_buffer, std::uint32_t index_buffer,
               std::uint32_t first_index, std::uint32_t index_count,
               geom::PrimitiveType topology);
+    /** Frame boundary (present/swap). */
     void endFrame();
     /// @}
 
@@ -129,7 +149,10 @@ class Device
     /** (id, spec) of each texture to build, in submission order. */
     using TextureRun = std::vector<std::pair<std::uint32_t, TextureSpec>>;
 
-    void apply(const Command &cmd);
+    /** The preamble of every state call except createTexture(), which
+     *  extends the pending texture run: build and announce that run,
+     *  then count the call. */
+    void beginStateCall();
     shader::Program *mutableProgram(std::uint32_t id);
 
     /** Build every texture of @p run in parallel on the global pool. */

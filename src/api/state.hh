@@ -1,8 +1,8 @@
 /**
  * @file
  * Graphics-API-level render state and resource descriptions. The API is
- * OpenGL/Direct3D-neutral: both of the paper's API families drive the
- * same in-process command set, so one set of statistics covers both
+ * OpenGL/Direct3D-neutral: both of the paper's API families make the
+ * same in-process Device calls, so one set of statistics covers both
  * (the paper collected them with GLInterceptor for OGL and a PIX-trace
  * player for D3D).
  */

@@ -142,8 +142,6 @@ class CachedSurface
     const memsys::CacheModel &cache() const { return _cache; }
     const memsys::BlockStateDirectory &directory() const { return _dir; }
 
-    void resetCacheStats() { _cache.resetStats(); }
-
     /** Convert a colour surface to an Image (for PPM dumps / tests). */
     Image toImage() const;
 

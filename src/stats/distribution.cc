@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hh"
-#include "common/strutil.hh"
-
 namespace wc3d::stats {
 
 void
@@ -75,50 +72,6 @@ double
 Distribution::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : _lo(lo), _hi(hi), _bins(static_cast<std::size_t>(buckets), 0)
-{
-    WC3D_ASSERT(hi > lo && buckets > 0);
-}
-
-void
-Histogram::sample(double v)
-{
-    ++_total;
-    if (v < _lo) {
-        ++_underflow;
-    } else if (v >= _hi) {
-        ++_overflow;
-    } else {
-        auto idx = static_cast<std::size_t>(
-            (v - _lo) / (_hi - _lo) * static_cast<double>(_bins.size()));
-        if (idx >= _bins.size())
-            idx = _bins.size() - 1;
-        ++_bins[idx];
-    }
-}
-
-double
-Histogram::binLow(int i) const
-{
-    return _lo + (_hi - _lo) * static_cast<double>(i) /
-           static_cast<double>(_bins.size());
-}
-
-std::string
-Histogram::toString() const
-{
-    std::string out;
-    for (int i = 0; i < buckets(); ++i) {
-        out += format("[%10.2f, %10.2f): %llu\n", binLow(i), binLow(i + 1),
-                      static_cast<unsigned long long>(_bins[i]));
-    }
-    out += format("underflow: %llu overflow: %llu\n",
-                  static_cast<unsigned long long>(_underflow),
-                  static_cast<unsigned long long>(_overflow));
-    return out;
 }
 
 } // namespace wc3d::stats

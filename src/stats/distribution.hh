@@ -1,8 +1,8 @@
 /**
  * @file
- * Streaming distribution statistics (count/sum/min/max/mean/variance)
- * plus a simple linear histogram. Used for per-frame and per-event
- * quantities such as triangle sizes and batch sizes.
+ * Streaming distribution statistics (count/sum/min/max/mean/variance).
+ * Used for per-frame and per-event quantities such as triangle sizes
+ * and batch sizes.
  */
 
 #ifndef WC3D_STATS_DISTRIBUTION_HH
@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace wc3d::stats {
 
@@ -51,37 +49,6 @@ class Distribution
     double _sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-range linear histogram with underflow/overflow buckets. */
-class Histogram
-{
-  public:
-    /** Build a histogram over [lo, hi) with @p buckets equal bins. */
-    Histogram(double lo, double hi, int buckets);
-
-    /** Record one sample. */
-    void sample(double v);
-
-    int buckets() const { return static_cast<int>(_bins.size()); }
-    std::uint64_t binCount(int i) const { return _bins.at(i); }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t total() const { return _total; }
-
-    /** Lower edge of bin @p i. */
-    double binLow(int i) const;
-
-    /** Render a one-line-per-bucket ASCII view. */
-    std::string toString() const;
-
-  private:
-    double _lo;
-    double _hi;
-    std::vector<std::uint64_t> _bins;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
 };
 
 } // namespace wc3d::stats

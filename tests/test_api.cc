@@ -196,10 +196,39 @@ TEST(Device, DrawWithoutProgramsDropped)
 TEST(Device, DrawRangeValidation)
 {
     Fixture f;
+    std::uint32_t empty = f.dev.createVertexBuffer(VertexBufferData{});
+    testing::internal::CaptureStderr();
     f.dev.draw(f.vb, f.ib, 0, 99, geom::PrimitiveType::TriangleList);
-    EXPECT_TRUE(f.sink.draws.empty());
     f.dev.draw(f.vb, 7777, 0, 3, geom::PrimitiveType::TriangleList);
+    // 0xFFFFFFFF + 4 wraps to 3 in 32 bits, which fits the buffer.
+    f.dev.draw(f.vb, f.ib, 0xFFFFFFFFu, 4,
+               geom::PrimitiveType::TriangleList);
+    f.dev.draw(empty, f.ib, 0, 3, geom::PrimitiveType::TriangleList);
+    std::string err = testing::internal::GetCapturedStderr();
     EXPECT_TRUE(f.sink.draws.empty());
+    EXPECT_EQ(f.dev.stats().batches(), 0u);
+    EXPECT_EQ(f.dev.stats().indices(), 0u);
+    EXPECT_NE(err.find("draw range exceeds index buffer"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("empty vertex buffer"), std::string::npos) << err;
+}
+
+TEST(Device, OutOfRangeConstantDropped)
+{
+    Fixture f;
+    testing::internal::CaptureStderr();
+    f.dev.setConstant(shader::ProgramKind::Vertex, shader::kMaxConsts,
+                      {1, 2, 3, 4});
+    f.dev.setConstant(shader::ProgramKind::Fragment, 0xFFFFFFFFu,
+                      {1, 2, 3, 4});
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("constant 64 out of range"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("constant 4294967295 out of range"),
+              std::string::npos)
+        << err;
+    for (int i = 0; i < shader::kMaxConsts; ++i)
+        EXPECT_FLOAT_EQ(f.dev.program(f.vp)->constant(i).y, 0.0f) << i;
 }
 
 TEST(Device, StateTracking)
@@ -273,26 +302,20 @@ TEST(Device, SinkSeesCallsInSubmissionOrder)
         want.emplace_back('v', vb);
         texture(64);
         texture(32);
-        std::uint32_t redefined = texture(16);
+        std::uint32_t bound = texture(16);
         std::uint32_t ib = dev.createIndexBuffer(smallIb({0, 1, 2}));
         want.emplace_back('i', ib);
         std::uint32_t vp = dev.createProgram(shader::ProgramKind::Vertex,
                                              kVs);
         want.emplace_back('p', vp);
         texture(8);
-        // A redefinition inside a run is announced again, in order.
-        TextureSpec respec;
-        respec.kind = TextureSpec::Kind::Checker;
-        respec.size = 1;
-        dev.submit(CreateTextureCmd{redefined, respec});
-        want.emplace_back('t', redefined);
         texture(4);
         std::uint32_t fp = dev.createProgram(
             shader::ProgramKind::Fragment, kFs);
         want.emplace_back('p', fp);
         dev.bindProgram(shader::ProgramKind::Vertex, vp);
         dev.bindProgram(shader::ProgramKind::Fragment, fp);
-        dev.bindTexture(0, redefined, tex::SamplerState{});
+        dev.bindTexture(0, bound, tex::SamplerState{});
         dev.clear();
         want.emplace_back('c', 0);
         dev.draw(vb, ib, 0, 3, geom::PrimitiveType::TriangleList);
@@ -304,10 +327,10 @@ TEST(Device, SinkSeesCallsInSubmissionOrder)
 
         EXPECT_EQ(sink.calls, want) << threads << " thread(s)";
         EXPECT_EQ(sink.widths,
-                  (std::vector<int>{64, 32, 16, 8, 1, 4, 16, 2}))
+                  (std::vector<int>{64, 32, 16, 8, 4, 16, 2}))
             << threads << " thread(s)";
-        EXPECT_EQ(dev.texture(redefined), sink.textures[4]);
-        EXPECT_EQ(dev.texture(last), sink.textures[6]);
+        EXPECT_EQ(dev.texture(bound), sink.textures[2]);
+        EXPECT_EQ(dev.texture(last), sink.textures[5]);
         EXPECT_EQ(sink.calls.size(), want.size()); // lookups announce nothing
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
@@ -370,18 +393,6 @@ TEST(Device, PendingTexturesAnnouncedOnSetSinkAndLookup)
     EXPECT_EQ(dev.texture(b), second.textures[0]);
 }
 
-TEST(Device, TextureRedefinitionWarns)
-{
-    Device dev;
-    testing::internal::CaptureStderr();
-    dev.submit(CreateTextureCmd{7, noiseSpec(4)});
-    dev.submit(CreateTextureCmd{7, noiseSpec(8)});
-    std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("device: texture 7 redefined"), std::string::npos)
-        << err;
-    EXPECT_EQ(dev.texture(7)->width(), 8);
-}
-
 TEST(ApiStats, CountsDrawsAndStateCalls)
 {
     Fixture f;
@@ -400,6 +411,53 @@ TEST(ApiStats, CountsDrawsAndStateCalls)
     EXPECT_EQ(s.primitives(), 1u);
     EXPECT_DOUBLE_EQ(s.avgIndicesPerBatch(), 3.0);
     EXPECT_DOUBLE_EQ(s.avgBatchesPerFrame(), 1.0);
+}
+
+TEST(ApiStats, EveryCallButDrawAndEndFrameIsOneStateCall)
+{
+    Fixture f;
+    Device &dev = f.dev;
+    auto calls = [&] { return dev.stats().stateCalls(); };
+    auto once = [&](const char *what, auto &&call) {
+        std::uint64_t before = calls();
+        testing::internal::CaptureStderr();
+        call();
+        testing::internal::GetCapturedStderr();
+        EXPECT_EQ(calls(), before + 1) << what;
+    };
+    once("createVertexBuffer", [&] { dev.createVertexBuffer(smallVb()); });
+    once("createIndexBuffer",
+         [&] { dev.createIndexBuffer(smallIb({0, 1, 2})); });
+    once("createTexture", [&] { dev.createTexture(noiseSpec(4)); });
+    once("createProgram",
+         [&] { dev.createProgram(shader::ProgramKind::Vertex, kVs); });
+    once("createProgram (fails to assemble)",
+         [&] { dev.createProgram(shader::ProgramKind::Vertex, "BAD x\n"); });
+    once("bindProgram", [&] { dev.bindProgram(shader::ProgramKind::Vertex,
+                                              f.vp); });
+    once("bindProgram (unknown)",
+         [&] { dev.bindProgram(shader::ProgramKind::Vertex, 9999); });
+    once("bindTexture", [&] { dev.bindTexture(0, 0, {}); });
+    once("bindTexture (bad unit)",
+         [&] { dev.bindTexture(shader::kMaxSamplers, 0, {}); });
+    once("setDepthStencil", [&] { dev.setDepthStencil({}); });
+    once("setBlend", [&] { dev.setBlend({}); });
+    once("setCullMode", [&] { dev.setCullMode(geom::CullMode::None); });
+    once("setConstant",
+         [&] { dev.setConstant(shader::ProgramKind::Vertex, 0, {}); });
+    once("setConstant (out of range)",
+         [&] { dev.setConstant(shader::ProgramKind::Vertex, 64, {}); });
+    once("clear", [&] { dev.clear(); });
+
+    std::uint64_t before = calls();
+    dev.draw(f.vb, f.ib, 0, 3, geom::PrimitiveType::TriangleList);
+    testing::internal::CaptureStderr();
+    dev.draw(f.vb, 9999, 0, 3, geom::PrimitiveType::TriangleList);
+    testing::internal::GetCapturedStderr();
+    dev.endFrame();
+    EXPECT_EQ(calls(), before);
+    EXPECT_EQ(dev.stats().batches(), 1u);
+    EXPECT_EQ(dev.stats().frames(), 1u);
 }
 
 TEST(ApiStats, PrimitiveShares)
@@ -459,9 +517,4 @@ TEST(Misc, NamesAndSizes)
     EXPECT_STREQ(graphicsApiName(GraphicsApi::Direct3D), "Direct3D");
     EXPECT_EQ(indexTypeBytes(IndexType::U16), 2);
     EXPECT_EQ(indexTypeBytes(IndexType::U32), 4);
-    Command draw = DrawCmd{};
-    EXPECT_FALSE(isStateCall(draw));
-    Command bind = BindProgramCmd{};
-    EXPECT_TRUE(isStateCall(bind));
-    EXPECT_FALSE(isStateCall(Command{EndFrameCmd{}}));
 }

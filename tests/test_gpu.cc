@@ -5,6 +5,8 @@
  * statistics the paper's microarchitectural tables consume.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "api/device.hh"
@@ -480,6 +482,34 @@ TEST(Gpu, CountersQuadBalance)
                     c.pctQuadsRemovedAlpha() +
                     c.pctQuadsRemovedColorMask() + c.pctQuadsBlended(),
                 100.0, 1e-9);
+}
+
+// Malformed calls the device must drop before they reach the pipeline:
+// each one crashed or panicked the simulator before it did.
+TEST(Device, MalformedCallsSpareTheSimulator)
+{
+    Rig rig;
+    auto fs = rig.dev.createProgram(shader::ProgramKind::Fragment,
+                                    kColorFs);
+    rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
+    auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 0, 0, 1});
+    std::uint32_t empty = rig.dev.createVertexBuffer(VertexBufferData{});
+    testing::internal::CaptureStderr();
+    rig.dev.draw(quad.first, quad.second, 0xFFFFFFFFu, 4,
+                 geom::PrimitiveType::TriangleList);
+    rig.dev.draw(empty, quad.second, 0, 6,
+                 geom::PrimitiveType::TriangleList);
+    rig.dev.setConstant(shader::ProgramKind::Vertex, 64, {1, 1, 1, 1});
+    rig.dev.endFrame();
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("draw range exceeds index buffer"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("empty vertex buffer"), std::string::npos) << err;
+    EXPECT_NE(err.find("constant 64 out of range"), std::string::npos)
+        << err;
+    EXPECT_EQ(rig.dev.stats().batches(), 0u);
+    EXPECT_EQ(rig.sim->counters().indices, 0u);
+    EXPECT_EQ(rig.sim->frames(), 1);
 }
 
 TEST(Gpu, ConfigDescribeMentionsTableTwoParameters)

@@ -84,22 +84,6 @@ TEST(Distribution, Merge)
     EXPECT_DOUBLE_EQ(a.max(), 5.0);
 }
 
-TEST(Histogram, BucketsAndOutOfRange)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.sample(-1.0);
-    h.sample(0.0);
-    h.sample(1.9);
-    h.sample(9.99);
-    h.sample(10.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-}
-
 TEST(FrameSeries, RecordsPerFrame)
 {
     FrameSeries fs;
