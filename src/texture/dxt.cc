@@ -29,29 +29,96 @@ unpackRgb565(std::uint16_t v)
 
 namespace {
 
-int
-colorDistSq(Rgba8 a, Rgba8 b)
+/** The DXT colour palette of endpoints @p c0 and @p c1. */
+void
+colorPalette(std::uint16_t c0, std::uint16_t c1, bool four_color,
+             Rgba8 palette[4])
 {
-    int dr = a.r - b.r, dg = a.g - b.g, db = a.b - b.b;
-    return dr * dr + dg * dg + db * db;
+    palette[0] = unpackRgb565(c0);
+    palette[1] = unpackRgb565(c1);
+    if (four_color) {
+        for (int ch = 0; ch < 3; ++ch) {
+            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
+                (2 * (&palette[0].r)[ch] + (&palette[1].r)[ch]) / 3);
+            (&palette[3].r)[ch] = static_cast<std::uint8_t>(
+                ((&palette[0].r)[ch] + 2 * (&palette[1].r)[ch]) / 3);
+        }
+        palette[2].a = palette[3].a = 255;
+    } else {
+        for (int ch = 0; ch < 3; ++ch) {
+            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
+                ((&palette[0].r)[ch] + (&palette[1].r)[ch]) / 2);
+        }
+        palette[2].a = 255;
+        palette[3] = {0, 0, 0, 0};
+    }
 }
 
 /**
- * Encode the colour part (8 bytes) shared by all DXT formats.
- * @param use_alpha_punch DXT1 1-bit-alpha mode when any texel a < 128
+ * For each of 16 texels, the palette entry in [0, count) at the
+ * smallest dist(i, p); a tie keeps the lower index. Written without
+ * branches so the compiler vectorizes it across the texels.
  */
+template <typename Dist>
 void
-encodeColorBlock(const Rgba8 texels[16], bool allow_punch_through,
-                 std::uint8_t *out)
+nearestEntries(int count, Dist dist, int best[16])
 {
+    int best_d[16];
+    for (int i = 0; i < 16; ++i) {
+        best_d[i] = dist(i, 0);
+        best[i] = 0;
+    }
+    for (int p = 1; p < count; ++p) {
+        for (int i = 0; i < 16; ++i) {
+            int d = dist(i, p), bd = best_d[i], bi = best[i];
+            best[i] = d < bd ? p : bi;
+            best_d[i] = d < bd ? d : bd;
+        }
+    }
+}
+
+/**
+ * A block's colour endpoints, their palette and each texel's palette
+ * index. The encoder packs the endpoints and indices; the round trip
+ * writes the palette entries, which is what a decoder would produce.
+ */
+struct ColorFit
+{
+    std::uint16_t c0 = 0;
+    std::uint16_t c1 = 0;
+    Rgba8 palette[4];
+    std::uint8_t index[16];
+};
+
+/**
+ * Fit the colour part shared by all DXT formats.
+ * @param allow_punch_through DXT1: 1-bit-alpha mode when any texel has
+ *        a < 128
+ */
+ColorFit
+fitColorBlock(const Rgba8 texels[16], bool allow_punch_through)
+{
+    // Channels as separate arrays so nearestEntries() vectorizes.
+    int r[16], g[16], b[16];
+    for (int i = 0; i < 16; ++i) {
+        r[i] = texels[i].r;
+        g[i] = texels[i].g;
+        b[i] = texels[i].b;
+    }
+
     // Endpoints: min/max along the luminance axis (simple but effective).
-    auto lum = [](Rgba8 c) { return 2 * c.r + 5 * c.g + c.b; };
     int min_i = 0, max_i = 0;
+    int min_l = 2 * r[0] + 5 * g[0] + b[0], max_l = min_l;
     for (int i = 1; i < 16; ++i) {
-        if (lum(texels[i]) < lum(texels[min_i]))
+        int l = 2 * r[i] + 5 * g[i] + b[i];
+        if (l < min_l) {
+            min_l = l;
             min_i = i;
-        if (lum(texels[i]) > lum(texels[max_i]))
+        }
+        if (l > max_l) {
+            max_l = l;
             max_i = i;
+        }
     }
     std::uint16_t c0 = packRgb565(texels[max_i]);
     std::uint16_t c1 = packRgb565(texels[min_i]);
@@ -77,50 +144,42 @@ encodeColorBlock(const Rgba8 texels[16], bool allow_punch_through,
             c0 = static_cast<std::uint16_t>(c0 + 1);
         }
     }
+    ColorFit fit;
+    fit.c0 = c0;
+    fit.c1 = c1;
+    colorPalette(c0, c1, !punch, fit.palette);
 
-    Rgba8 palette[4];
-    palette[0] = unpackRgb565(c0);
-    palette[1] = unpackRgb565(c1);
-    if (!punch) {
-        for (int ch = 0; ch < 3; ++ch) {
-            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
-                (2 * (&palette[0].r)[ch] + (&palette[1].r)[ch]) / 3);
-            (&palette[3].r)[ch] = static_cast<std::uint8_t>(
-                ((&palette[0].r)[ch] + 2 * (&palette[1].r)[ch]) / 3);
-        }
-        palette[2].a = palette[3].a = 255;
-    } else {
-        for (int ch = 0; ch < 3; ++ch) {
-            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
-                ((&palette[0].r)[ch] + (&palette[1].r)[ch]) / 2);
-        }
-        palette[2].a = 255;
-        palette[3] = {0, 0, 0, 0};
-    }
-
-    std::uint32_t indices = 0;
+    // Nearest palette entry by squared RGB distance. Punch-through sends
+    // texels with a < 128 to entry 3 (transparent black) and the rest
+    // to entries 0-2.
+    int best[16];
+    nearestEntries(
+        punch ? 3 : 4,
+        [&](int i, int p) {
+            const Rgba8 &c = fit.palette[p];
+            int dr = r[i] - c.r, dg = g[i] - c.g, db = b[i] - c.b;
+            return dr * dr + dg * dg + db * db;
+        },
+        best);
     for (int i = 0; i < 16; ++i) {
-        int best = 0;
-        if (punch && texels[i].a < 128) {
-            best = 3;
-        } else {
-            int best_d = colorDistSq(texels[i], palette[0]);
-            int limit = punch ? 3 : 4;
-            for (int pidx = 1; pidx < limit; ++pidx) {
-                int d = colorDistSq(texels[i], palette[pidx]);
-                if (d < best_d) {
-                    best_d = d;
-                    best = pidx;
-                }
-            }
-        }
-        indices |= static_cast<std::uint32_t>(best) << (2 * i);
+        fit.index[i] = static_cast<std::uint8_t>(
+            punch && texels[i].a < 128 ? 3 : best[i]);
     }
+    return fit;
+}
 
-    out[0] = static_cast<std::uint8_t>(c0 & 0xff);
-    out[1] = static_cast<std::uint8_t>(c0 >> 8);
-    out[2] = static_cast<std::uint8_t>(c1 & 0xff);
-    out[3] = static_cast<std::uint8_t>(c1 >> 8);
+void
+encodeColorBlock(const Rgba8 texels[16], bool allow_punch_through,
+                 std::uint8_t *out)
+{
+    ColorFit fit = fitColorBlock(texels, allow_punch_through);
+    std::uint32_t indices = 0;
+    for (int i = 0; i < 16; ++i)
+        indices |= static_cast<std::uint32_t>(fit.index[i]) << (2 * i);
+    out[0] = static_cast<std::uint8_t>(fit.c0 & 0xff);
+    out[1] = static_cast<std::uint8_t>(fit.c0 >> 8);
+    out[2] = static_cast<std::uint8_t>(fit.c1 & 0xff);
+    out[3] = static_cast<std::uint8_t>(fit.c1 >> 8);
     std::memcpy(out + 4, &indices, 4);
 }
 
@@ -133,34 +192,36 @@ decodeColorBlock(const std::uint8_t *data, bool dxt1_mode, Rgba8 texels[16])
     std::memcpy(&indices, data + 4, 4);
 
     Rgba8 palette[4];
-    palette[0] = unpackRgb565(c0);
-    palette[1] = unpackRgb565(c1);
-    bool four_color = !dxt1_mode || c0 > c1;
-    if (four_color) {
-        for (int ch = 0; ch < 3; ++ch) {
-            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
-                (2 * (&palette[0].r)[ch] + (&palette[1].r)[ch]) / 3);
-            (&palette[3].r)[ch] = static_cast<std::uint8_t>(
-                ((&palette[0].r)[ch] + 2 * (&palette[1].r)[ch]) / 3);
-        }
-        palette[2].a = palette[3].a = 255;
-    } else {
-        for (int ch = 0; ch < 3; ++ch) {
-            (&palette[2].r)[ch] = static_cast<std::uint8_t>(
-                ((&palette[0].r)[ch] + (&palette[1].r)[ch]) / 2);
-        }
-        palette[2].a = 255;
-        palette[3] = {0, 0, 0, 0};
-    }
-
+    colorPalette(c0, c1, !dxt1_mode || c0 > c1, palette);
     for (int i = 0; i < 16; ++i)
         texels[i] = palette[(indices >> (2 * i)) & 0x3];
 }
 
-/** DXT5 interpolated-alpha block (8 bytes). */
+/** The eight-entry DXT5 alpha palette (a0 > a1). */
 void
-encodeAlphaBlockDxt5(const Rgba8 texels[16], std::uint8_t *out)
+alphaPalette8(std::uint8_t a0, std::uint8_t a1, std::uint8_t palette[8])
 {
+    palette[0] = a0;
+    palette[1] = a1;
+    for (int i = 1; i < 7; ++i) {
+        palette[i + 1] = static_cast<std::uint8_t>(
+            ((7 - i) * a0 + i * a1) / 7);
+    }
+}
+
+/** DXT5 alpha endpoints (palette[0], palette[1]), palette and indices. */
+struct AlphaFit
+{
+    std::uint8_t palette[8];
+    std::uint8_t index[16];
+};
+
+AlphaFit
+fitAlphaBlockDxt5(const Rgba8 texels[16])
+{
+    int a[16];
+    for (int i = 0; i < 16; ++i)
+        a[i] = texels[i].a;
     std::uint8_t a0 = texels[0].a, a1 = texels[0].a;
     for (int i = 1; i < 16; ++i) {
         a0 = std::max(a0, texels[i].a);
@@ -174,28 +235,27 @@ encodeAlphaBlockDxt5(const Rgba8 texels[16], std::uint8_t *out)
             --a1;
         }
     }
-    std::uint8_t palette[8];
-    palette[0] = a0;
-    palette[1] = a1;
-    for (int i = 1; i < 7; ++i) {
-        palette[i + 1] = static_cast<std::uint8_t>(
-            ((7 - i) * a0 + i * a1) / 7);
-    }
+    AlphaFit fit;
+    alphaPalette8(a0, a1, fit.palette);
+    int best[16];
+    nearestEntries(
+        8, [&](int i, int p) { return std::abs(a[i] - fit.palette[p]); },
+        best);
+    for (int i = 0; i < 16; ++i)
+        fit.index[i] = static_cast<std::uint8_t>(best[i]);
+    return fit;
+}
+
+/** DXT5 interpolated-alpha block (8 bytes). */
+void
+encodeAlphaBlockDxt5(const Rgba8 texels[16], std::uint8_t *out)
+{
+    AlphaFit fit = fitAlphaBlockDxt5(texels);
     std::uint64_t bits = 0;
-    for (int i = 0; i < 16; ++i) {
-        int best = 0;
-        int best_d = std::abs(static_cast<int>(texels[i].a) - palette[0]);
-        for (int p = 1; p < 8; ++p) {
-            int d = std::abs(static_cast<int>(texels[i].a) - palette[p]);
-            if (d < best_d) {
-                best_d = d;
-                best = p;
-            }
-        }
-        bits |= static_cast<std::uint64_t>(best) << (3 * i);
-    }
-    out[0] = a0;
-    out[1] = a1;
+    for (int i = 0; i < 16; ++i)
+        bits |= static_cast<std::uint64_t>(fit.index[i]) << (3 * i);
+    out[0] = fit.palette[0];
+    out[1] = fit.palette[1];
     for (int b = 0; b < 6; ++b)
         out[2 + b] = static_cast<std::uint8_t>((bits >> (8 * b)) & 0xff);
 }
@@ -205,14 +265,11 @@ decodeAlphaBlockDxt5(const std::uint8_t *data, std::uint8_t alphas[16])
 {
     std::uint8_t a0 = data[0], a1 = data[1];
     std::uint8_t palette[8];
-    palette[0] = a0;
-    palette[1] = a1;
     if (a0 > a1) {
-        for (int i = 1; i < 7; ++i) {
-            palette[i + 1] = static_cast<std::uint8_t>(
-                ((7 - i) * a0 + i * a1) / 7);
-        }
+        alphaPalette8(a0, a1, palette);
     } else {
+        palette[0] = a0;
+        palette[1] = a1;
         for (int i = 1; i < 5; ++i) {
             palette[i + 1] = static_cast<std::uint8_t>(
                 ((5 - i) * a0 + i * a1) / 5);
@@ -283,6 +340,24 @@ decodeBlock(const std::uint8_t *data, TexFormat format, Rgba8 texels[16])
       }
       default:
         panic("decodeBlock: not a DXT format");
+    }
+}
+
+void
+roundTripBlock(const Rgba8 texels[16], TexFormat format, Rgba8 out[16])
+{
+    if (!isCompressed(format))
+        panic("roundTripBlock: not a DXT format");
+    ColorFit color = fitColorBlock(texels, format == TexFormat::DXT1);
+    for (int i = 0; i < 16; ++i)
+        out[i] = color.palette[color.index[i]];
+    if (format == TexFormat::DXT3) {
+        for (int i = 0; i < 16; ++i)
+            out[i].a = static_cast<std::uint8_t>((texels[i].a >> 4) * 17);
+    } else if (format == TexFormat::DXT5) {
+        AlphaFit alpha = fitAlphaBlockDxt5(texels);
+        for (int i = 0; i < 16; ++i)
+            out[i].a = alpha.palette[alpha.index[i]];
     }
 }
 

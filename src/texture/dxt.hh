@@ -35,6 +35,19 @@ void encodeBlock(const Rgba8 texels[16], TexFormat format,
 void decodeBlock(const std::uint8_t *data, TexFormat format,
                  Rgba8 texels[16]);
 
+/**
+ * Compress a 4x4 RGBA8 block and decode it again in one step: the
+ * texels a decoder would produce from encodeBlock()'s output. It shares
+ * the endpoint, palette and index selection with encodeBlock() and
+ * writes each texel's palette entry instead of packing the indices.
+ *
+ * @param texels 16 texels, row-major
+ * @param format DXT1, DXT3 or DXT5
+ * @param out    destination, 16 texels row-major
+ */
+void roundTripBlock(const Rgba8 texels[16], TexFormat format,
+                    Rgba8 out[16]);
+
 /** Pack an Rgba8 colour to RGB565. */
 std::uint16_t packRgb565(Rgba8 c);
 

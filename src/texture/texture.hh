@@ -1,8 +1,9 @@
 /**
  * @file
  * Mip-mapped 2D textures. Content is stored in the real on-card format
- * (RGBA8 or DXT-compressed blocks); compressed levels are encoded with
- * the real codec and decoded back, so sampling observes the lossy data
+ * (RGBA8 or DXT-compressed blocks). Each compressed level goes through
+ * the codec's fused round trip (roundTripBlock(), which a test pins
+ * equal to encode-then-decode), so sampling observes the lossy data
  * and the memory footprint/addresses reflect the compressed layout.
  */
 

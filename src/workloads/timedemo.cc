@@ -130,12 +130,11 @@ Timedemo::setup(api::Device &device)
         spec.size = p.textureSize;
         spec.cell = p.textureSize / 8;
         spec.seed = p.seed * 977 + static_cast<std::uint64_t>(t);
-        if (t % 3 == 1) {
-            // Alpha-varying textures for alpha-tested materials (DXT5
-            // keeps smooth alpha; DXT1 would punch it to 1 bit).
+        // Alpha-varying textures for alpha-tested materials. They use
+        // the profile's format like the rest of the pool; in DXT1 (every
+        // game's) their alpha is punch-through, cut to 1 bit at 128.
+        if (t % 3 == 1)
             spec.alphaNoise = true;
-            spec.format = tex::TexFormat::DXT5;
-        }
         spec.colorA = {static_cast<std::uint8_t>(120 + 10 * (t % 9)),
                        static_cast<std::uint8_t>(100 + 13 * (t % 7)),
                        static_cast<std::uint8_t>(90 + 17 * (t % 5)), 255};
@@ -156,8 +155,8 @@ Timedemo::setup(api::Device &device)
             synthFragmentProgram(mat.spec));
         for (int u = 0; u < std::max(1, mat.spec.texInstructions); ++u) {
             int idx = (m * 3 + u * 5) % pool_size;
-            // Alpha-test materials sample the alpha-varying (DXT5
-            // noise) pool entries at slot 0 so KIL sees real variation.
+            // Alpha-test materials sample the alpha-varying (noise)
+            // pool entries at slot 0 so KIL sees real variation.
             if (mat.spec.alphaKill && u == 0 && idx % 3 != 1)
                 idx = (idx / 3) * 3 + 1;
             mat.textures.push_back(pool[static_cast<std::size_t>(idx)]);

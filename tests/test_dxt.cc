@@ -3,7 +3,9 @@
  * Unit tests for the DXT block codec and format metadata.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -217,3 +219,94 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, DxtRandom,
                          ::testing::Values(TexFormat::DXT1,
                                            TexFormat::DXT3,
                                            TexFormat::DXT5));
+
+namespace {
+
+/** Every texel of roundTripBlock() equals decodeBlock(encodeBlock()). */
+void
+expectRoundTripMatches(const Rgba8 block[16], TexFormat fmt,
+                       const std::string &what)
+{
+    std::uint8_t enc[16];
+    Rgba8 expected[16], fused[16];
+    encodeBlock(block, fmt, enc);
+    decodeBlock(enc, fmt, expected);
+    roundTripBlock(block, fmt, fused);
+    int i = 0;
+    while (i < 16 && fused[i] == expected[i])
+        ++i;
+    EXPECT_EQ(i, 16) << what << " " << formatName(fmt)
+                     << ": first differing texel";
+}
+
+} // namespace
+
+TEST(Dxt, RoundTripEqualsEncodeThenDecode)
+{
+    const TexFormat formats[] = {TexFormat::DXT1, TexFormat::DXT3,
+                                 TexFormat::DXT5};
+    Rng rng(2024);
+    Rgba8 block[16];
+    for (TexFormat fmt : formats) {
+        // Arbitrary texels, mixed alpha included (DXT1 punch-through).
+        for (int iter = 0; iter < 500; ++iter) {
+            for (auto &t : block)
+                t = Rgba8::fromPacked(rng.nextU32());
+            expectRoundTripMatches(block, fmt, "random");
+        }
+        // Smooth blocks, opaque and with alpha on both sides of 128.
+        for (int iter = 0; iter < 500; ++iter) {
+            std::uint32_t base = rng.nextU32();
+            for (auto &t : block) {
+                Rgba8 c = Rgba8::fromPacked(base);
+                auto jitter = [&rng](std::uint8_t v) {
+                    int j = static_cast<int>(v) +
+                            static_cast<int>(rng.nextBounded(9)) - 4;
+                    return static_cast<std::uint8_t>(std::clamp(j, 0, 255));
+                };
+                t = {jitter(c.r), jitter(c.g), jitter(c.b),
+                     iter % 2 ? jitter(c.a) : std::uint8_t{255}};
+            }
+            expectRoundTripMatches(block, fmt, "smooth");
+        }
+        // Uniform white takes the c0 == 0xffff widening branch; uniform
+        // black the other one.
+        for (auto &t : block)
+            t = {255, 255, 255, 255};
+        expectRoundTripMatches(block, fmt, "white");
+        for (auto &t : block)
+            t = {0, 0, 0, 255};
+        expectRoundTripMatches(block, fmt, "black");
+        // Distinct colours of equal luminance (2r + 5g + b = 10): both
+        // endpoints come from the first texel.
+        const Rgba8 equal_lum[3] = {{5, 0, 0, 255}, {0, 2, 0, 255},
+                                    {0, 0, 10, 255}};
+        for (int i = 0; i < 16; ++i)
+            block[i] = equal_lum[(i * 7) % 3];
+        expectRoundTripMatches(block, fmt, "equal-luminance");
+        // Ties at both extremes beside other colours.
+        for (int i = 0; i < 16; ++i) {
+            block[i] = i % 4 == 0   ? Rgba8{100, 0, 0, 255}
+                       : i % 4 == 1 ? Rgba8{0, 40, 0, 255}
+                       : i % 4 == 2 ? Rgba8{0, 0, 3, 255}
+                                    : Rgba8{1, 0, 1, 255};
+        }
+        expectRoundTripMatches(block, fmt, "tied-extremes");
+        // Punch-through: opaque and transparent texels mixed.
+        for (int i = 0; i < 16; ++i) {
+            block[i] = {static_cast<std::uint8_t>(16 * i),
+                        static_cast<std::uint8_t>(200 - 8 * i), 90,
+                        static_cast<std::uint8_t>(i % 3 ? 255 : 40)};
+        }
+        expectRoundTripMatches(block, fmt, "punch-through");
+        // Uniform alpha 255 and 0: the two DXT5 alpha widening branches.
+        for (int i = 0; i < 16; ++i) {
+            block[i] = {static_cast<std::uint8_t>(10 * i), 70,
+                        static_cast<std::uint8_t>(250 - 9 * i), 255};
+        }
+        expectRoundTripMatches(block, fmt, "alpha-255");
+        for (auto &t : block)
+            t.a = 0;
+        expectRoundTripMatches(block, fmt, "alpha-0");
+    }
+}

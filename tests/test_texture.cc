@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "memory/controller.hh"
 #include "texture/texture.hh"
 
@@ -171,59 +172,77 @@ contentHash(const Texture2D &t)
 } // namespace
 
 // Locks the generated texture bytes (every level, after the DXT round
-// trip) so a faster generator or codec must be bit-exact.
+// trip) so a faster generator or codec must be bit-exact. The hashes
+// were taken from the per-pixel generator and the separate
+// encode-then-decode round trip.
 TEST(Texture, ContentPinned)
 {
     const char *kinds[] = {"checker", "noise", "noise_alpha", "gradient"};
     const TexFormat formats[] = {TexFormat::RGBA8, TexFormat::DXT1,
                                  TexFormat::DXT3, TexFormat::DXT5};
-    const int sizes[] = {1, 4, 64, 512};
-    const std::uint64_t expected[4][4][4] = {
+    const int sizes[] = {1, 2, 4, 64, 256, 512};
+    const std::uint64_t expected[4][4][6] = {
         { // checker
-         {0x90282d1ee18d8f78ull, 0x2424d76bd69eb44eull,
-          0x363f65c13791c995ull, 0xb6ce9fc3defa86e8ull}, // RGBA8
-         {0xa326dcad1f942aaaull, 0x8d1274677a0d74abull,
-          0xb6cd9f1356a30929ull, 0xdcfb1cbdefef1e7bull}, // DXT1
-         {0x9afd14f5770e7bb2ull, 0xafcd606157767b7cull,
-          0x9d7dd26dab6fcafbull, 0xd3882fd2b54f66e6ull}, // DXT3
-         {0x9afd14f5770e7bb2ull, 0xbdd3c482a6d098d9ull,
-          0xffb42899a34fe13aull, 0xef07e3963696c997ull}, // DXT5
+         {0x90282d1ee18d8f78ull, 0xe43ada1f7380e36eull,
+          0x2424d76bd69eb44eull, 0x363f65c13791c995ull,
+          0x156b9977f1b6ea78ull, 0xb6ce9fc3defa86e8ull}, // RGBA8
+         {0xa326dcad1f942aaaull, 0x5dde27a8f0b670d7ull,
+          0x8d1274677a0d74abull, 0xb6cd9f1356a30929ull,
+          0xc27a8043e1ef9209ull, 0xdcfb1cbdefef1e7bull}, // DXT1
+         {0x9afd14f5770e7bb2ull, 0x132a0b0fa0c0402cull,
+          0xafcd606157767b7cull, 0x9d7dd26dab6fcafbull,
+          0x797075697f584e02ull, 0xd3882fd2b54f66e6ull}, // DXT3
+         {0x9afd14f5770e7bb2ull, 0x645ec87717ba17c5ull,
+          0xbdd3c482a6d098d9ull, 0xffb42899a34fe13aull,
+          0x618659389053b0b3ull, 0xef07e3963696c997ull}, // DXT5
         },
         { // noise
-         {0x864f70d7e2537585ull, 0x7c0ef440fd7baa94ull,
-          0xb083b1cfaf58b520ull, 0xc413441cc441b49eull}, // RGBA8
-         {0xa221f21763b9cb06ull, 0xe533cf43090f8e5aull,
-          0x3aa2f45f3aecfa05ull, 0x3f7c0305cf333891ull}, // DXT1
-         {0x89a49af06a28be1eull, 0xccb6781c0f7e8172ull,
-          0x3919e5ef286895a8ull, 0x099ba411ed24ff67ull}, // DXT3
-         {0x89a49af06a28be1eull, 0xccb6781c0f7e8172ull,
-          0x3919e5ef286895a8ull, 0x099ba411ed24ff67ull}, // DXT5
+         {0x864f70d7e2537585ull, 0x1684de8c8b83c0c7ull,
+          0x7c0ef440fd7baa94ull, 0xb083b1cfaf58b520ull,
+          0xf2ff3b51b45660b0ull, 0xc413441cc441b49eull}, // RGBA8
+         {0xa221f21763b9cb06ull, 0x78542bb1db7404f0ull,
+          0xe533cf43090f8e5aull, 0x3aa2f45f3aecfa05ull,
+          0x2147120f4e25b805ull, 0x3f7c0305cf333891ull}, // DXT1
+         {0x89a49af06a28be1eull, 0xa94ed9ffce961ec0ull,
+          0xccb6781c0f7e8172ull, 0x3919e5ef286895a8ull,
+          0xcf687b0d66bdcf01ull, 0x099ba411ed24ff67ull}, // DXT3
+         {0x89a49af06a28be1eull, 0xa94ed9ffce961ec0ull,
+          0xccb6781c0f7e8172ull, 0x3919e5ef286895a8ull,
+          0xcf687b0d66bdcf01ull, 0x099ba411ed24ff67ull}, // DXT5
         },
         { // noise_alpha
-         {0x032299f3d25ed3d9ull, 0xf796ccc8bc30387bull,
-          0xc4c1e5cdd6e5d65cull, 0x7aa65b7f6ab737abull}, // RGBA8
-         {0x4c3de922748ab59dull, 0x01f698c924245270ull,
-          0xa35321f70a09c1e7ull, 0xdac319bc7c287ec8ull}, // DXT1
-         {0xa318655023fc77ecull, 0xf17e369e5bf81519ull,
-          0x08891cb26efc7b96ull, 0x97121fe10887494full}, // DXT3
-         {0x653fbaf7f20a14aaull, 0x006eef57474ae96bull,
-          0x3b536351757b59bfull, 0x1163d2a8a3a42404ull}, // DXT5
+         {0x032299f3d25ed3d9ull, 0x76d2bf2e39c69808ull,
+          0xf796ccc8bc30387bull, 0xc4c1e5cdd6e5d65cull,
+          0xbed822bca28dedc4ull, 0x7aa65b7f6ab737abull}, // RGBA8
+         {0x4c3de922748ab59dull, 0xbf5884e446943f15ull,
+          0x01f698c924245270ull, 0xa35321f70a09c1e7ull,
+          0x8329e9c421fa7fa2ull, 0xdac319bc7c287ec8ull}, // DXT1
+         {0xa318655023fc77ecull, 0xe423538463df2bc6ull,
+          0xf17e369e5bf81519ull, 0x08891cb26efc7b96ull,
+          0x9797c51d2e60704cull, 0x97121fe10887494full}, // DXT3
+         {0x653fbaf7f20a14aaull, 0x5a6bfe1e2b568ca5ull,
+          0x006eef57474ae96bull, 0x3b536351757b59bfull,
+          0x4745ca724a8a7401ull, 0x1163d2a8a3a42404ull}, // DXT5
         },
         { // gradient
-         {0x90282d1ee18d8f78ull, 0x113687775f608a32ull,
-          0xb4593b06b9462126ull, 0x1d55bb7c0e396c69ull}, // RGBA8
-         {0xa326dcad1f942aaaull, 0xb2c763ba572d3f8full,
-          0xee8b25463d280b5dull, 0x0ccffad8e72a4b11ull}, // DXT1
-         {0x9afd14f5770e7bb2ull, 0x635d409a554d41e8ull,
-          0x21e917daebf36957ull, 0xaa8751551791b734ull}, // DXT3
-         {0x9afd14f5770e7bb2ull, 0x0a4bec41a3d97f81ull,
-          0xebac95970036f837ull, 0xc500f0bf4d5ff96full}, // DXT5
+         {0x90282d1ee18d8f78ull, 0xe8924a47f0838636ull,
+          0x113687775f608a32ull, 0xb4593b06b9462126ull,
+          0x6ebffc743a091d49ull, 0x1d55bb7c0e396c69ull}, // RGBA8
+         {0xa326dcad1f942aaaull, 0xf3d83f201c5f8b37ull,
+          0xb2c763ba572d3f8full, 0xee8b25463d280b5dull,
+          0x603fbb40497246a3ull, 0x0ccffad8e72a4b11ull}, // DXT1
+         {0x9afd14f5770e7bb2ull, 0x594bb71ecf64bf04ull,
+          0x635d409a554d41e8ull, 0x21e917daebf36957ull,
+          0x0677026d201c02c8ull, 0xaa8751551791b734ull}, // DXT3
+         {0x9afd14f5770e7bb2ull, 0x92343ef3b9e379ddull,
+          0x0a4bec41a3d97f81ull, 0xebac95970036f837ull,
+          0x5fd8f91cc77ece0bull, 0xc500f0bf4d5ff96full}, // DXT5
         },
     };
     const Rgba8 a{230, 120, 30, 255}, b{20, 60, 200, 90};
     for (int k = 0; k < 4; ++k) {
         for (int f = 0; f < 4; ++f) {
-            for (int s = 0; s < 4; ++s) {
+            for (int s = 0; s < 6; ++s) {
                 int size = sizes[s];
                 std::string kind = kinds[k];
                 Texture2D t =
@@ -239,6 +258,29 @@ TEST(Texture, ContentPinned)
                     << kind << "/" << formatName(formats[f]) << "/"
                     << size;
             }
+        }
+    }
+
+    // Non-square random base images (mixed alpha, so DXT1 takes the
+    // punch-through path) cover the edge clamps of partial blocks and
+    // of downsampling a level that is one texel high or wide.
+    const int dims[2][2] = {{16, 4}, {4, 16}};
+    const std::uint64_t expected_rect[2][4] = {
+        {0x6c26e0675e47b0d0ull, 0x3c3ac0c1813c7ecdull,
+         0x33aeb9ea68e00516ull, 0xcc71711e91029eb7ull}, // 16x4
+        {0xf8838fd0136e8c88ull, 0x4b7a5b5444ea7629ull,
+         0x8063ec15b407e2a7ull, 0x04237aaf7bf4d053ull}, // 4x16
+    };
+    for (int d = 0; d < 2; ++d) {
+        int w = dims[d][0], h = dims[d][1];
+        Rng rng(static_cast<std::uint64_t>(w * 100 + h));
+        Image img(w, h);
+        for (Rgba8 &p : img.pixels())
+            p = Rgba8::fromPacked(rng.nextU32());
+        for (int f = 0; f < 4; ++f) {
+            Texture2D t("t", img, formats[f]);
+            EXPECT_EQ(contentHash(t), expected_rect[d][f])
+                << w << "x" << h << "/" << formatName(formats[f]);
         }
     }
 }
