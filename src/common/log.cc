@@ -146,16 +146,4 @@ parseLogLevel(const std::string &s, LogLevel &out)
     return true;
 }
 
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
-}
-
-bool
-verbose()
-{
-    return logLevel() >= LogLevel::Info;
-}
-
 } // namespace wc3d

@@ -56,12 +56,6 @@ void setLogLevel(LogLevel level);
  */
 bool parseLogLevel(const std::string &s, LogLevel &out);
 
-/** Enable/disable inform() output (legacy alias for Info/Warn level). */
-void setVerbose(bool verbose);
-
-/** @return true when inform() output is enabled. */
-bool verbose();
-
 } // namespace wc3d
 
 /**

@@ -6,13 +6,11 @@ bool
 ColorUnit::writeQuad(const BlendState &state, int x, int y,
                      const Vec4 colors[4], std::uint8_t live_mask)
 {
-    ++_stats.quadsIn;
     if (live_mask == 0)
         return false;
     if (!state.colorWriteMask) {
         // The quad reached the colour stage but the write mask discards
         // it (the stencil-shadow pattern in Doom3/Quake4).
-        ++_stats.quadsMasked;
         return false;
     }
 
@@ -38,9 +36,7 @@ ColorUnit::writeQuad(const BlendState &state, int x, int y,
                              : Vec4{0, 0, 0, 0};
         Vec4 result = blendColors(state, colors[lane], dst);
         _surface->setWord(px, py, packColor(result));
-        ++_stats.fragmentsBlended;
     }
-    ++_stats.quadsBlended;
     return true;
 }
 

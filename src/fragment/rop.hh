@@ -1,9 +1,10 @@
 /**
  * @file
  * Colour raster operations: the final stage that applies the colour
- * write mask and blending to a quad of shaded fragments. Tracks the
- * quantities behind the paper's Table IX (quads removed by colour mask
- * vs blended) and Table XI (blending overdraw).
+ * write mask and blending to a quad of shaded fragments. Its result
+ * (updated or not) is what the simulator counts for the paper's
+ * Table IX (quads removed by colour mask vs blended) and Table XI
+ * (blending overdraw).
  */
 
 #ifndef WC3D_FRAGMENT_ROP_HH
@@ -13,15 +14,6 @@
 #include "fragment/framebuffer.hh"
 
 namespace wc3d::frag {
-
-/** Colour-stage statistics. */
-struct ColorStats
-{
-    std::uint64_t quadsIn = 0;
-    std::uint64_t quadsMasked = 0;  ///< removed by colour write mask
-    std::uint64_t quadsBlended = 0; ///< updated the colour buffer
-    std::uint64_t fragmentsBlended = 0;
-};
 
 /** The colour write/blend unit operating on a colour CachedSurface. */
 class ColorUnit
@@ -41,16 +33,12 @@ class ColorUnit
     bool writeQuad(const BlendState &state, int x, int y,
                    const Vec4 colors[4], std::uint8_t live_mask);
 
-    const ColorStats &stats() const { return _stats; }
-    void resetStats() { _stats = ColorStats(); }
-
     /** Defer surface-cache accesses to @p sink (see ZStencilUnit). */
     void setAccessSink(SurfaceAccessSink *sink) { _sink = sink; }
 
   private:
     CachedSurface *_surface;
     SurfaceAccessSink *_sink = nullptr;
-    ColorStats _stats;
 };
 
 } // namespace wc3d::frag

@@ -101,23 +101,9 @@ DepthStencilState::readOnly() const
 bool
 ZStencilUnit::testQuad(const DepthStencilState &state, bool back_face,
                        int x, int y, const float z[4],
-                       std::uint8_t &live_mask, float &quad_z_max)
+                       std::uint8_t &live_mask, float &quad_z_min,
+                       float &quad_z_max)
 {
-    float quad_z_min = 0.0f;
-    return testQuadEx(state, back_face, x, y, z, live_mask, quad_z_min,
-                      quad_z_max);
-}
-
-bool
-ZStencilUnit::testQuadEx(const DepthStencilState &state, bool back_face,
-                         int x, int y, const float z[4],
-                         std::uint8_t &live_mask, float &quad_z_min,
-                         float &quad_z_max)
-{
-    ++_stats.quadsIn;
-    if (live_mask == 0xf)
-        ++_stats.fullQuadsIn;
-
     const StencilFace &face = back_face ? state.back : state.front;
 
     bool will_write =
@@ -138,7 +124,6 @@ ZStencilUnit::testQuadEx(const DepthStencilState &state, bool back_face,
         bool in_bounds = px < _surface->width() && py < _surface->height();
         if (!((live_mask >> lane) & 1) || !in_bounds)
             continue;
-        ++_stats.fragmentsIn;
 
         std::uint32_t stored = _surface->word(px, py);
         float stored_z = unpackDepth(stored);
@@ -179,10 +164,8 @@ ZStencilUnit::testQuadEx(const DepthStencilState &state, bool back_face,
 
         max_stored = std::max(max_stored, new_z);
         min_stored = std::min(min_stored, new_z);
-        if (stencil_pass && depth_pass) {
+        if (stencil_pass && depth_pass)
             passed |= static_cast<std::uint8_t>(1u << lane);
-            ++_stats.fragmentsPassed;
-        }
     }
 
     // HZ feedback needs the quad's stored range including untouched
@@ -201,11 +184,7 @@ ZStencilUnit::testQuadEx(const DepthStencilState &state, bool back_face,
     quad_z_min = min_stored;
 
     live_mask = passed;
-    if (passed == 0) {
-        ++_stats.quadsRemoved;
-        return false;
-    }
-    return true;
+    return passed != 0;
 }
 
 std::pair<float, float>
@@ -215,9 +194,6 @@ ZStencilUnit::acceptQuad(const DepthStencilState &state, int x, int y,
     WC3D_ASSERT(!state.stencilTest &&
                 (state.depthFunc == CompareFunc::Less ||
                  state.depthFunc == CompareFunc::LEqual));
-    ++_stats.quadsIn;
-    if (live_mask == 0xf)
-        ++_stats.fullQuadsIn;
 
     static const int offs[4][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
     bool writes = state.depthTest && state.depthWrite;
@@ -236,10 +212,6 @@ ZStencilUnit::acceptQuad(const DepthStencilState &state, int x, int y,
         if (px >= _surface->width() || py >= _surface->height())
             continue;
         bool live = (live_mask >> lane) & 1;
-        if (live) {
-            ++_stats.fragmentsIn;
-            ++_stats.fragmentsPassed;
-        }
         float stored;
         if (live && writes) {
             stored = clampf(z[lane], 0.0f, 1.0f);

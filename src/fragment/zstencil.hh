@@ -87,16 +87,6 @@ float unpackDepth(std::uint32_t word);
 /** Stencil field of a packed word. */
 std::uint8_t unpackStencil(std::uint32_t word);
 
-/** Statistics of the z/stencil stage (paper Tables VIII, IX, XI). */
-struct ZStencilStats
-{
-    std::uint64_t quadsIn = 0;        ///< quads entering the stage
-    std::uint64_t quadsRemoved = 0;   ///< all live lanes failed
-    std::uint64_t fragmentsIn = 0;    ///< live fragments tested/bypassed
-    std::uint64_t fragmentsPassed = 0;
-    std::uint64_t fullQuadsIn = 0;    ///< quads entering with 4 live lanes
-};
-
 /**
  * The z & stencil test unit operating on a DepthStencilSurface.
  */
@@ -114,21 +104,19 @@ class ZStencilUnit
      * @param z          per-lane interpolated depth
      * @param live_mask  lanes still alive entering the stage (bit per
      *                   lane); updated to the lanes that passed
+     * @param quad_z_min [out] minimum stored depth of the quad after
+     *                   any writes (min/max Hierarchical-Z feedback)
      * @param quad_z_max [out] maximum stored depth of the quad after
-     *                   any writes (Hierarchical-Z feedback); only
-     *                   meaningful when the state writes depth
+     *                   any writes (Hierarchical-Z feedback)
+     *
+     * Both bounds cover every in-bounds lane, live or not, and are only
+     * meaningful when the state writes depth.
+     *
      * @return true when at least one lane survived
      */
     bool testQuad(const DepthStencilState &state, bool back_face, int x,
                   int y, const float z[4], std::uint8_t &live_mask,
-                  float &quad_z_max);
-
-    /** As testQuad, additionally reporting the stored quad minimum
-     *  (min/max Hierarchical-Z feedback). */
-    bool testQuadEx(const DepthStencilState &state, bool back_face,
-                    int x, int y, const float z[4],
-                    std::uint8_t &live_mask, float &quad_z_min,
-                    float &quad_z_max);
+                  float &quad_z_min, float &quad_z_max);
 
     /**
      * Early-accept path (min/max HZ): the depth test is known to pass
@@ -142,9 +130,6 @@ class ZStencilUnit
                                        int x, int y, const float z[4],
                                        std::uint8_t live_mask);
 
-    const ZStencilStats &stats() const { return _stats; }
-    void resetStats() { _stats = ZStencilStats(); }
-
     /**
      * Defer surface-cache accesses to @p sink (null restores direct
      * access). Word reads/writes still hit the surface immediately —
@@ -156,7 +141,6 @@ class ZStencilUnit
   private:
     CachedSurface *_surface;
     SurfaceAccessSink *_sink = nullptr;
-    ZStencilStats _stats;
 };
 
 } // namespace wc3d::frag

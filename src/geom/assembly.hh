@@ -8,8 +8,6 @@
 #ifndef WC3D_GEOM_ASSEMBLY_HH
 #define WC3D_GEOM_ASSEMBLY_HH
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "geom/types.hh"
@@ -31,21 +29,6 @@ namespace wc3d::geom {
  */
 void assembleTriangles(PrimitiveType type, int count,
                        std::vector<AssembledTriangle> &out);
-
-/** Statistics kept by the assembly stage across a frame/run. */
-struct AssemblyStats
-{
-    std::uint64_t indices = 0;    ///< vertices entering assembly
-    std::uint64_t triangles = 0;  ///< triangles leaving assembly
-
-    void
-    note(PrimitiveType type, int index_count)
-    {
-        indices += static_cast<std::uint64_t>(index_count);
-        triangles += static_cast<std::uint64_t>(
-            trianglesForIndices(type, index_count));
-    }
-};
 
 } // namespace wc3d::geom
 

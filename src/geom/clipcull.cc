@@ -97,19 +97,15 @@ wFn(const Vec4 &v)
 } // namespace
 
 TriangleFate
-ClipCull::process(const TransformedVertex verts[3], CullMode cull_mode,
-                  std::vector<std::array<TransformedVertex, 3>> &out)
+clipCull(const TransformedVertex verts[3], CullMode cull_mode,
+         std::vector<std::array<TransformedVertex, 3>> &out)
 {
-    ++_stats.input;
-
     // Trivial reject: all three vertices outside one frustum plane.
     for (int p = 0; p < kNumPlanes; ++p) {
         if (planeValue(verts[0].clip, p) < 0.0f &&
             planeValue(verts[1].clip, p) < 0.0f &&
-            planeValue(verts[2].clip, p) < 0.0f) {
-            ++_stats.clipped;
+            planeValue(verts[2].clip, p) < 0.0f)
             return TriangleFate::Clipped;
-        }
     }
 
     // Near-plane (and w-epsilon) clipping when any vertex is behind.
@@ -127,7 +123,6 @@ ClipCull::process(const TransformedVertex verts[3], CullMode cull_mode,
         count = clipAgainst(poly_a, count, poly_b, nearFn);
         if (count < 3) {
             // The visible part degenerated away.
-            ++_stats.clipped;
             return TriangleFate::Clipped;
         }
     } else {
@@ -146,14 +141,11 @@ ClipCull::process(const TransformedVertex verts[3], CullMode cull_mode,
         reject |= area < 0.0f;
     else if (cull_mode == CullMode::Front)
         reject |= area > 0.0f;
-    if (reject) {
-        ++_stats.culled;
+    if (reject)
         return TriangleFate::Culled;
-    }
 
     for (int i = 1; i + 1 < count; ++i)
         out.push_back({poly_b[0], poly_b[i], poly_b[i + 1]});
-    ++_stats.traversed;
     return TriangleFate::Traversed;
 }
 

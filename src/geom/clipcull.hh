@@ -2,8 +2,8 @@
  * @file
  * Clipper and culling stage: tests assembled triangles against the view
  * frustum and rejects back (or front) faces, "to avoid rasterization of
- * non-visible triangle faces". Produces the paper's Table VII
- * percentages (clipped / culled / traversed).
+ * non-visible triangle faces". Each triangle's fate (clipped / culled /
+ * traversed) is what the simulator counts for the paper's Table VII.
  *
  * Triangles fully outside any frustum plane are rejected as clipped;
  * triangles straddling only the near plane are polygon-clipped against
@@ -38,45 +38,18 @@ enum class CullMode : std::uint8_t
     Front,
 };
 
-/** Statistics for Table VII / Figure 6. */
-struct ClipCullStats
-{
-    std::uint64_t input = 0;
-    std::uint64_t clipped = 0;
-    std::uint64_t culled = 0;
-    std::uint64_t traversed = 0;
-
-    double pctClipped() const
-    { return input ? 100.0 * clipped / input : 0.0; }
-    double pctCulled() const
-    { return input ? 100.0 * culled / input : 0.0; }
-    double pctTraversed() const
-    { return input ? 100.0 * traversed / input : 0.0; }
-};
-
-/** The clip + cull stage. */
-class ClipCull
-{
-  public:
-    /**
-     * Process one triangle.
-     *
-     * @param verts      the three transformed vertices
-     * @param cull_mode  face culling mode (counter-clockwise = front)
-     * @param out        on Traversed: 1 or 2 clip-space triangles whose
-     *                   vertices all have w > 0 near-plane-wise
-     * @return the triangle's fate (stats updated)
-     */
-    TriangleFate process(const TransformedVertex verts[3],
-                         CullMode cull_mode,
-                         std::vector<std::array<TransformedVertex, 3>> &out);
-
-    const ClipCullStats &stats() const { return _stats; }
-    void resetStats() { _stats = ClipCullStats(); }
-
-  private:
-    ClipCullStats _stats;
-};
+/**
+ * The clip + cull stage: process one triangle.
+ *
+ * @param verts      the three transformed vertices
+ * @param cull_mode  face culling mode (counter-clockwise = front)
+ * @param out        on Traversed: 1 or 2 clip-space triangles whose
+ *                   vertices all have w > 0 near-plane-wise are
+ *                   appended
+ * @return the triangle's fate (the caller counts it)
+ */
+TriangleFate clipCull(const TransformedVertex verts[3], CullMode cull_mode,
+                      std::vector<std::array<TransformedVertex, 3>> &out);
 
 /**
  * Signed area of the projected triangle in NDC (positive =

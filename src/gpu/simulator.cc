@@ -10,6 +10,7 @@
 #include "common/threadpool.hh"
 #include "fragment/rop.hh"
 #include "geom/assembly.hh"
+#include "geom/clipcull.hh"
 #include "geom/viewport.hh"
 #include "shader/decoded.hh"
 #include "shader/interp.hh"
@@ -17,51 +18,6 @@
 namespace wc3d::gpu {
 
 namespace {
-
-/**
- * Snapshot of the interpreter + sampler statistics a shading step is
- * charged against. Capture before and after, subtract, and fold the
- * difference into the pipeline counters.
- */
-struct SamplerStatsDelta
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t texInstructions = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t bilinears = 0;
-
-    static SamplerStatsDelta
-    capture(const shader::Interpreter &interp, const tex::Sampler &sampler)
-    {
-        SamplerStatsDelta d;
-        d.instructions = interp.stats().instructionsExecuted;
-        d.texInstructions = interp.stats().textureInstructions;
-        d.requests = sampler.stats().requests;
-        d.bilinears = sampler.stats().bilinearSamples;
-        return d;
-    }
-
-    /** Field-wise difference of this capture from @p before. */
-    SamplerStatsDelta
-    since(const SamplerStatsDelta &before) const
-    {
-        SamplerStatsDelta d;
-        d.instructions = instructions - before.instructions;
-        d.texInstructions = texInstructions - before.texInstructions;
-        d.requests = requests - before.requests;
-        d.bilinears = bilinears - before.bilinears;
-        return d;
-    }
-
-    void
-    chargeTo(PipelineCounters &counters) const
-    {
-        counters.fragmentInstructions += instructions;
-        counters.fragmentTexInstructions += texInstructions;
-        counters.textureRequests += requests;
-        counters.bilinearSamples += bilinears;
-    }
-};
 
 /**
  * Ready @p qs for shading one quad: clear-plan reset of each lane (so a
@@ -73,14 +29,14 @@ void
 prepareQuadState(shader::QuadState &qs, const shader::DecodedProgram &dec,
                  std::uint32_t fp_input_mask,
                  const raster::TriangleSetup &setup,
-                 const raster::QuadRef &quad, std::uint8_t live)
+                 const raster::RasterQuad &quad, std::uint8_t live)
 {
     for (int l = 0; l < 4; ++l) {
         qs.covered[l] = (live >> l) & 1;
         shader::LaneState &lane = qs.lanes[l];
         dec.prepareLane(lane);
         raster::TriangleSetup::VaryingBasis basis =
-            setup.varyingBasis(quad.laneLambda(l));
+            setup.varyingBasis(quad.lambda[l]);
         std::uint32_t mask = fp_input_mask;
         while (mask) {
             int slot = std::countr_zero(mask);
@@ -305,9 +261,11 @@ struct GpuSimulator::ReplayOrder
  * interpreter and sampler whose texture-block accesses are logged, z and
  * colour units whose cache accesses are rerouted to the current tile's
  * log, private counter and HZ stats shards, and a private rasterizer for
- * the tile-clipped walk. The word reads/writes the units perform hit the
- * shared surfaces directly — safe, because a tile's pixels belong to
- * exactly one work item and a slot runs one work item at a time.
+ * the tile-clipped walk. The interpreter's and sampler's own statistics
+ * are shards too: the merge folds them into the counters. The word
+ * reads/writes the units perform hit the shared surfaces directly —
+ * safe, because a tile's pixels belong to exactly one work item and a
+ * slot runs one work item at a time.
  */
 struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
                                       tex::TexelAccessListener
@@ -336,7 +294,6 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     shader::Interpreter interp;
     tex::Sampler sampler;
     shader::QuadState quad;        ///< reusable shading state
-    raster::QuadBatch quads;       ///< per-(triangle, tile) arena
     raster::Rasterizer raster;     ///< tile-clipped traversal
     frag::ZStencilUnit zUnit;
     frag::ColorUnit colorUnit;
@@ -406,7 +363,6 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
       _tileGrid(config.width, config.height,
                 raster::resolveTileSize(config.tileSize)),
       _vertexCache(config.vertexCacheEntries),
-      _vertexCacheData(static_cast<std::size_t>(config.vertexCacheEntries)),
       _texCache(config.textureCache, &_memory),
       _order(std::make_unique<ReplayOrder>())
 {
@@ -619,8 +575,8 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
                                                 _stream[tri.v[1]],
                                                 _stream[tri.v[2]]};
             _clippedTris.clear();
-            geom::TriangleFate fate = _clipCull.process(
-                verts, call.state.cullMode, _clippedTris);
+            geom::TriangleFate fate =
+                geom::clipCull(verts, call.state.cullMode, _clippedTris);
             switch (fate) {
               case geom::TriangleFate::Clipped:
                 ++_counters.trianglesClipped;
@@ -723,11 +679,14 @@ GpuSimulator::processTile(TileExec &exec, TileOutput &out,
         info.backFace = tt.backFace;
         TileOutput::TileRun run;
         run.recBegin = static_cast<std::uint32_t>(out.recs.size());
-        exec.quads.clear();
-        exec.raster.rasterizeTile(tt.setup, rect.x0, rect.y0, rect.x1,
-                                  rect.y1, exec.quads);
-        for (std::size_t q = 0; q < exec.quads.size(); ++q)
-            processTileQuad(exec, out, info, tt.setup, exec.quads.ref(q));
+        // Shade each quad as the traversal emits it: the walk reads
+        // only the set-up triangle, never the z/HZ state a quad updates,
+        // so the quad stream is the same as traversing first.
+        exec.raster.rasterizeTile(
+            tt.setup, rect.x0, rect.y0, rect.x1, rect.y1,
+            [&](const raster::RasterQuad &quad) {
+                processTileQuad(exec, out, info, tt.setup, quad);
+            });
         run.recCount =
             static_cast<std::uint32_t>(out.recs.size()) - run.recBegin;
         out.runs.push_back(run);
@@ -738,7 +697,7 @@ void
 GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
                               const QuadContextInfo &info,
                               const raster::TriangleSetup &setup,
-                              const raster::QuadRef &quad)
+                              const raster::RasterQuad &quad)
 {
     const api::DrawCall &call = *info.call;
     PipelineCounters &ctr = exec.counters;
@@ -810,11 +769,9 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
     shader::QuadState &qs = exec.quad;
     prepareQuadState(qs, call.fragmentProgram->decoded(), info.fpInputMask,
                      setup, quad, live);
-    auto before = SamplerStatsDelta::capture(exec.interp, exec.sampler);
+    // Instruction and sampling counts accrue in exec.interp and
+    // exec.sampler; the merge folds them into the counters.
     exec.interp.runQuad(*call.fragmentProgram, qs, &exec);
-    SamplerStatsDelta::capture(exec.interp, exec.sampler)
-        .since(before)
-        .chargeTo(ctr);
 
     // --- Alpha test (shader KIL) -------------------------------------
     for (int l = 0; l < 4; ++l) {
@@ -856,11 +813,21 @@ void
 GpuSimulator::mergeTileResults()
 {
     // Statistic shards are order-insensitive sums; fold them in
-    // ascending slot order.
+    // ascending slot order. The slot's interpreter and sampler ran
+    // fragment programs only, so their statistics are the fragment
+    // stage's instruction and texture charge.
     for (auto &exec_ptr : _tileExec) {
         TileExec &exec = *exec_ptr;
-        _counters.add(exec.counters);
-        exec.counters = PipelineCounters{};
+        PipelineCounters &ctr = exec.counters;
+        ctr.fragmentInstructions += exec.interp.stats().instructionsExecuted;
+        ctr.fragmentTexInstructions +=
+            exec.interp.stats().textureInstructions;
+        ctr.textureRequests += exec.sampler.stats().requests;
+        ctr.bilinearSamples += exec.sampler.stats().bilinearSamples;
+        exec.interp.resetStats();
+        exec.sampler.resetStats();
+        _counters.add(ctr);
+        ctr = PipelineCounters{};
         _hz.mergeStats(exec.hzStats);
         exec.hzStats = raster::HzStats{};
     }
@@ -1024,7 +991,7 @@ GpuSimulator::replaySurface(int s)
 
 GpuSimulator::HzOutcome
 GpuSimulator::hzTestQuad(const QuadContextInfo &info,
-                         const raster::QuadRef &quad,
+                         const raster::RasterQuad &quad,
                          raster::HzStats &hz_stats)
 {
     if (!info.hzOk)
@@ -1063,7 +1030,7 @@ GpuSimulator::hzTestQuad(const QuadContextInfo &info,
 
 bool
 GpuSimulator::zStencilQuad(const QuadContextInfo &info,
-                           const raster::QuadRef &quad,
+                           const raster::RasterQuad &quad,
                            std::uint8_t &mask, bool hz_accepted,
                            frag::ZStencilUnit &z_unit,
                            PipelineCounters &counters)
@@ -1087,8 +1054,8 @@ GpuSimulator::zStencilQuad(const QuadContextInfo &info,
         quad_z_max = range.second;
         any = mask != 0;
     } else {
-        any = z_unit.testQuadEx(ds, info.backFace, quad.x, quad.y,
-                                quad.z, mask, quad_z_min, quad_z_max);
+        any = z_unit.testQuad(ds, info.backFace, quad.x, quad.y, quad.z,
+                              mask, quad_z_min, quad_z_max);
     }
     if (depth_writes && _config.hzEnabled) {
         if (_config.hzMinMax) {

@@ -130,10 +130,10 @@ class GpuSimulator : public api::DrawSink
      *  stats shard, z & stencil unit and counters. */
     /// @{
     HzOutcome hzTestQuad(const QuadContextInfo &info,
-                         const raster::QuadRef &quad,
+                         const raster::RasterQuad &quad,
                          raster::HzStats &hz_stats);
     bool zStencilQuad(const QuadContextInfo &info,
-                      const raster::QuadRef &quad, std::uint8_t &mask,
+                      const raster::RasterQuad &quad, std::uint8_t &mask,
                       bool hz_accepted, frag::ZStencilUnit &z_unit,
                       PipelineCounters &counters);
     /// @}
@@ -147,7 +147,7 @@ class GpuSimulator : public api::DrawSink
     void processTileQuad(TileExec &exec, TileOutput &out,
                          const QuadContextInfo &info,
                          const raster::TriangleSetup &setup,
-                         const raster::QuadRef &quad);
+                         const raster::RasterQuad &quad);
     void mergeTileResults();
     void orderAccesses();
     void replayAccesses();
@@ -163,9 +163,7 @@ class GpuSimulator : public api::DrawSink
     frag::CachedSurface _color;
     raster::HierarchicalZ _hz;
     raster::TileGrid _tileGrid;
-    geom::ClipCull _clipCull;
     geom::VertexCache _vertexCache;
-    std::vector<geom::TransformedVertex> _vertexCacheData;
     tex::TextureCache _texCache;
 
     PipelineCounters _counters;

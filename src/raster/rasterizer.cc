@@ -4,33 +4,10 @@
 
 namespace wc3d::raster {
 
-int
-RasterQuad::coveredCount() const
-{
-    int n = 0;
-    for (int l = 0; l < 4; ++l)
-        n += covered(l);
-    return n;
-}
-
 Rasterizer::Rasterizer(int width, int height)
     : _width(width), _height(height)
 {
     WC3D_ASSERT(width > 0 && height > 0);
-}
-
-void
-Rasterizer::rasterize(const TriangleSetup &tri, QuadBatch &out)
-{
-    rasterize(tri, [&out](const RasterQuad &q) { out.append(q); });
-}
-
-void
-Rasterizer::rasterizeTile(const TriangleSetup &tri, int x0, int y0,
-                          int x1, int y1, QuadBatch &out)
-{
-    rasterizeTile(tri, x0, y0, x1, y1,
-                  [&out](const RasterQuad &q) { out.append(q); });
 }
 
 bool

@@ -11,9 +11,8 @@
 #ifndef WC3D_RASTER_RASTERIZER_HH
 #define WC3D_RASTER_RASTERIZER_HH
 
-#include <cstddef>
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "raster/setup.hh"
 
@@ -37,7 +36,7 @@ struct RasterQuad
     float lambda[4][3] = {};
 
     bool covered(int lane) const { return (coverage >> lane) & 1; }
-    int coveredCount() const;
+    int coveredCount() const { return std::popcount(coverage); }
     bool full() const { return coverage == 0xf; }
 };
 
@@ -72,96 +71,8 @@ struct RasterStats
 };
 
 /**
- * Non-owning view of one quad stored in a QuadBatch. Plain data plus
- * pointers into the batch's SoA lanes; invalidated by append() (vector
- * growth) — take refs only once the batch has stopped growing.
- */
-struct QuadRef
-{
-    int x = 0;
-    int y = 0;
-    std::uint8_t coverage = 0;
-    const float *z = nullptr;      ///< 4 per-lane depths
-    const float *lambda = nullptr; ///< 4 x 3 per-lane barycentrics
-
-    bool covered(int lane) const { return (coverage >> lane) & 1; }
-    bool full() const { return coverage == 0xf; }
-
-    int
-    coveredCount() const
-    {
-        int n = 0;
-        for (int l = 0; l < 4; ++l)
-            n += covered(l);
-        return n;
-    }
-
-    const float *laneLambda(int lane) const { return lambda + 3 * lane; }
-};
-
-/**
- * A growable structure-of-arrays batch of rasterized quads. The
- * fragment pipeline shades whole batches per interpreter entry instead
- * of taking one callback per quad; clear() keeps the allocations so a
- * single batch serves as a reusable arena across triangles and draws.
- */
-class QuadBatch
-{
-  public:
-    std::size_t size() const { return _x.size(); }
-    bool empty() const { return _x.empty(); }
-
-    /** Drop all quads but keep lane capacity (arena reuse). */
-    void
-    clear()
-    {
-        _x.clear();
-        _y.clear();
-        _coverage.clear();
-        _z.clear();
-        _lambda.clear();
-    }
-
-    void
-    append(const RasterQuad &q)
-    {
-        _x.push_back(q.x);
-        _y.push_back(q.y);
-        _coverage.push_back(q.coverage);
-        _z.insert(_z.end(), q.z, q.z + 4);
-        const float *l = &q.lambda[0][0];
-        _lambda.insert(_lambda.end(), l, l + 12);
-    }
-
-    /** Copy one quad out of another batch (staging pipelines). */
-    void
-    append(const QuadRef &q)
-    {
-        _x.push_back(q.x);
-        _y.push_back(q.y);
-        _coverage.push_back(q.coverage);
-        _z.insert(_z.end(), q.z, q.z + 4);
-        _lambda.insert(_lambda.end(), q.lambda, q.lambda + 12);
-    }
-
-    QuadRef
-    ref(std::size_t i) const
-    {
-        return {_x[i], _y[i], _coverage[i], _z.data() + 4 * i,
-                _lambda.data() + 12 * i};
-    }
-
-  private:
-    std::vector<int> _x;
-    std::vector<int> _y;
-    std::vector<std::uint8_t> _coverage;
-    std::vector<float> _z;      ///< 4 floats per quad
-    std::vector<float> _lambda; ///< 12 floats per quad
-};
-
-/**
- * The traversal engine. Emits covered quads to a callback or into a
- * QuadBatch; carries no framebuffer state of its own.
+ * The traversal engine. Emits covered quads to a callback; carries no
+ * framebuffer state of its own.
  */
 class Rasterizer
 {
@@ -196,14 +107,6 @@ class Rasterizer
     }
 
     /**
-     * Traverse one set-up triangle, appending every covered quad to
-     * @p out in traversal order. Identical quad sequence and statistics
-     * to the callback overload (it is implemented on top of it); the
-     * caller clears or drains @p out.
-     */
-    void rasterize(const TriangleSetup &tri, QuadBatch &out);
-
-    /**
      * Traverse the part of one set-up triangle inside the screen tile
      * [@p x0, @p x1) x [@p y0, @p y1). The tile bounds must be multiples
      * of kUpperTile, so the 16x16 traversal tiles of the full rasterize()
@@ -235,10 +138,6 @@ class Rasterizer
             }
         }
     }
-
-    /** Batch-appending variant of the tile-clipped traversal. */
-    void rasterizeTile(const TriangleSetup &tri, int x0, int y0, int x1,
-                       int y1, QuadBatch &out);
 
     const RasterStats &stats() const { return _stats; }
     void resetStats() { _stats = RasterStats(); }

@@ -271,10 +271,10 @@ Interpreter::run(const Program &program, LaneState &lane)
 }
 
 void
-Interpreter::runQuadDecoded(const Program &program, const DecodedProgram &dec,
-                            QuadState &quad,
-                            TextureSampleHandler *tex_handler)
+Interpreter::runQuad(const Program &program, QuadState &quad,
+                     TextureSampleHandler *tex_handler)
 {
+    const DecodedProgram &dec = program.decoded();
     const Vec4 *constants = program.constants().data();
     const RegTables t[4] = {
         laneTables(quad.lanes[0], constants),
@@ -324,24 +324,6 @@ Interpreter::runQuadDecoded(const Program &program, const DecodedProgram &dec,
     _stats.instructionsExecuted += covered * dec.ops().size();
     _stats.textureInstructions += covered * tex_ops;
     _stats.programsRun += covered;
-}
-
-void
-Interpreter::runQuad(const Program &program, QuadState &quad,
-                     TextureSampleHandler *tex_handler)
-{
-    runQuadDecoded(program, program.decoded(), quad, tex_handler);
-}
-
-void
-Interpreter::runQuads(const Program &program, QuadState *quads,
-                      std::size_t count, TextureSampleHandler *tex_handler)
-{
-    if (count == 0)
-        return;
-    const DecodedProgram &dec = program.decoded();
-    for (std::size_t i = 0; i < count; ++i)
-        runQuadDecoded(program, dec, quads[i], tex_handler);
 }
 
 void

@@ -10,15 +10,12 @@
 #ifndef WC3D_SHADER_INTERP_HH
 #define WC3D_SHADER_INTERP_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/vecmath.hh"
 #include "shader/program.hh"
 
 namespace wc3d::shader {
-
-class DecodedProgram;
 
 /**
  * Receiver of texture sampling requests issued by TEX/TXP/TXB.
@@ -77,9 +74,12 @@ struct InterpStats
 
 /**
  * Executes shader programs. Stateless between runs apart from the
- * accumulated statistics.
+ * accumulated statistics, which the owner reads and resets: the GPU
+ * simulator gives each tile worker one interpreter, runs it on every
+ * quad as the rasterizer emits it, and folds its statistics into the
+ * pipeline counters when the draw's tiles are merged.
  *
- * run()/runQuad()/runQuads() execute the program's pre-decoded form
+ * run()/runQuad() execute the program's pre-decoded form
  * (shader/decoded.hh), triggering the decode lazily on first use. The
  * runLegacy()/runQuadLegacy() entry points execute the original
  * field-by-field interpreter over shader::Instruction; they are kept as
@@ -106,15 +106,6 @@ class Interpreter
     void runQuad(const Program &program, QuadState &quad,
                  TextureSampleHandler *tex_handler);
 
-    /**
-     * Run @p program on @p count quads back to back, amortizing the
-     * decode lookup and per-entry setup over the whole batch. Exactly
-     * equivalent to calling runQuad() on each quad in index order
-     * (including the order of sampleQuad() calls and all statistics).
-     */
-    void runQuads(const Program &program, QuadState *quads,
-                  std::size_t count, TextureSampleHandler *tex_handler);
-
     /** Reference single-lane interpreter (pre-decode-free). */
     void runLegacy(const Program &program, LaneState &lane);
 
@@ -126,9 +117,6 @@ class Interpreter
     void resetStats() { _stats = InterpStats(); }
 
   private:
-    void runQuadDecoded(const Program &program, const DecodedProgram &dec,
-                        QuadState &quad, TextureSampleHandler *tex_handler);
-
     InterpStats _stats;
 };
 

@@ -192,15 +192,18 @@ TEST(ZStencilUnit, LessTestPassesCloserFragments)
     st.depthFunc = CompareFunc::Less;
     float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
     std::uint8_t mask = 0xf;
+    float zmin = 1.0f;
     float zmax = 0.0f;
-    EXPECT_TRUE(unit.testQuad(st, false, 0, 0, z, mask, zmax));
+    EXPECT_TRUE(unit.testQuad(st, false, 0, 0, z, mask, zmin, zmax));
     EXPECT_EQ(mask, 0xf);
+    EXPECT_FLOAT_EQ(zmin, 0.5f);
     EXPECT_FLOAT_EQ(zmax, 0.5f);
-    // Same depth again: fails (Less, stored now 0.5).
+    // Same depth again: fails (Less, stored now 0.5) and writes nothing.
     mask = 0xf;
-    EXPECT_FALSE(unit.testQuad(st, false, 0, 0, z, mask, zmax));
+    std::uint32_t before = s.word(1, 1);
+    EXPECT_FALSE(unit.testQuad(st, false, 0, 0, z, mask, zmin, zmax));
     EXPECT_EQ(mask, 0);
-    EXPECT_EQ(unit.stats().quadsRemoved, 1u);
+    EXPECT_EQ(s.word(1, 1), before);
 }
 
 TEST(ZStencilUnit, EqualPassAfterPrepass)
@@ -214,19 +217,20 @@ TEST(ZStencilUnit, EqualPassAfterPrepass)
     prepass.depthFunc = CompareFunc::LEqual;
     float z[4] = {0.25f, 0.25f, 0.25f, 0.25f};
     std::uint8_t mask = 0xf;
+    float zmin;
     float zmax;
-    unit.testQuad(prepass, false, 0, 0, z, mask, zmax);
+    unit.testQuad(prepass, false, 0, 0, z, mask, zmin, zmax);
 
     DepthStencilState shade;
     shade.depthFunc = CompareFunc::Equal;
     shade.depthWrite = false;
     mask = 0xf;
-    EXPECT_TRUE(unit.testQuad(shade, false, 0, 0, z, mask, zmax));
+    EXPECT_TRUE(unit.testQuad(shade, false, 0, 0, z, mask, zmin, zmax));
     EXPECT_EQ(mask, 0xf);
     // A different depth fails the Equal pass.
     float z2[4] = {0.3f, 0.3f, 0.3f, 0.3f};
     mask = 0xf;
-    EXPECT_FALSE(unit.testQuad(shade, false, 0, 0, z2, mask, zmax));
+    EXPECT_FALSE(unit.testQuad(shade, false, 0, 0, z2, mask, zmin, zmax));
 }
 
 TEST(ZStencilUnit, PartialQuadOnlyLiveLanesTested)
@@ -237,11 +241,18 @@ TEST(ZStencilUnit, PartialQuadOnlyLiveLanesTested)
     DepthStencilState st;
     float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
     std::uint8_t mask = 0x5; // lanes 0 and 2
+    float zmin;
     float zmax;
-    EXPECT_TRUE(unit.testQuad(st, false, 0, 0, z, mask, zmax));
+    EXPECT_TRUE(unit.testQuad(st, false, 0, 0, z, mask, zmin, zmax));
     EXPECT_EQ(mask, 0x5);
-    EXPECT_EQ(unit.stats().fragmentsIn, 2u);
-    // Untouched lanes keep clear depth 1.0 -> quad max is 1.0.
+    // Only the two live lanes were tested and written.
+    EXPECT_FLOAT_EQ(unpackDepth(s.word(0, 0)), 0.5f);
+    EXPECT_FLOAT_EQ(unpackDepth(s.word(0, 1)), 0.5f);
+    EXPECT_FLOAT_EQ(unpackDepth(s.word(1, 0)), 1.0f);
+    EXPECT_FLOAT_EQ(unpackDepth(s.word(1, 1)), 1.0f);
+    // Untouched lanes keep clear depth 1.0 -> quad max is 1.0; the
+    // written lanes set the min.
+    EXPECT_FLOAT_EQ(zmin, 0.5f);
     EXPECT_FLOAT_EQ(zmax, 1.0f);
 }
 
@@ -258,8 +269,9 @@ TEST(ZStencilUnit, StencilShadowVolumeCarmacksReverse)
     prepass.depthFunc = CompareFunc::LEqual;
     float scene_z[4] = {0.4f, 0.4f, 0.4f, 0.4f};
     std::uint8_t mask = 0xf;
+    float zmin;
     float zmax;
-    unit.testQuad(prepass, false, 0, 0, scene_z, mask, zmax);
+    unit.testQuad(prepass, false, 0, 0, scene_z, mask, zmin, zmax);
 
     // Shadow volume pass: depth test fails behind scene geometry.
     DepthStencilState shadow;
@@ -273,12 +285,12 @@ TEST(ZStencilUnit, StencilShadowVolumeCarmacksReverse)
 
     float vol_z[4] = {0.6f, 0.6f, 0.6f, 0.6f}; // behind scene: z-fail
     mask = 0xf;
-    unit.testQuad(shadow, true, 0, 0, vol_z, mask, zmax); // back face
+    unit.testQuad(shadow, true, 0, 0, vol_z, mask, zmin, zmax); // back face
     EXPECT_EQ(mask, 0); // depth failed: no lanes pass
     EXPECT_EQ(unpackStencil(s.word(0, 0)), 1); // but stencil counted
 
     mask = 0xf;
-    unit.testQuad(shadow, false, 0, 0, vol_z, mask, zmax); // front face
+    unit.testQuad(shadow, false, 0, 0, vol_z, mask, zmin, zmax); // front face
     EXPECT_EQ(unpackStencil(s.word(0, 0)), 0); // balanced: not in shadow
 }
 
@@ -296,11 +308,12 @@ TEST(ZStencilUnit, StencilEqualGatesLighting)
     light.front.ref = 0;
     float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
     std::uint8_t mask = 0x1;
+    float zmin;
     float zmax;
-    EXPECT_FALSE(unit.testQuad(light, false, 0, 0, z, mask, zmax));
+    EXPECT_FALSE(unit.testQuad(light, false, 0, 0, z, mask, zmin, zmax));
     // Non-shadowed pixel passes.
     mask = 0x2; // lane 1 = pixel (1,0), stencil 0
-    EXPECT_TRUE(unit.testQuad(light, false, 0, 0, z, mask, zmax));
+    EXPECT_TRUE(unit.testQuad(light, false, 0, 0, z, mask, zmin, zmax));
 }
 
 TEST(ZStencilUnit, ReadOnlyStateDetection)
@@ -389,7 +402,6 @@ TEST(ColorUnit, MaskedQuadDoesNotTouchMemory)
     Vec4 colors[4] = {{1, 0, 0, 1}, {1, 0, 0, 1}, {1, 0, 0, 1},
                       {1, 0, 0, 1}};
     EXPECT_FALSE(unit.writeQuad(st, 0, 0, colors, 0xf));
-    EXPECT_EQ(unit.stats().quadsMasked, 1u);
     EXPECT_EQ(mc.traffic().total(), 0u);
     EXPECT_EQ(s.word(0, 0), 0u);
 }
@@ -408,7 +420,6 @@ TEST(ColorUnit, WritesLiveLanesOnly)
     EXPECT_EQ(s.word(1, 0), 0u);
     EXPECT_EQ(s.word(0, 1), 0u);
     EXPECT_EQ(Rgba8::fromPacked(s.word(1, 1)).b, 255);
-    EXPECT_EQ(unit.stats().fragmentsBlended, 2u);
 }
 
 TEST(ColorUnit, BlendsAgainstDestination)
@@ -439,8 +450,9 @@ TEST(ColorUnit, EmptyMaskIsNoop)
     BlendState st;
     Vec4 colors[4] = {};
     EXPECT_FALSE(unit.writeQuad(st, 0, 0, colors, 0x0));
-    EXPECT_EQ(unit.stats().quadsBlended, 0u);
-    EXPECT_EQ(unit.stats().quadsMasked, 0u);
+    for (int y = 0; y < 2; ++y)
+        for (int x = 0; x < 2; ++x)
+            EXPECT_EQ(s.word(x, y), 0u);
 }
 
 TEST(Surface, NoFetchWriteSkipsReadTraffic)
@@ -485,7 +497,9 @@ TEST(ZStencilUnit, AcceptQuadWritesWithoutTest)
     EXPECT_FLOAT_EQ(unpackDepth(s.word(1, 0)), 1.0f); // dead lane kept
     EXPECT_NEAR(range.first, 0.25f, 1e-4f);
     EXPECT_FLOAT_EQ(range.second, 1.0f); // untouched lanes at clear
-    EXPECT_EQ(unit.stats().fragmentsPassed, 2u);
+    // Both live lanes were written; the other dead lane kept clear.
+    EXPECT_NEAR(s.word(0, 1) >> 8, packDepthStencil(0.35f, 0) >> 8, 1);
+    EXPECT_FLOAT_EQ(unpackDepth(s.word(1, 1)), 1.0f);
 }
 
 TEST(ZStencilUnit, AcceptQuadNoWriteState)

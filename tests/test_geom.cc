@@ -135,11 +135,15 @@ TEST(Assembly, FanSharesFirstVertex)
 
 TEST(Assembly, StatsAccumulate)
 {
-    AssemblyStats st;
-    st.note(PrimitiveType::TriangleList, 300);
-    st.note(PrimitiveType::TriangleStrip, 52);
-    EXPECT_EQ(st.indices, 352u);
-    EXPECT_EQ(st.triangles, 150u);
+    // Successive batches append: the output counts every triangle
+    // assembled so far.
+    std::vector<AssembledTriangle> tris;
+    assembleTriangles(PrimitiveType::TriangleList, 300, tris);
+    assembleTriangles(PrimitiveType::TriangleStrip, 52, tris);
+    EXPECT_EQ(tris.size(), 150u);
+    EXPECT_EQ(static_cast<int>(tris.size()),
+              trianglesForIndices(PrimitiveType::TriangleList, 300) +
+                  trianglesForIndices(PrimitiveType::TriangleStrip, 52));
 }
 
 namespace {
@@ -156,90 +160,78 @@ tv(float x, float y, float z, float w)
 
 TEST(ClipCull, InsideTriangleTraverses)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex verts[3] = {tv(-0.5f, -0.5f, 0, 1),
                                   tv(0.5f, -0.5f, 0, 1),
                                   tv(0, 0.5f, 0, 1)};
-    EXPECT_EQ(cc.process(verts, CullMode::Back, out),
+    EXPECT_EQ(clipCull(verts, CullMode::Back, out),
               TriangleFate::Traversed);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(cc.stats().traversed, 1u);
 }
 
 TEST(ClipCull, FullyOutsideIsClipped)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex verts[3] = {tv(2.0f, 0, 0, 1), tv(3.0f, 0, 0, 1),
                                   tv(2.5f, 1, 0, 1)}; // x > w for all
-    EXPECT_EQ(cc.process(verts, CullMode::Back, out),
+    EXPECT_EQ(clipCull(verts, CullMode::Back, out),
               TriangleFate::Clipped);
     EXPECT_TRUE(out.empty());
-    EXPECT_EQ(cc.stats().clipped, 1u);
 }
 
 TEST(ClipCull, BehindEyeIsClipped)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex verts[3] = {tv(0, 0, -2, 1), tv(1, 0, -2, 1),
                                   tv(0, 1, -2, 1)}; // z < -w
-    EXPECT_EQ(cc.process(verts, CullMode::Back, out),
+    EXPECT_EQ(clipCull(verts, CullMode::Back, out),
               TriangleFate::Clipped);
 }
 
 TEST(ClipCull, BackfaceCulled)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     // Clockwise in NDC (y up): negative signed area.
     TransformedVertex verts[3] = {tv(-0.5f, -0.5f, 0, 1),
                                   tv(0, 0.5f, 0, 1),
                                   tv(0.5f, -0.5f, 0, 1)};
-    EXPECT_EQ(cc.process(verts, CullMode::Back, out),
+    EXPECT_EQ(clipCull(verts, CullMode::Back, out),
               TriangleFate::Culled);
     // Same triangle with front culling traverses.
-    ClipCull cc2;
-    EXPECT_EQ(cc2.process(verts, CullMode::Front, out),
+    EXPECT_EQ(clipCull(verts, CullMode::Front, out),
               TriangleFate::Traversed);
     // With no culling both orientations traverse.
-    ClipCull cc3;
-    EXPECT_EQ(cc3.process(verts, CullMode::None, out),
+    EXPECT_EQ(clipCull(verts, CullMode::None, out),
               TriangleFate::Traversed);
 }
 
 TEST(ClipCull, ZeroAreaCulled)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex verts[3] = {tv(0, 0, 0, 1), tv(0, 0, 0, 1),
                                   tv(0, 0, 0, 1)};
-    EXPECT_EQ(cc.process(verts, CullMode::None, out),
+    EXPECT_EQ(clipCull(verts, CullMode::None, out),
               TriangleFate::Culled);
 }
 
 TEST(ClipCull, NearPlaneStraddleSplits)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     // One vertex behind the near plane (z < -w): must be clipped into
     // two triangles, all with z + w >= 0.
     TransformedVertex verts[3] = {tv(-0.5f, -0.5f, 0.0f, 1.0f),
                                   tv(0.5f, -0.5f, 0.0f, 1.0f),
                                   tv(0.0f, 0.5f, -3.0f, 1.0f)};
-    EXPECT_EQ(cc.process(verts, CullMode::None, out),
+    EXPECT_EQ(clipCull(verts, CullMode::None, out),
               TriangleFate::Traversed);
     ASSERT_EQ(out.size(), 2u);
     for (const auto &tri : out)
         for (const auto &v : tri)
             EXPECT_GE(v.clip.z + v.clip.w, -1e-5f);
-    EXPECT_EQ(cc.stats().traversed, 1u); // one input triangle
 }
 
 TEST(ClipCull, VaryingsInterpolatedAtClipBoundary)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex a = tv(0, 0, 1.0f, 1);   // inside (z+w=2)
     TransformedVertex b = tv(1, 0, -3.0f, 1);  // outside (z+w=-2)
@@ -248,7 +240,7 @@ TEST(ClipCull, VaryingsInterpolatedAtClipBoundary)
     b.varyings[0] = {1, 0, 0, 0};
     c.varyings[0] = {0, 1, 0, 0};
     TransformedVertex verts[3] = {a, b, c};
-    ASSERT_EQ(cc.process(verts, CullMode::None, out),
+    ASSERT_EQ(clipCull(verts, CullMode::None, out),
               TriangleFate::Traversed);
     // The a->b crossing is at t = 2/4 = 0.5: varying.x must be 0.5.
     bool found = false;
@@ -265,20 +257,20 @@ TEST(ClipCull, VaryingsInterpolatedAtClipBoundary)
 
 TEST(ClipCull, StatsPercentagesSumTo100)
 {
-    ClipCull cc;
     std::vector<std::array<TransformedVertex, 3>> out;
     TransformedVertex inside[3] = {tv(-0.5f, -0.5f, 0, 1),
                                    tv(0.5f, -0.5f, 0, 1), tv(0, 0.5f, 0, 1)};
     TransformedVertex outside[3] = {tv(5, 5, 0, 1), tv(6, 5, 0, 1),
                                     tv(5, 6, 0, 1)};
-    cc.process(inside, CullMode::Back, out);
-    cc.process(outside, CullMode::Back, out);
     TransformedVertex back[3] = {inside[0], inside[2], inside[1]};
-    cc.process(back, CullMode::Back, out);
-    const auto &s = cc.stats();
-    EXPECT_EQ(s.input, 3u);
-    EXPECT_NEAR(s.pctClipped() + s.pctCulled() + s.pctTraversed(), 100.0,
-                1e-9);
+    // Every input gets exactly one fate, so the clipped, culled and
+    // traversed shares of Table VII sum to 100%.
+    EXPECT_EQ(clipCull(inside, CullMode::Back, out),
+              TriangleFate::Traversed);
+    EXPECT_EQ(clipCull(outside, CullMode::Back, out),
+              TriangleFate::Clipped);
+    EXPECT_EQ(clipCull(back, CullMode::Back, out), TriangleFate::Culled);
+    EXPECT_EQ(out.size(), 1u); // only the traversed one produced output
 }
 
 TEST(Viewport, CornersMapToWindow)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "api/device.hh"
+#include "common/threadpool.hh"
 #include "gpu/simulator.hh"
 
 using namespace wc3d;
@@ -180,43 +181,59 @@ TEST(Gpu, HzDisabledShiftsRemovalToZStage)
 
 TEST(Gpu, TexturedDrawSamplesTexture)
 {
-    Rig rig;
-    auto fs = rig.dev.createProgram(shader::ProgramKind::Fragment,
-                                    kTexturedFs);
-    rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
-    TextureSpec spec;
-    spec.kind = TextureSpec::Kind::Checker;
-    spec.size = 64;
-    spec.cell = 32;
-    spec.colorA = {255, 0, 0, 255};
-    spec.colorB = {0, 0, 255, 255};
-    spec.format = tex::TexFormat::RGBA8;
-    auto t = rig.dev.createTexture(spec);
-    tex::SamplerState ss;
-    ss.filter = tex::TexFilter::Bilinear;
-    rig.dev.bindTexture(0, t, ss);
-    rig.dev.clear();
-    auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 1, 1, 1});
-    rig.drawQuad(quad);
-    rig.dev.endFrame();
+    // The merge folds every worker slot's interpreter and sampler
+    // statistics into the counters; at 4 threads the draw's tiles may
+    // shade on several slots.
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        Rig rig;
+        auto fs = rig.dev.createProgram(shader::ProgramKind::Fragment,
+                                        kTexturedFs);
+        rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
+        TextureSpec spec;
+        spec.kind = TextureSpec::Kind::Checker;
+        spec.size = 64;
+        spec.cell = 32;
+        spec.colorA = {255, 0, 0, 255};
+        spec.colorB = {0, 0, 255, 255};
+        spec.format = tex::TexFormat::RGBA8;
+        auto t = rig.dev.createTexture(spec);
+        tex::SamplerState ss;
+        ss.filter = tex::TexFilter::Bilinear;
+        rig.dev.bindTexture(0, t, ss);
+        rig.dev.clear();
+        auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 1, 1, 1});
+        rig.drawQuad(quad);
+        rig.dev.endFrame();
 
-    // The checker pattern must appear (uv(0,0) maps to NDC (-1,-1) =
-    // window bottom-left).
-    Image img = rig.sim->framebufferImage();
-    EXPECT_EQ(img.at(8, 56).r, 255);  // cell (0,0): red
-    EXPECT_EQ(img.at(40, 56).b, 255); // cell (1,0): blue
+        // The checker pattern must appear (uv(0,0) maps to NDC (-1,-1)
+        // = window bottom-left).
+        Image img = rig.sim->framebufferImage();
+        EXPECT_EQ(img.at(8, 56).r, 255);  // cell (0,0): red
+        EXPECT_EQ(img.at(40, 56).b, 255); // cell (1,0): blue
 
-    PipelineCounters c = rig.sim->counters();
-    // The texture unit works per quad: all four lanes (covered or
-    // helper) issue requests.
-    EXPECT_EQ(c.textureRequests, c.shadedQuads * 4);
-    EXPECT_GE(c.textureRequests, 64u * 64u);
-    EXPECT_EQ(c.bilinearSamples, c.textureRequests); // bilinear: 1 each
-    EXPECT_GT(rig.sim->texL0Stats().accesses, 0u);
-    EXPECT_GT(rig.sim->texL0Stats().hitRate(), 0.8);
-    // Texture memory traffic happened.
-    EXPECT_GT(c.traffic.readBytes[static_cast<int>(
-                  memsys::Client::Texture)], 0u);
+        PipelineCounters c = rig.sim->counters();
+        // Every shaded fragment runs the whole program once.
+        const shader::Program &prog = *rig.dev.program(fs);
+        EXPECT_EQ(c.fragmentInstructions,
+                  c.shadedFragments *
+                      static_cast<std::uint64_t>(prog.instructionCount()));
+        EXPECT_EQ(c.fragmentTexInstructions,
+                  c.shadedFragments * static_cast<std::uint64_t>(
+                                          prog.textureInstructionCount()));
+        // The texture unit works per quad: all four lanes (covered or
+        // helper) issue requests.
+        EXPECT_EQ(c.textureRequests, c.shadedQuads * 4);
+        EXPECT_GE(c.textureRequests, 64u * 64u);
+        EXPECT_EQ(c.bilinearSamples, c.textureRequests); // bilinear: 1
+        EXPECT_GT(rig.sim->texL0Stats().accesses, 0u);
+        EXPECT_GT(rig.sim->texL0Stats().hitRate(), 0.8);
+        // Texture memory traffic happened.
+        EXPECT_GT(c.traffic.readBytes[static_cast<int>(
+                      memsys::Client::Texture)], 0u);
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
 
 TEST(Gpu, AlphaKillRemovesFragments)

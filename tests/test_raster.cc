@@ -284,77 +284,6 @@ TEST(Raster, HelperLanesCarryDepthAndBarycentrics)
     EXPECT_TRUE(saw_partial);
 }
 
-/** The QuadBatch overload must be indistinguishable from the callback
- *  overload: same quad sequence (positions, coverage, depths,
- *  barycentrics) and same statistics. */
-TEST(Raster, BatchedMatchesCallbackTraversal)
-{
-    const ScreenTriangle tris[] = {
-        tri(sv(3, 2), sv(120, 10), sv(8, 110)),           // large
-        tri(sv(1, 10.2f), sv(60, 10.2f), sv(1, 11.4f)),   // sliver
-        tri(sv(10.2f, 40.2f), sv(11.3f, 40.3f),
-            sv(10.3f, 41.3f)),                            // 1 pixel
-        tri(sv(-20, -20), sv(90, -20), sv(-20, 90)),      // scissored
-    };
-    Rasterizer callback_rast(128, 128);
-    Rasterizer batch_rast(128, 128);
-    std::vector<RasterQuad> expected;
-    QuadBatch batch;
-    for (const ScreenTriangle &t : tris) {
-        TriangleSetup s = setupTriangle(t, 128, 128);
-        callback_rast.rasterize(s, [&](const RasterQuad &q) {
-            expected.push_back(q);
-        });
-        batch_rast.rasterize(s, batch);
-    }
-    ASSERT_EQ(batch.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        QuadRef ref = batch.ref(i);
-        const RasterQuad &want = expected[i];
-        EXPECT_EQ(ref.x, want.x) << "quad " << i;
-        EXPECT_EQ(ref.y, want.y) << "quad " << i;
-        EXPECT_EQ(ref.coverage, want.coverage) << "quad " << i;
-        for (int l = 0; l < 4; ++l) {
-            EXPECT_EQ(ref.z[l], want.z[l]) << "quad " << i;
-            for (int k = 0; k < 3; ++k)
-                EXPECT_EQ(ref.laneLambda(l)[k], want.lambda[l][k])
-                    << "quad " << i;
-        }
-    }
-    EXPECT_EQ(batch_rast.stats().triangles,
-              callback_rast.stats().triangles);
-    EXPECT_EQ(batch_rast.stats().upperTiles,
-              callback_rast.stats().upperTiles);
-    EXPECT_EQ(batch_rast.stats().lowerTiles,
-              callback_rast.stats().lowerTiles);
-    EXPECT_EQ(batch_rast.stats().quads, callback_rast.stats().quads);
-    EXPECT_EQ(batch_rast.stats().fullQuads,
-              callback_rast.stats().fullQuads);
-    EXPECT_EQ(batch_rast.stats().fragments,
-              callback_rast.stats().fragments);
-}
-
-/** clear() keeps a batch reusable as an arena: refilling after clear()
- *  reproduces the same quads. */
-TEST(Raster, BatchClearReusesArena)
-{
-    Rasterizer r(64, 64);
-    TriangleSetup s = setupTriangle(
-        tri(sv(2, 2), sv(50, 4), sv(6, 48)), 64, 64);
-    QuadBatch batch;
-    r.rasterize(s, batch);
-    std::size_t first = batch.size();
-    ASSERT_GT(first, 0u);
-    QuadRef before = batch.ref(0);
-    int bx = before.x, by = before.y;
-    batch.clear();
-    EXPECT_TRUE(batch.empty());
-    r.rasterize(s, batch);
-    ASSERT_EQ(batch.size(), first);
-    EXPECT_EQ(batch.ref(0).x, bx);
-    EXPECT_EQ(batch.ref(0).y, by);
-}
-
 /** Watertight property: random meshes of adjacent triangle pairs never
  * double-cover or leave gaps along the shared edge. */
 class RasterWatertight : public ::testing::TestWithParam<int>

@@ -346,44 +346,6 @@ TEST(Decoded, PrepareLaneEqualsFreshState)
     EXPECT_FALSE(dirty.killed);
 }
 
-TEST(Decoded, RunQuadsEqualsPerQuadRuns)
-{
-    Program p(ProgramKind::Fragment, "batch");
-    p.tex(dstTemp(0), srcInput(0), 3);
-    p.mul(dstTemp(1), srcTemp(0), srcInput(1));
-    p.mad(dstOutput(0), srcTemp(1), srcConst(0), srcTemp(0));
-    p.setConstant(0, {0.5f, 0.5f, 0.5f, 1.0f});
-
-    constexpr int kQuads = 7;
-    std::vector<QuadState> batch(kQuads), loose(kQuads);
-    for (int q = 0; q < kQuads; ++q) {
-        for (int l = 0; l < 4; ++l) {
-            batch[q].covered[l] = loose[q].covered[l] = ((q + l) % 3 != 0);
-            for (int i = 0; i < 2; ++i) {
-                batch[q].lanes[l].inputs[i] = v4(q * 8 + l * 2 + i);
-                loose[q].lanes[l].inputs[i] = batch[q].lanes[l].inputs[i];
-            }
-        }
-    }
-    HashTexture tex_batch, tex_loose;
-    Interpreter batched, perquad;
-    batched.runQuads(p, batch.data(), batch.size(), &tex_batch);
-    for (int q = 0; q < kQuads; ++q)
-        perquad.runQuad(p, loose[q], &tex_loose);
-
-    for (int q = 0; q < kQuads; ++q)
-        for (int l = 0; l < 4; ++l)
-            expectLanesIdentical(batch[q].lanes[l], loose[q].lanes[l],
-                                 "batched quad lane");
-    EXPECT_EQ(tex_batch.calls, tex_loose.calls);
-    EXPECT_EQ(batched.stats().instructionsExecuted,
-              perquad.stats().instructionsExecuted);
-    EXPECT_EQ(batched.stats().textureInstructions,
-              perquad.stats().textureInstructions);
-    EXPECT_EQ(batched.stats().programsRun,
-              perquad.stats().programsRun);
-}
-
 TEST(Decoded, CacheInvalidatedByEmit)
 {
     Program p(ProgramKind::Fragment, "cache");
