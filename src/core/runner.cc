@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/env.hh"
-#include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
 #include "workloads/games.hh"
@@ -219,8 +218,6 @@ runMicroarch(const std::string &id, int frames, int width, int height)
     api::Device device(workloads::gameProfile(id).apiKind);
     device.setSink(&sim);
     auto demo = workloads::makeTimedemo(id);
-    inform("simulating %s for %d frames at %dx%d", id.c_str(), frames,
-           width, height);
     demo->run(device, frames);
 
     MicroRun run = collectMicroRun(id, frames, sim);

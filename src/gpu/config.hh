@@ -37,15 +37,6 @@ struct GpuConfig
      */
     bool hzMinMax = false;
 
-    /**
-     * Screen-tile edge for the tile-parallel back-end, in pixels.
-     * 0 (the default) means 32; any value is clamped to 16..1024 and
-     * rounded up to a multiple of the rasterizer's 16-pixel upper tile
-     * (see raster/tilegrid.hh).
-     * Statistics are bit-identical for every tile size.
-     */
-    int tileSize = 0;
-
     /** Z & stencil cache: 16 KB, 64-way x 256 B (Table XIV). */
     frag::SurfaceCacheConfig zCache{64, 1, 256};
 

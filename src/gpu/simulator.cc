@@ -115,27 +115,23 @@ struct GpuSimulator::QuadContextInfo
 };
 
 /**
- * One binned post-geometry triangle, in draw order. seq (its index in
- * _tiledTris) plus the traversal key of a quad totally orders the
- * draw's quad stream; the inclusive tile range records which bins the
- * triangle was appended to, so the merge can walk them back.
+ * One binned post-geometry triangle, in draw order. The inclusive band
+ * range records which bins the triangle was appended to, so the merge
+ * can walk them back.
  */
 struct GpuSimulator::TiledTri
 {
     raster::TriangleSetup setup;
     bool backFace = false;
-    std::uint16_t tx0 = 0;
     std::uint16_t ty0 = 0;
-    std::uint16_t tx1 = 0;
     std::uint16_t ty1 = 0;
 };
 
 /**
- * Everything a tile worker produces that the merge must consume: the
- * deferred cache-access logs and the per-quad records that anchor them
- * to positions in the global quad stream. Counters and
- * statistics are NOT here — they are order-insensitive sums kept in the
- * per-slot TileExec shards.
+ * Everything a band worker produces that the merge must consume: the
+ * deferred cache-access logs and, per bin entry, where its accesses
+ * start in each log. Counters and statistics are NOT here — they are
+ * order-insensitive sums kept in the per-slot TileExec shards.
  */
 struct GpuSimulator::TileOutput
 {
@@ -152,29 +148,17 @@ struct GpuSimulator::TileOutput
     static constexpr int kTexLog = 2;
 
     /**
-     * One processed quad that logged at least one deferred access. Per
-     * (triangle, tile) the records are appended in traversal order, so
-     * their keys ascend — the merge phase k-way-merges the per-tile
-     * runs of one triangle by key to recover the full traversal order.
-     * A record's events run from its begin to the next record's (or to
-     * the end of the log), so consecutive records own contiguous events.
+     * The accesses of one bin entry (one triangle in this band), in
+     * traversal order: from its begin to the next run's begin (or to
+     * the end of the log) in each log.
      */
-    struct QuadRec
-    {
-        std::uint32_t key = 0; ///< raster::traversalKey(x, y)
-        std::array<std::uint32_t, 3> begin{}; ///< first event per log
-    };
-
-    /** Record range produced for one bin entry (one triangle). */
     struct TileRun
     {
-        std::uint32_t recBegin = 0;
-        std::uint32_t recCount = 0;
+        std::array<std::uint32_t, 3> begin{}; ///< first event per log
     };
 
     std::vector<std::uint32_t> bin; ///< triangle seqs, draw order
     std::vector<TileRun> runs;      ///< parallel to bin (filled by worker)
-    std::vector<QuadRec> recs;
     std::array<std::vector<SurfEvent>, 2> surf; ///< depth, colour
     std::vector<tex::BlockEvent> tex; ///< texture block accesses
     std::uint32_t cursor = 0;       ///< merge-phase run cursor
@@ -189,12 +173,12 @@ struct GpuSimulator::TileOutput
                            : surf[static_cast<std::size_t>(log)].size());
     }
 
-    /** First event of record @p rec in @p log; logSize at the end. */
+    /** First event of run @p run in @p log; logSize past the last. */
     std::uint32_t
-    logBegin(int log, std::size_t rec) const
+    logBegin(int log, std::size_t run) const
     {
-        return rec < recs.size()
-                   ? recs[rec].begin[static_cast<std::size_t>(log)]
+        return run < runs.size()
+                   ? runs[run].begin[static_cast<std::size_t>(log)]
                    : logSize(log);
     }
 
@@ -203,7 +187,6 @@ struct GpuSimulator::TileOutput
     {
         bin.clear();
         runs.clear();
-        recs.clear();
         surf[0].clear();
         surf[1].clear();
         tex.clear();
@@ -213,7 +196,7 @@ struct GpuSimulator::TileOutput
 
 /**
  * One draw's deferred accesses in reconstructed submission order: per
- * log, contiguous pieces of the tiles' logs. Built by the order pass of
+ * log, contiguous pieces of the bands' logs. Built by the order pass of
  * the merge, consumed by the replay tasks.
  */
 struct GpuSimulator::ReplayOrder
@@ -233,18 +216,17 @@ struct GpuSimulator::ReplayOrder
             pieces.emplace_back(log.data() + begin, end - begin);
     }
 
-    /** Append the events of records [rec, rec_end) of @p out. */
+    /** Append the events of run @p run of @p out. */
     void
-    appendRecords(const TileOutput &out, std::uint32_t rec,
-                  std::uint32_t rec_end)
+    appendRun(const TileOutput &out, std::uint32_t run)
     {
         for (int s = 0; s < 2; ++s) {
             auto i = static_cast<std::size_t>(s);
-            append(surf[i], out.surf[i], out.logBegin(s, rec),
-                   out.logBegin(s, rec_end));
+            append(surf[i], out.surf[i], out.logBegin(s, run),
+                   out.logBegin(s, run + 1));
         }
-        append(tex, out.tex, out.logBegin(TileOutput::kTexLog, rec),
-               out.logBegin(TileOutput::kTexLog, rec_end));
+        append(tex, out.tex, out.logBegin(TileOutput::kTexLog, run),
+               out.logBegin(TileOutput::kTexLog, run + 1));
     }
 
     void
@@ -257,14 +239,14 @@ struct GpuSimulator::ReplayOrder
 };
 
 /**
- * Per-worker-slot execution state for tile work items: a private
+ * Per-worker-slot execution state for band work items: a private
  * interpreter and sampler whose texture-block accesses are logged, z and
- * colour units whose cache accesses are rerouted to the current tile's
+ * colour units whose cache accesses are rerouted to the current band's
  * log, private counter and HZ stats shards, and a private rasterizer for
- * the tile-clipped walk. The interpreter's and sampler's own statistics
+ * the band walk. The interpreter's and sampler's own statistics
  * are shards too: the merge folds them into the counters. The word
  * reads/writes the units perform hit the shared surfaces directly —
- * safe, because a tile's pixels belong to exactly one work item and a
+ * safe, because a band's pixels belong to exactly one work item and a
  * slot runs one work item at a time.
  */
 struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
@@ -294,7 +276,7 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     shader::Interpreter interp;
     tex::Sampler sampler;
     shader::QuadState quad;        ///< reusable shading state
-    raster::Rasterizer raster;     ///< tile-clipped traversal
+    raster::Rasterizer raster;     ///< band traversal
     frag::ZStencilUnit zUnit;
     frag::ColorUnit colorUnit;
     DepthSink depthSink;
@@ -360,10 +342,10 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
       _color(frag::SurfaceKind::Color, memsys::Client::Color, config.width,
              config.height, config.colorCache, &_memory),
       _hz(config.width, config.height),
-      _tileGrid(config.width, config.height,
-                raster::resolveTileSize(config.tileSize)),
       _vertexCache(config.vertexCacheEntries),
       _texCache(config.textureCache, &_memory),
+      _tileOut(static_cast<std::size_t>(
+          (config.height + raster::kUpperTile - 1) / raster::kUpperTile)),
       _order(std::make_unique<ReplayOrder>())
 {
     _depth.fastClear(frag::packDepthStencil(1.0f, 0));
@@ -561,12 +543,10 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
                         const QuadContextInfo &info)
 {
     geom::Viewport vp_rect{0, 0, _config.width, _config.height};
-    if (_tileOut.size() < static_cast<std::size_t>(_tileGrid.tiles()))
-        _tileOut.resize(static_cast<std::size_t>(_tileGrid.tiles()));
 
     // --- Binning: walk the post-geometry primitives once, in draw
-    // order, appending each set-up triangle to the bins of the screen
-    // tiles its scissored bounding box overlaps. ----------------------
+    // order, appending each set-up triangle to the bins of the bands
+    // its scissored bounding box overlaps. ----------------------------
     {
         WC3D_PROF_SCOPE("raster.bin");
         _tiledTris.clear();
@@ -598,60 +578,46 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
                     screen, _config.width, _config.height);
                 if (!setup.valid)
                     continue;
-                raster::TileGrid::BinRange range = _tileGrid.binRange(
-                    setup.minX, setup.minY, setup.maxX, setup.maxY);
                 TiledTri tt;
                 tt.setup = setup;
                 tt.backFace = area < 0.0f;
-                tt.tx0 = static_cast<std::uint16_t>(range.tx0);
-                tt.ty0 = static_cast<std::uint16_t>(range.ty0);
-                tt.tx1 = static_cast<std::uint16_t>(range.tx1);
-                tt.ty1 = static_cast<std::uint16_t>(range.ty1);
+                tt.ty0 = static_cast<std::uint16_t>(
+                    setup.minY / raster::kUpperTile);
+                tt.ty1 = static_cast<std::uint16_t>(
+                    setup.maxY / raster::kUpperTile);
                 auto seq = static_cast<std::uint32_t>(_tiledTris.size());
                 _tiledTris.push_back(tt);
-                for (int ty = range.ty0; ty <= range.ty1; ++ty) {
-                    for (int tx = range.tx0; tx <= range.tx1; ++tx) {
-                        int t = _tileGrid.index(tx, ty);
-                        TileOutput &out =
-                            _tileOut[static_cast<std::size_t>(t)];
-                        if (out.empty()) {
-                            _activeTiles.push_back(
-                                static_cast<std::uint32_t>(t));
-                        }
-                        out.bin.push_back(seq);
-                    }
-                }
+                for (int ty = tt.ty0; ty <= tt.ty1; ++ty)
+                    _tileOut[static_cast<std::size_t>(ty)].bin.push_back(seq);
             }
         }
     }
 
-    if (_activeTiles.empty()) {
-        _tiledTris.clear();
+    if (_tiledTris.empty())
         return;
-    }
-    // Work items are dispatched in ascending tile index: a fixed order
-    // that keeps the 1-thread pool (which runs tasks inline at submit)
-    // on one canonical schedule.
-    std::sort(_activeTiles.begin(), _activeTiles.end());
 
-    // --- Tile phase: per-tile work items run raster + HZ + z&stencil +
-    // shade + ROP end to end with zero cross-tile synchronization. ----
+    // --- Band phase: per-band work items run raster + HZ + z&stencil +
+    // shade + ROP end to end with zero cross-band synchronization.
+    // They are dispatched top to bottom: a fixed order that keeps the
+    // 1-thread pool (which runs tasks inline at submit) on one
+    // canonical schedule. ----------------------------------------------
     {
         ThreadPool &pool = ThreadPool::global();
         while (_tileExec.size() < static_cast<std::size_t>(pool.threads()))
             _tileExec.push_back(std::make_unique<TileExec>(*this));
         TaskGroup group(pool);
-        for (std::uint32_t t : _activeTiles) {
-            group.run([this, t, &info] {
+        for (std::size_t band = 0; band < _tileOut.size(); ++band) {
+            if (_tileOut[band].empty())
+                continue;
+            group.run([this, band, &info] {
                 WC3D_PROF_SCOPE("raster.tile");
                 auto slot = static_cast<std::size_t>(
                     ThreadPool::currentSlot());
                 TileExec &exec = *_tileExec[slot];
-                TileOutput &out = _tileOut[t];
+                TileOutput &out = _tileOut[band];
                 exec.call = info.call;
                 exec.out = &out;
-                processTile(exec, out, _tileGrid.rect(static_cast<int>(t)),
-                            info);
+                processTile(exec, out, static_cast<int>(band), info);
                 exec.out = nullptr;
             });
         }
@@ -667,10 +633,10 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
 }
 
 void
-GpuSimulator::processTile(TileExec &exec, TileOutput &out,
-                          const raster::TileRect &rect,
+GpuSimulator::processTile(TileExec &exec, TileOutput &out, int band,
                           const QuadContextInfo &base_info)
 {
+    int y0 = band * raster::kUpperTile;
     out.runs.reserve(out.bin.size());
     for (std::uint32_t seq : out.bin) {
         const TiledTri &tt =
@@ -678,24 +644,22 @@ GpuSimulator::processTile(TileExec &exec, TileOutput &out,
         QuadContextInfo info = base_info;
         info.backFace = tt.backFace;
         TileOutput::TileRun run;
-        run.recBegin = static_cast<std::uint32_t>(out.recs.size());
+        for (int log = 0; log < 3; ++log)
+            run.begin[static_cast<std::size_t>(log)] = out.logSize(log);
+        out.runs.push_back(run);
         // Shade each quad as the traversal emits it: the walk reads
         // only the set-up triangle, never the z/HZ state a quad updates,
         // so the quad stream is the same as traversing first.
         exec.raster.rasterizeTile(
-            tt.setup, rect.x0, rect.y0, rect.x1, rect.y1,
+            tt.setup, y0, y0 + raster::kUpperTile,
             [&](const raster::RasterQuad &quad) {
-                processTileQuad(exec, out, info, tt.setup, quad);
+                processTileQuad(exec, info, tt.setup, quad);
             });
-        run.recCount =
-            static_cast<std::uint32_t>(out.recs.size()) - run.recBegin;
-        out.runs.push_back(run);
     }
 }
 
 void
-GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
-                              const QuadContextInfo &info,
+GpuSimulator::processTileQuad(TileExec &exec, const QuadContextInfo &info,
                               const raster::TriangleSetup &setup,
                               const raster::RasterQuad &quad)
 {
@@ -707,26 +671,9 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
         ++ctr.rasterFullQuads;
     ctr.rasterFragments += static_cast<std::uint64_t>(quad.coveredCount());
 
-    TileOutput::QuadRec rec;
-    for (int log = 0; log < 3; ++log)
-        rec.begin[static_cast<std::size_t>(log)] = out.logSize(log);
-    // Anchor whatever accesses this quad logged to its position in the
-    // global quad stream; quads that logged nothing need no record.
-    auto push_rec = [&] {
-        bool logged = false;
-        for (int log = 0; log < 3; ++log) {
-            logged |= out.logSize(log) !=
-                      rec.begin[static_cast<std::size_t>(log)];
-        }
-        if (!logged)
-            return;
-        rec.key = raster::traversalKey(quad.x, quad.y);
-        out.recs.push_back(rec);
-    };
-
     std::uint8_t live = quad.coverage;
 
-    // --- Hierarchical Z (the shared arrays are tile-exclusive) -------
+    // --- Hierarchical Z (the shared arrays are band-exclusive) -------
     bool hz_accepted = false;
     switch (hzTestQuad(info, quad, exec.hzStats)) {
       case HzOutcome::Culled:
@@ -747,7 +694,6 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
         if (!zStencilQuad(info, quad, live, hz_accepted, exec.zUnit,
                           ctr)) {
             ++ctr.quadsRemovedZStencil;
-            push_rec();
             return;
         }
     }
@@ -758,7 +704,6 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
         exec.colorUnit.writeQuad(call.state.blend, quad.x, quad.y, dummy,
                                  live);
         ++ctr.quadsRemovedColorMask;
-        push_rec();
         return;
     }
 
@@ -780,7 +725,6 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
     }
     if (live == 0) {
         ++ctr.quadsRemovedAlpha;
-        push_rec();
         return;
     }
 
@@ -788,7 +732,6 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
     if (!z_applied) {
         if (!zStencilQuad(info, quad, live, false, exec.zUnit, ctr)) {
             ++ctr.quadsRemovedZStencil;
-            push_rec();
             return;
         }
     }
@@ -806,7 +749,6 @@ GpuSimulator::processTileQuad(TileExec &exec, TileOutput &out,
     } else {
         ++ctr.quadsRemovedColorMask;
     }
-    push_rec();
 }
 
 void
@@ -835,9 +777,8 @@ GpuSimulator::mergeTileResults()
     orderAccesses();
     replayAccesses();
 
-    for (std::uint32_t t : _activeTiles)
-        _tileOut[t].clearDraw();
-    _activeTiles.clear();
+    for (TileOutput &out : _tileOut)
+        out.clearDraw();
     _tiledTris.clear();
     _order->clear();
 }
@@ -846,69 +787,17 @@ void
 GpuSimulator::orderAccesses()
 {
     // Reconstruct submission order: primitives in draw order; within
-    // one primitive, its per-tile record runs merged by traversal key
-    // (each run is already ascending). The replay therefore feeds every
+    // one primitive, its band runs in band order. The rasterizer walks
+    // upper-tile rows outermost and a band is one such row, so this
+    // concatenation is the full walk's order, and the replay feeds every
     // shared model its exact sequential access stream, independent of
-    // thread count and tile size.
-    struct MergeCursor
-    {
-        std::uint32_t key;
-        std::uint32_t rec;
-        std::uint32_t end;
-        const TileOutput *out;
-    };
-    auto later = [](const MergeCursor &a, const MergeCursor &b) {
-        return a.key > b.key; // min-heap on key
-    };
-    std::vector<MergeCursor> cursors;
-    ReplayOrder &order = *_order;
-
-    for (std::size_t seq = 0; seq < _tiledTris.size(); ++seq) {
-        const TiledTri &tt = _tiledTris[seq];
-        cursors.clear();
+    // thread count.
+    for (const TiledTri &tt : _tiledTris) {
         for (int ty = tt.ty0; ty <= tt.ty1; ++ty) {
-            for (int tx = tt.tx0; tx <= tt.tx1; ++tx) {
-                TileOutput &out = _tileOut[static_cast<std::size_t>(
-                    _tileGrid.index(tx, ty))];
-                // Bins were appended in this same order, so the tile's
-                // next unconsumed run belongs to this primitive.
-                TileOutput::TileRun run =
-                    out.runs[static_cast<std::size_t>(out.cursor++)];
-                if (run.recCount == 0)
-                    continue;
-                cursors.push_back({out.recs[run.recBegin].key,
-                                   run.recBegin,
-                                   run.recBegin + run.recCount, &out});
-            }
-        }
-        if (cursors.size() == 1) {
-            // The common case: the primitive only produced records in
-            // one tile, already in traversal order.
-            const MergeCursor &c = cursors.front();
-            order.appendRecords(*c.out, c.rec, c.end);
-            continue;
-        }
-        // Emit in bulk: the popped run's records stay in order while
-        // their keys are below the next run's head.
-        std::make_heap(cursors.begin(), cursors.end(), later);
-        while (!cursors.empty()) {
-            std::pop_heap(cursors.begin(), cursors.end(), later);
-            MergeCursor c = cursors.back();
-            cursors.pop_back();
-            std::uint32_t r = c.end;
-            if (!cursors.empty()) {
-                std::uint32_t next = cursors.front().key;
-                r = c.rec + 1;
-                while (r < c.end && c.out->recs[r].key < next)
-                    ++r;
-            }
-            order.appendRecords(*c.out, c.rec, r);
-            if (r < c.end) {
-                c.rec = r;
-                c.key = c.out->recs[r].key;
-                cursors.push_back(c);
-                std::push_heap(cursors.begin(), cursors.end(), later);
-            }
+            // Bins were appended in this same order, so the band's next
+            // unconsumed run belongs to this primitive.
+            TileOutput &out = _tileOut[static_cast<std::size_t>(ty)];
+            _order->appendRun(out, out.cursor++);
         }
     }
 }

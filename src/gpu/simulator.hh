@@ -16,21 +16,23 @@
  * so a functional model executing the real algorithms yields the same
  * statistics a cycle-accurate simulator would (see DESIGN.md).
  *
- * Threading: the back half of the pipeline is tile-parallel. A binning
- * pass appends each post-geometry triangle (in draw order) to the bins
- * of the screen tiles its bounding box overlaps; per-tile work items on
- * the global ThreadPool (WC3D_THREADS) then run rasterization, HZ,
- * z & stencil, fragment shading and blending end to end, each worker
- * owning its tile's framebuffer words, HZ entries and depth/blend state
- * exclusively (tiles are multiples of the 16x16 traversal tile, so
- * every lower structure nests inside exactly one screen tile). Accesses
- * to the order-sensitive shared cache models (z, colour, texture) and
- * the memory controller are logged per quad; after the join the merge
- * rebuilds submission order and replays them on the pool: the z and
- * colour streams each in order on its own task, the read-only texture
- * levels in exact warm-started chunks. Counters, cache statistics and
- * traffic bytes are bit-identical at every thread count and tile size
- * (see DESIGN.md "Tile-parallel pipeline").
+ * Threading: the back half of the pipeline is tile-parallel. The work
+ * item is a band: one row of the rasterizer's 16x16 upper tiles, across
+ * the full width. A binning pass appends each post-geometry triangle
+ * (in draw order) to the bins of the bands its bounding box overlaps;
+ * per-band work items on the global ThreadPool (WC3D_THREADS) then run
+ * rasterization, HZ, z & stencil, fragment shading and blending end to
+ * end, each worker owning its band's framebuffer words, HZ entries and
+ * depth/blend state exclusively (every lower structure nests inside
+ * exactly one band). Accesses to the order-sensitive shared cache
+ * models (z, colour, texture) and the memory controller are logged per
+ * band; after the join the merge rebuilds submission order by
+ * concatenation (each triangle's band runs, in band order, since the
+ * rasterizer walks upper-tile rows outermost) and replays them on the
+ * pool: the z and colour streams each in order on its own task, the
+ * read-only texture levels in exact warm-started chunks. Counters,
+ * cache statistics and traffic bytes are bit-identical at every thread
+ * count (see DESIGN.md "Tile-parallel pipeline").
  * Vertex shading runs on the same pool: the vertex cache is replayed in
  * index order first, then the misses are shaded in parallel chunks. At
  * WC3D_THREADS=1 every work item runs inline on the submitting thread,
@@ -51,7 +53,6 @@
 #include "gpu/pipeline.hh"
 #include "raster/hz.hh"
 #include "raster/rasterizer.hh"
-#include "raster/tilegrid.hh"
 #include "stats/series.hh"
 #include "texture/texcache.hh"
 
@@ -118,15 +119,15 @@ class GpuSimulator : public api::DrawSink
 
   private:
     struct QuadContextInfo;
-    struct TiledTri;     ///< binned triangle (setup + facing + tile range)
-    struct TileOutput;   ///< per-tile quad stream + deferred access logs
-    struct TileExec;     ///< per-slot tile-worker execution state
+    struct TiledTri;     ///< binned triangle (setup + facing + band range)
+    struct TileOutput;   ///< per-band deferred access logs
+    struct TileExec;     ///< per-slot band-worker execution state
     struct ReplayOrder;  ///< one draw's deferred accesses, in order
 
     /** Outcome of the Hierarchical-Z stage for one quad. */
     enum class HzOutcome : std::uint8_t { Culled, Accepted, Pass };
 
-    /** @name Per-quad stages, run by tile workers on their private
+    /** @name Per-quad stages, run by band workers on their private
      *  stats shard, z & stencil unit and counters. */
     /// @{
     HzOutcome hzTestQuad(const QuadContextInfo &info,
@@ -141,11 +142,9 @@ class GpuSimulator : public api::DrawSink
     /** @name Tile-parallel raster/shade/ROP back-end */
     /// @{
     void drawTiled(const api::DrawCall &call, const QuadContextInfo &info);
-    void processTile(TileExec &exec, TileOutput &out,
-                     const raster::TileRect &rect,
+    void processTile(TileExec &exec, TileOutput &out, int band,
                      const QuadContextInfo &base_info);
-    void processTileQuad(TileExec &exec, TileOutput &out,
-                         const QuadContextInfo &info,
+    void processTileQuad(TileExec &exec, const QuadContextInfo &info,
                          const raster::TriangleSetup &setup,
                          const raster::RasterQuad &quad);
     void mergeTileResults();
@@ -162,7 +161,6 @@ class GpuSimulator : public api::DrawSink
     frag::CachedSurface _depth;
     frag::CachedSurface _color;
     raster::HierarchicalZ _hz;
-    raster::TileGrid _tileGrid;
     geom::VertexCache _vertexCache;
     tex::TextureCache _texCache;
 
@@ -178,8 +176,7 @@ class GpuSimulator : public api::DrawSink
 
     // Tile-parallel per-draw state, reused across draws.
     std::vector<TiledTri> _tiledTris;   ///< binned triangles, draw order
-    std::vector<TileOutput> _tileOut;   ///< one per screen tile (lazy)
-    std::vector<std::uint32_t> _activeTiles; ///< non-empty bins, ascending
+    std::vector<TileOutput> _tileOut;   ///< one per band, top to bottom
     std::vector<std::unique_ptr<TileExec>> _tileExec; ///< per worker slot
     std::unique_ptr<ReplayOrder> _order;
 };

@@ -74,9 +74,9 @@ class HierarchicalZ
 
     /**
      * As above, charging @p stats instead of the member statistics.
-     * Tile-parallel workers pass a private HzStats (merged after the
-     * join): the depth arrays they touch are exclusively theirs by
-     * screen-tile ownership, but the counters are not.
+     * Band workers pass a private HzStats (merged after the join):
+     * the depth arrays they touch are exclusively theirs by band
+     * ownership, but the counters are not.
      */
     bool testQuad(int x, int y, float quad_z_min, HzStats &stats);
 
@@ -138,8 +138,8 @@ class HierarchicalZ
     int _quadsY;
     std::vector<float> _tileMax;   ///< per 8x8 tile
     std::vector<float> _tileMin;
-    /// One byte per tile, not vector<bool>: tile-parallel workers set
-    /// flags for the (disjoint) tiles they own, which bit-packing would
+    /// One byte per tile, not vector<bool>: band workers set flags
+    /// for the (disjoint) tiles they own, which bit-packing would
     /// turn into a data race on the shared words.
     std::vector<std::uint8_t> _tileDirty;
     std::vector<float> _quadMax;   ///< per 2x2 quad (feedback store)

@@ -11,6 +11,7 @@
 #ifndef WC3D_RASTER_RASTERIZER_HH
 #define WC3D_RASTER_RASTERIZER_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -40,36 +41,6 @@ struct RasterQuad
     bool full() const { return coverage == 0xf; }
 };
 
-/** Rasterization statistics (paper Tables VIII, X and XI inputs). */
-struct RasterStats
-{
-    std::uint64_t triangles = 0;      ///< valid triangles traversed
-    std::uint64_t upperTiles = 0;     ///< 16x16 tiles visited
-    std::uint64_t lowerTiles = 0;     ///< 8x8 tiles visited
-    std::uint64_t quads = 0;          ///< quads emitted (>=1 lane covered)
-    std::uint64_t fullQuads = 0;      ///< quads with all 4 lanes covered
-    std::uint64_t fragments = 0;      ///< covered fragments generated
-
-    /** Quad efficiency: fraction of emitted quads that are complete. */
-    double
-    quadEfficiency() const
-    {
-        return quads ? static_cast<double>(fullQuads) / quads : 0.0;
-    }
-
-    RasterStats &
-    operator+=(const RasterStats &o)
-    {
-        triangles += o.triangles;
-        upperTiles += o.upperTiles;
-        lowerTiles += o.lowerTiles;
-        quads += o.quads;
-        fullQuads += o.fullQuads;
-        fragments += o.fragments;
-        return *this;
-    }
-};
-
 /**
  * The traversal engine. Emits covered quads to a callback; carries no
  * framebuffer state of its own.
@@ -92,55 +63,43 @@ class Rasterizer
     {
         if (!tri.valid)
             return;
-        ++_stats.triangles;
-
         int tile_min_x = (tri.minX / kUpperTile) * kUpperTile;
         int tile_min_y = (tri.minY / kUpperTile) * kUpperTile;
         for (int ty = tile_min_y; ty <= tri.maxY; ty += kUpperTile) {
             for (int tx = tile_min_x; tx <= tri.maxX; tx += kUpperTile) {
                 if (!tileOverlaps(tri, tx, ty, kUpperTile))
                     continue;
-                ++_stats.upperTiles;
                 traverseLower(tri, tx, ty, emit);
             }
         }
     }
 
     /**
-     * Traverse the part of one set-up triangle inside the screen tile
-     * [@p x0, @p x1) x [@p y0, @p y1). The tile bounds must be multiples
-     * of kUpperTile, so the 16x16 traversal tiles of the full rasterize()
-     * walk partition exactly across screen tiles: running rasterizeTile
-     * over a disjoint tile cover visits every upper/lower tile and emits
-     * every quad of the full walk exactly once, and summing the
-     * per-tile statistics reproduces rasterize()'s counts — except
-     * `triangles`, which tile traversal never bumps (a triangle spans
-     * many tiles).
+     * Traverse the part of one set-up triangle inside the band of rows
+     * [@p y0, @p y1), which spans the full width. Both bounds must be
+     * multiples of kUpperTile (@p y1 may pass the screen edge). The
+     * full rasterize() walk visits upper tiles row by row, so for
+     * bands cut at upper-tile rows, the per-band walks concatenated in
+     * band order emit exactly the quads of rasterize(), in its order.
      */
     template <typename Fn>
     void
-    rasterizeTile(const TriangleSetup &tri, int x0, int y0, int x1,
-                  int y1, Fn &&emit)
+    rasterizeTile(const TriangleSetup &tri, int y0, int y1, Fn &&emit)
     {
         if (!tri.valid)
             return;
+        int tile_min_x = (tri.minX / kUpperTile) * kUpperTile;
         // max() of two kUpperTile multiples keeps the walk aligned.
-        int tile_min_x = std::max((tri.minX / kUpperTile) * kUpperTile, x0);
         int tile_min_y = std::max((tri.minY / kUpperTile) * kUpperTile, y0);
-        int max_x = std::min(tri.maxX, x1 - 1);
         int max_y = std::min(tri.maxY, y1 - 1);
         for (int ty = tile_min_y; ty <= max_y; ty += kUpperTile) {
-            for (int tx = tile_min_x; tx <= max_x; tx += kUpperTile) {
+            for (int tx = tile_min_x; tx <= tri.maxX; tx += kUpperTile) {
                 if (!tileOverlaps(tri, tx, ty, kUpperTile))
                     continue;
-                ++_stats.upperTiles;
                 traverseLower(tri, tx, ty, emit);
             }
         }
     }
-
-    const RasterStats &stats() const { return _stats; }
-    void resetStats() { _stats = RasterStats(); }
 
     int width() const { return _width; }
     int height() const { return _height; }
@@ -163,7 +122,6 @@ class Rasterizer
                 }
                 if (!tileOverlaps(tri, lx, ly, kLowerTile))
                     continue;
-                ++_stats.lowerTiles;
                 traverseQuads(tri, lx, ly, emit);
             }
         }
@@ -178,14 +136,8 @@ class Rasterizer
                 if (qx >= _width || qy >= _height)
                     continue;
                 RasterQuad quad;
-                if (evaluateQuad(tri, qx, qy, quad)) {
-                    ++_stats.quads;
-                    if (quad.full())
-                        ++_stats.fullQuads;
-                    _stats.fragments += static_cast<std::uint64_t>(
-                        quad.coveredCount());
+                if (evaluateQuad(tri, qx, qy, quad))
                     emit(static_cast<const RasterQuad &>(quad));
-                }
             }
         }
     }
@@ -196,7 +148,6 @@ class Rasterizer
 
     int _width;
     int _height;
-    RasterStats _stats;
 };
 
 } // namespace wc3d::raster

@@ -4,8 +4,8 @@
  * traces written by common/prof parse and validate (spans nest, no
  * negative durations), spans leave every statistic bit-identical, the
  * run manifest carries each run's record
- * exactly as encodeApiRun / encodeMicroRun print it, and the
- * WC3D_LOG_LEVEL knob parses the documented spellings.
+ * exactly as encodeApiRun / encodeMicroRun print it, and concurrent
+ * log writers do not race.
  */
 
 #include <atomic>
@@ -408,7 +408,6 @@ TEST(Manifest, HostBlockVersioningAndValidation)
     EXPECT_FALSE(host->find("hostname")->asString().empty());
     ASSERT_NE(host->find("hardwareThreads"), nullptr);
     EXPECT_TRUE(host->find("hardwareThreads")->isNumber());
-    EXPECT_EQ(host->find("tileSize"), nullptr);
 
     json::Value v1 = doc;
     v1.set("schema", json::Value::str("wc3d-metrics-v1"));
@@ -508,51 +507,11 @@ TEST(Manifest, PhaseBreakdownSortsAndFractions)
     EXPECT_TRUE(phaseBreakdown(doc).empty());
 }
 
-// --- Log levels ----------------------------------------------------
-
-TEST(Log, ParsesDocumentedLevelSpellings)
-{
-    struct Case
-    {
-        const char *text;
-        LogLevel level;
-    } cases[] = {
-        {"quiet", LogLevel::Quiet}, {"warn", LogLevel::Warn},
-        {"warning", LogLevel::Warn}, {"info", LogLevel::Info},
-        {"debug", LogLevel::Debug}, {"0", LogLevel::Quiet},
-        {"3", LogLevel::Debug},     {" Info ", LogLevel::Info},
-        {"DEBUG", LogLevel::Debug},
-    };
-    for (const Case &c : cases) {
-        LogLevel out = LogLevel::Warn;
-        EXPECT_TRUE(parseLogLevel(c.text, out)) << c.text;
-        EXPECT_EQ(out, c.level) << c.text;
-    }
-    LogLevel out = LogLevel::Info;
-    EXPECT_FALSE(parseLogLevel("loud", out));
-    EXPECT_FALSE(parseLogLevel("", out));
-    EXPECT_FALSE(parseLogLevel("4", out));
-    EXPECT_EQ(out, LogLevel::Info); // untouched on failure
-}
-
-TEST(Log, LevelGatesWriters)
-{
-    LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Quiet);
-    // Nothing to assert on stderr contents here; this exercises the
-    // gating paths for coverage and must simply not crash.
-    warn("suppressed %d", 1);
-    inform("suppressed %d", 2);
-    debugLog("suppressed %d", 3);
-    setLogLevel(LogLevel::Debug);
-    debugLog("emitted at debug level");
-    setLogLevel(saved);
-}
+// --- Log writers ---------------------------------------------------
 
 TEST(Log, ConcurrentWritersDoNotRace)
 {
-    LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Quiet); // keep test output clean
+    // The 800 lines go to stderr; a data race in the writer trips TSan.
     std::atomic<int> go{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -566,7 +525,6 @@ TEST(Log, ConcurrentWritersDoNotRace)
     }
     for (auto &t : threads)
         t.join();
-    setLogLevel(saved);
 }
 
 // A process killed by SIGTERM/SIGINT must still leave a valid trace:

@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel execution layer: thread-pool semantics and the
  * headline determinism contract — a full simulated game produces
- * bit-identical statistics at every WC3D_THREADS value and tile size.
+ * bit-identical statistics at every WC3D_THREADS value.
  */
 
 #include <atomic>
@@ -85,10 +85,9 @@ TEST(ThreadPool, ConfiguredThreadsHonoursEnvironment)
 
 namespace {
 
-/** Simulate one OGL game at the given thread count and screen-tile
- *  edge (0: the default, 32 px). */
+/** Simulate one OGL game at the given thread count. */
 MicroRun
-simulateAt(int threads, int tile = 0)
+simulateAt(int threads)
 {
     const std::string id = "ut2004/primeval";
     constexpr int kFrames = 2;
@@ -96,7 +95,6 @@ simulateAt(int threads, int tile = 0)
     gpu::GpuConfig config;
     config.width = 256;
     config.height = 192;
-    config.tileSize = tile;
     gpu::GpuSimulator sim(config);
     api::Device device(workloads::gameProfile(id).apiKind);
     device.setSink(&sim);
@@ -122,25 +120,16 @@ expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
 
 } // namespace
 
-TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
+TEST(Determinism, TiledBitIdenticalAcrossThreads)
 {
     // The tile-parallel back-end's headline contract: statistics are
-    // bit-identical at every thread count AND every tile size. The
-    // reference is the default configuration (1 thread, 32-px tiles).
+    // bit-identical at every thread count. The reference is the
+    // sequential run.
     MicroRun ref = simulateAt(1);
-
-    struct Config
-    {
-        int threads;
-        int tile;
-    };
-    const Config configs[] = {{2, 32}, {4, 32}, {8, 32}, {1, 16},
-                              {4, 16}, {4, 64}};
-    for (const Config &c : configs) {
-        MicroRun run = simulateAt(c.threads, c.tile);
+    for (int threads : {2, 4, 8}) {
+        MicroRun run = simulateAt(threads);
         expectRunsBitIdentical(run, ref,
-                               "threads=" + std::to_string(c.threads) +
-                                   " tile=" + std::to_string(c.tile));
+                               "threads=" + std::to_string(threads));
     }
 }
 

@@ -2,13 +2,12 @@
  * @file
  * Unit and property tests for triangle setup and the tiled rasterizer:
  * coverage correctness, fill-rule watertightness, interpolation, quad
- * statistics.
+ * counts, and the band walks the tile-parallel back-end runs.
  */
 
-#include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -18,7 +17,6 @@
 
 #include "common/rng.hh"
 #include "raster/rasterizer.hh"
-#include "raster/tilegrid.hh"
 
 using namespace wc3d;
 using namespace wc3d::geom;
@@ -45,10 +43,9 @@ tri(ScreenVertex a, ScreenVertex b, ScreenVertex c)
 
 /** Collect covered pixels of one triangle. */
 std::set<std::pair<int, int>>
-coverage(const ScreenTriangle &t, int w, int h, Rasterizer *rast = nullptr)
+coverage(const ScreenTriangle &t, int w, int h)
 {
-    Rasterizer local(w, h);
-    Rasterizer &r = rast ? *rast : local;
+    Rasterizer r(w, h);
     std::set<std::pair<int, int>> pixels;
     TriangleSetup setup = setupTriangle(t, w, h);
     r.rasterize(setup, [&](const RasterQuad &q) {
@@ -63,6 +60,31 @@ coverage(const ScreenTriangle &t, int w, int h, Rasterizer *rast = nullptr)
     });
     return pixels;
 }
+
+/** Quad counts of rasterize() walks, taken in the emit callback. */
+struct QuadTally
+{
+    std::uint64_t quads = 0;
+    std::uint64_t fullQuads = 0;
+    std::uint64_t fragments = 0;
+
+    void
+    walk(Rasterizer &r, const TriangleSetup &setup)
+    {
+        r.rasterize(setup, [this](const RasterQuad &q) {
+            ++quads;
+            fullQuads += q.full();
+            fragments += static_cast<std::uint64_t>(q.coveredCount());
+        });
+    }
+
+    /** Fraction of emitted quads that are complete. */
+    double
+    quadEfficiency() const
+    {
+        return static_cast<double>(fullQuads) / static_cast<double>(quads);
+    }
+};
 
 } // namespace
 
@@ -135,9 +157,8 @@ TEST(Setup, PerspectiveCorrectVarying)
 TEST(Raster, FullScreenQuadCoversEveryPixel)
 {
     // Two triangles covering a 16x16 target exactly once each pixel.
-    Rasterizer r(16, 16);
-    auto c1 = coverage(tri(sv(0, 0), sv(16, 0), sv(0, 16)), 16, 16, &r);
-    auto c2 = coverage(tri(sv(16, 0), sv(16, 16), sv(0, 16)), 16, 16, &r);
+    auto c1 = coverage(tri(sv(0, 0), sv(16, 0), sv(0, 16)), 16, 16);
+    auto c2 = coverage(tri(sv(16, 0), sv(16, 16), sv(0, 16)), 16, 16);
     EXPECT_EQ(c1.size() + c2.size(), 256u);
     for (const auto &p : c1)
         EXPECT_EQ(c2.count(p), 0u) << "shared-edge pixel double-covered";
@@ -158,32 +179,33 @@ TEST(Raster, PixelCenterRule)
 TEST(Raster, InvalidSetupEmitsNothing)
 {
     // A zero-area (collinear) triangle must not reach traversal: no
-    // quads, no stats, not even a triangle count.
+    // quads from the full walk or from a band walk.
     Rasterizer r(64, 64);
     TriangleSetup s = setupTriangle(
         tri(sv(4, 4), sv(20, 20), sv(36, 36)), 64, 64);
     ASSERT_FALSE(s.valid);
     int emitted = 0;
-    r.rasterize(s, [&](const RasterQuad &) { ++emitted; });
+    auto count = [&](const RasterQuad &) { ++emitted; };
+    r.rasterize(s, count);
+    r.rasterizeTile(s, 0, kUpperTile, count);
     EXPECT_EQ(emitted, 0);
-    EXPECT_EQ(r.stats().triangles, 0u);
-    EXPECT_EQ(r.stats().quads, 0u);
-    EXPECT_EQ(r.stats().fragments, 0u);
 }
 
 TEST(Raster, OnePixelTriangleSingleFragment)
 {
     // A tiny triangle surrounding exactly one pixel center produces
     // exactly one partial quad with one covered lane.
-    Rasterizer r(32, 32);
-    auto c = coverage(tri(sv(10.2f, 10.2f), sv(11.3f, 10.3f),
-                          sv(10.3f, 11.3f)),
-                      32, 32, &r);
+    ScreenTriangle t = tri(sv(10.2f, 10.2f), sv(11.3f, 10.3f),
+                           sv(10.3f, 11.3f));
+    auto c = coverage(t, 32, 32);
     ASSERT_EQ(c.size(), 1u);
     EXPECT_EQ(c.count({10, 10}), 1u);
-    EXPECT_EQ(r.stats().quads, 1u);
-    EXPECT_EQ(r.stats().fullQuads, 0u);
-    EXPECT_EQ(r.stats().fragments, 1u);
+    Rasterizer r(32, 32);
+    QuadTally tally;
+    tally.walk(r, setupTriangle(t, 32, 32));
+    EXPECT_EQ(tally.quads, 1u);
+    EXPECT_EQ(tally.fullQuads, 0u);
+    EXPECT_EQ(tally.fragments, 1u);
 }
 
 TEST(Raster, ThinSliverStillHitsSamples)
@@ -219,50 +241,42 @@ TEST(Raster, ScissorClampsToTarget)
 
 TEST(Raster, StatsCountQuadsAndFragments)
 {
+    ScreenTriangle t = tri(sv(0, 0), sv(32, 0), sv(0, 32));
     Rasterizer r(64, 64);
-    TriangleSetup s = setupTriangle(
-        tri(sv(0, 0), sv(32, 0), sv(0, 32)), 64, 64);
-    std::uint64_t quads = 0, frags = 0, full = 0;
-    r.rasterize(s, [&](const RasterQuad &q) {
-        ++quads;
-        frags += static_cast<std::uint64_t>(q.coveredCount());
-        full += q.full();
-    });
-    EXPECT_EQ(r.stats().quads, quads);
-    EXPECT_EQ(r.stats().fragments, frags);
-    EXPECT_EQ(r.stats().fullQuads, full);
-    EXPECT_EQ(r.stats().triangles, 1u);
-    EXPECT_GT(r.stats().upperTiles, 0u);
-    EXPECT_GE(r.stats().lowerTiles, r.stats().upperTiles);
-    EXPECT_LT(full, quads); // diagonal edge has partial quads
-    EXPECT_NEAR(r.stats().quadEfficiency(),
-                static_cast<double>(full) / quads, 1e-12);
+    QuadTally tally;
+    tally.walk(r, setupTriangle(t, 64, 64));
+    // Every covered pixel is one fragment of exactly one quad.
+    EXPECT_EQ(tally.fragments, coverage(t, 64, 64).size());
+    EXPECT_GE(tally.fragments, 4 * tally.fullQuads);
+    EXPECT_LE(tally.fragments, 4 * tally.quads);
+    EXPECT_LT(tally.fullQuads, tally.quads); // diagonal edge: partials
+    EXPECT_GT(tally.fullQuads, 0u);
 }
 
 TEST(Raster, LargeTriangleQuadEfficiencyHigh)
 {
     // Paper Table X: big triangles have >90% complete quads.
     Rasterizer r(512, 512);
-    TriangleSetup s = setupTriangle(
-        tri(sv(3, 2), sv(500, 10), sv(40, 480)), 512, 512);
-    r.rasterize(s, [](const RasterQuad &) {});
-    EXPECT_GT(r.stats().quadEfficiency(), 0.9);
+    QuadTally tally;
+    tally.walk(r, setupTriangle(
+                      tri(sv(3, 2), sv(500, 10), sv(40, 480)), 512, 512));
+    EXPECT_GT(tally.quadEfficiency(), 0.9);
 }
 
 TEST(Raster, TinyTrianglesQuadEfficiencyLow)
 {
     // Sub-pixel triangles produce mostly partial quads ([1]'s regime).
     Rasterizer r(128, 128);
+    QuadTally tally;
     Rng rng(5);
     for (int i = 0; i < 200; ++i) {
         float x = rng.nextRange(2, 120);
         float y = rng.nextRange(2, 120);
-        TriangleSetup s = setupTriangle(
-            tri(sv(x, y), sv(x + 1.2f, y + 0.3f), sv(x + 0.4f, y + 1.1f)),
-            128, 128);
-        r.rasterize(s, [](const RasterQuad &) {});
+        tally.walk(r, setupTriangle(tri(sv(x, y), sv(x + 1.2f, y + 0.3f),
+                                        sv(x + 0.4f, y + 1.1f)),
+                                    128, 128));
     }
-    EXPECT_LT(r.stats().quadEfficiency(), 0.5);
+    EXPECT_LT(tally.quadEfficiency(), 0.5);
 }
 
 TEST(Raster, HelperLanesCarryDepthAndBarycentrics)
@@ -348,46 +362,8 @@ TEST(RasterProperty, RectangleDecompositionExact)
 }
 
 // ---------------------------------------------------------------------
-// Screen-space tile partition (the tile-parallel back-end's foundation)
+// Band walks (the tile-parallel back-end's work items)
 // ---------------------------------------------------------------------
-
-TEST(TileGrid, ResolveTileSizeClampsAndRounds)
-{
-    EXPECT_EQ(resolveTileSize(32), 32);
-    EXPECT_EQ(resolveTileSize(48), 48);
-    EXPECT_EQ(resolveTileSize(64), 64);
-    EXPECT_EQ(resolveTileSize(20), 32);  // rounds up to a 16 multiple
-    EXPECT_EQ(resolveTileSize(24), 32);
-    EXPECT_EQ(resolveTileSize(8), 16);   // clamps to the upper tile
-    EXPECT_EQ(resolveTileSize(0), 32);   // default
-    EXPECT_EQ(resolveTileSize(-5), 32);
-    // Out-of-range sizes clamp to kMaxTileSize instead of overflowing
-    // int while rounding up (INT_MAX - 15 is already a 16 multiple).
-    EXPECT_EQ(resolveTileSize(INT_MAX), 1024);
-    EXPECT_EQ(resolveTileSize(INT_MAX - 15), 1024);
-}
-
-TEST(TileGrid, BinRangeAndRectsCoverScreen)
-{
-    TileGrid grid(1024, 768, 32);
-    EXPECT_EQ(grid.tilesX(), 32);
-    EXPECT_EQ(grid.tilesY(), 24);
-    auto r = grid.binRange(0, 0, 31, 31);
-    EXPECT_EQ(r.tx0, 0);
-    EXPECT_EQ(r.ty0, 0);
-    EXPECT_EQ(r.tx1, 0);
-    EXPECT_EQ(r.ty1, 0);
-    r = grid.binRange(31, 31, 32, 32);
-    EXPECT_EQ(r.tx1, 1);
-    EXPECT_EQ(r.ty1, 1);
-    // Tile rects are disjoint and their union covers the screen.
-    TileRect first = grid.rect(0);
-    EXPECT_EQ(first.x0, 0);
-    EXPECT_EQ(first.x1, 32);
-    TileRect last = grid.rect(grid.tiles() - 1);
-    EXPECT_EQ(last.x1, 1024);
-    EXPECT_EQ(last.y1, 768);
-}
 
 namespace {
 
@@ -398,101 +374,69 @@ struct EmittedQuad
     std::uint8_t coverage;
 
     bool
-    operator<(const EmittedQuad &o) const
-    {
-        return std::tie(y, x, coverage) < std::tie(o.y, o.x, o.coverage);
-    }
-    bool
     operator==(const EmittedQuad &o) const
     {
         return x == o.x && y == o.y && coverage == o.coverage;
     }
 };
 
+std::ostream &
+operator<<(std::ostream &os, const EmittedQuad &q)
+{
+    return os << "(" << q.x << "," << q.y << " cov=" << int(q.coverage)
+              << ")";
+}
+
 /**
- * Check the partition property for one triangle: running rasterizeTile
- * over every tile of @p grid emits exactly the quads of the full
- * rasterize() walk (each exactly once, inside its owning tile, with
- * per-tile traversal keys ascending), and the summed per-tile
- * statistics match the full walk's (minus `triangles`).
+ * The invariant the back-end's ordered merge rests on: walking the
+ * bands of kUpperTile rows one by one, top to bottom, and concatenating
+ * what they emit gives exactly the full rasterize() walk — the same
+ * quads (position and coverage), in the same order.
  */
 void
-expectTilePartitionMatchesFull(const ScreenTriangle &t, int w, int h,
-                               int tile_size)
+expectBandsConcatenateToFullWalk(const ScreenTriangle &t, int w, int h)
 {
-    SCOPED_TRACE("tile_size=" + std::to_string(tile_size));
     TriangleSetup setup = setupTriangle(t, w, h);
     ASSERT_TRUE(setup.valid);
 
-    Rasterizer full(w, h);
-    std::vector<EmittedQuad> full_quads;
-    full.rasterize(setup, [&](const RasterQuad &q) {
-        full_quads.push_back({q.x, q.y, q.coverage});
+    Rasterizer r(w, h);
+    std::vector<EmittedQuad> full;
+    r.rasterize(setup, [&](const RasterQuad &q) {
+        full.push_back({q.x, q.y, q.coverage});
     });
+    ASSERT_FALSE(full.empty());
 
-    TileGrid grid(w, h, tile_size);
-    Rasterizer tiled(w, h);
-    std::vector<EmittedQuad> tile_quads;
-    for (int tile = 0; tile < grid.tiles(); ++tile) {
-        TileRect rect = grid.rect(tile);
-        std::uint32_t prev_key = 0;
-        bool first = true;
-        tiled.rasterizeTile(
-            setup, rect.x0, rect.y0, rect.x1, rect.y1,
-            [&](const RasterQuad &q) {
-                // Exclusive ownership: the quad nests in this tile.
-                EXPECT_GE(q.x, rect.x0);
-                EXPECT_LT(q.x, rect.x1);
-                EXPECT_GE(q.y, rect.y0);
-                EXPECT_LT(q.y, rect.y1);
-                // Per-tile emission order follows the traversal key.
-                std::uint32_t key = traversalKey(q.x, q.y);
-                if (!first) {
-                    EXPECT_GT(key, prev_key);
-                }
-                prev_key = key;
-                first = false;
-                tile_quads.push_back({q.x, q.y, q.coverage});
-            });
+    std::vector<EmittedQuad> banded;
+    for (int y0 = 0; y0 < h; y0 += kUpperTile) {
+        r.rasterizeTile(setup, y0, y0 + kUpperTile,
+                        [&](const RasterQuad &q) {
+                            // The band owns every quad it emits.
+                            EXPECT_GE(q.y, y0);
+                            EXPECT_LT(q.y, y0 + kUpperTile);
+                            banded.push_back({q.x, q.y, q.coverage});
+                        });
     }
-
-    // Same quads, each exactly once.
-    std::vector<EmittedQuad> a = full_quads;
-    std::vector<EmittedQuad> b = tile_quads;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-
-    // Same traversal work (the partition visits no tile twice).
-    const RasterStats &fs = full.stats();
-    const RasterStats &ts = tiled.stats();
-    EXPECT_EQ(ts.upperTiles, fs.upperTiles);
-    EXPECT_EQ(ts.lowerTiles, fs.lowerTiles);
-    EXPECT_EQ(ts.quads, fs.quads);
-    EXPECT_EQ(ts.fullQuads, fs.fullQuads);
-    EXPECT_EQ(ts.fragments, fs.fragments);
-    EXPECT_EQ(ts.triangles, 0u) << "tile traversal must not count tris";
+    EXPECT_EQ(banded, full);
 }
 
 } // namespace
 
 TEST(TileRaster, PartitionMatchesFullTraversal)
 {
-    const int w = 256, h = 192;
     struct Case
     {
         const char *name;
         ScreenTriangle tri;
     };
     const Case cases[] = {
-        // Axis-aligned triangle whose edges lie exactly on tile bounds.
+        // Axis-aligned triangle whose edges lie exactly on band bounds.
         {"tile-aligned", tri(sv(0, 0), sv(128, 0), sv(0, 128))},
-        // Right angle exactly at an interior tile corner.
+        // Right angle exactly at an interior upper-tile corner.
         {"corner-at-boundary", tri(sv(32, 32), sv(96, 32), sv(32, 96))},
-        // Long thin sliver spanning many tiles horizontally.
+        // Long thin sliver spanning many upper tiles horizontally.
         {"horizontal-sliver", tri(sv(2, 50.2f), sv(250, 51.1f),
                                   sv(3, 51.4f))},
-        // Diagonal sliver crossing tile rows and columns.
+        // Diagonal sliver crossing every band.
         {"diagonal-sliver", tri(sv(5, 5), sv(240, 180), sv(7.5f, 6))},
         // Sub-pixel triangle covering a single pixel center.
         {"one-pixel", tri(sv(65.2f, 65.2f), sv(66.4f, 65.4f),
@@ -501,30 +445,42 @@ TEST(TileRaster, PartitionMatchesFullTraversal)
         {"overhangs-screen", tri(sv(-300, -200), sv(600, -100),
                                  sv(100, 500))},
     };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.name);
-        for (int tile_size : {16, 32, 64})
-            expectTilePartitionMatchesFull(c.tri, w, h, tile_size);
+    // 190 rows is not a multiple of the band height: the last band
+    // runs past the screen edge.
+    for (auto [w, h] : {std::pair{256, 192}, std::pair{250, 190}}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(w) +
+                         "x" + std::to_string(h));
+            expectBandsConcatenateToFullWalk(c.tri, w, h);
+        }
     }
 }
 
 TEST(TileRaster, FullTraversalKeysAscendGlobally)
 {
-    // The merge phase reconstructs submission order by sorting records
-    // on traversalKey, which is valid only if the full rasterize() walk
-    // itself emits quads in globally ascending key order.
+    // The walk order rasterizeTile() documents: upper tiles row by row
+    // (the band index y / kUpperTile outermost), then column; inside an
+    // upper tile, lower tiles and then quads, each row-major. The whole
+    // rasterize() walk must emit quads in strictly ascending order of
+    // this key, or concatenating band walks would reorder them.
+    auto key = [](const RasterQuad &q) {
+        return std::tuple{q.y / kUpperTile, q.x / kUpperTile,
+                          q.y % kUpperTile / kLowerTile,
+                          q.x % kUpperTile / kLowerTile,
+                          q.y % kLowerTile, q.x % kLowerTile};
+    };
     Rasterizer r(256, 192);
     TriangleSetup setup = setupTriangle(
         tri(sv(-10, -10), sv(500, 0), sv(0, 400)), 256, 192);
     ASSERT_TRUE(setup.valid);
     bool first = true;
-    std::uint32_t prev = 0;
+    decltype(key(RasterQuad{})) prev{};
     r.rasterize(setup, [&](const RasterQuad &q) {
-        std::uint32_t key = traversalKey(q.x, q.y);
+        auto k = key(q);
         if (!first) {
-            EXPECT_GT(key, prev) << "at quad (" << q.x << "," << q.y << ")";
+            EXPECT_GT(k, prev) << "at quad (" << q.x << "," << q.y << ")";
         }
-        prev = key;
+        prev = k;
         first = false;
     });
     EXPECT_FALSE(first);
