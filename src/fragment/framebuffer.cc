@@ -1,7 +1,6 @@
 #include "fragment/framebuffer.hh"
 
 #include <algorithm>
-#include <span>
 
 #include "common/log.hh"
 #include "common/prof.hh"
@@ -137,6 +136,17 @@ CachedSurface::accessQuadNoFetch(int x, int y)
         _memory->write(_client, compressAndStore(victim));
     }
     // No fill read: the caller overwrites without needing old data.
+}
+
+void
+CachedSurface::replay(std::span<const SurfaceAccess> log)
+{
+    for (const SurfaceAccess &a : log) {
+        if (a.kind == SurfaceAccess::Kind::WriteNoFetch)
+            accessQuadNoFetch(a.x, a.y);
+        else
+            accessQuad(a.x, a.y, a.kind == SurfaceAccess::Kind::Write);
+    }
 }
 
 void

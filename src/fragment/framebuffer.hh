@@ -8,16 +8,19 @@
  * same color."
  *
  * A surface is an array of 32-bit words divided into 8x8-pixel blocks
- * (256 bytes — one cache line, Table XIV geometry). Accesses go through
- * a per-surface cache at quad granularity; misses and writebacks charge
- * the memory controller according to the block's directory state
- * (Cleared: free, Compressed: half a line, Uncompressed: full line).
+ * (256 bytes — one cache line, Table XIV geometry). Pixels are read and
+ * written as words; cache accesses are separate and at quad granularity:
+ * the fragment units log them (SurfaceAccess) and the merge replays each
+ * log into the surface's cache. Misses and writebacks charge the memory
+ * controller according to the block's directory state (Cleared: free,
+ * Compressed: half a line, Uncompressed: full line).
  */
 
 #ifndef WC3D_FRAGMENT_FRAMEBUFFER_HH
 #define WC3D_FRAGMENT_FRAMEBUFFER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/image.hh"
@@ -48,28 +51,29 @@ enum class SurfaceKind
 };
 
 /**
- * Deferral hook for surface-cache accesses. The cache model and the
- * memory controller behind a CachedSurface are order-sensitive shared
- * state, so tile-parallel workers must not touch them; a unit with a
- * sink installed performs its word reads/writes directly (the pixels
- * are tile-exclusive) but reports each would-be accessQuad /
- * accessQuadNoFetch here instead. The merge later replays the logged
- * accesses into the real surface in reconstructed submission order,
- * one task per surface (see DESIGN.md "Tile-parallel pipeline").
+ * One logged quad access to a surface's cache. The z/stencil and colour
+ * units never touch the cache model or the memory controller, which are
+ * order-sensitive shared state: they append what they would access to
+ * the log their band's work item points them at, and the merge replays
+ * the logs into the surface in submission order (see DESIGN.md
+ * "Ordered merge").
  */
-class SurfaceAccessSink
+struct SurfaceAccess
 {
-  public:
-    virtual ~SurfaceAccessSink() = default;
+    enum class Kind : std::uint8_t
+    {
+        Read,         ///< accessQuad(x, y, false)
+        Write,        ///< accessQuad(x, y, true): dirties the line
+        WriteNoFetch, ///< accessQuadNoFetch(x, y)
+    };
 
-    /**
-     * One deferred quad access at (@p x, @p y).
-     * @param is_write  the access dirties the line
-     * @param no_fetch  write-install semantics (accessQuadNoFetch)
-     */
-    virtual void surfaceAccess(int x, int y, bool is_write,
-                               bool no_fetch) = 0;
+    std::int32_t x = 0; ///< quad top-left pixel
+    std::int32_t y = 0;
+    Kind kind = Kind::Read;
 };
+
+/** One band's accesses to one surface, in traversal order. */
+using SurfaceLog = std::vector<SurfaceAccess>;
 
 /**
  * One cached surface of 32-bit words.
@@ -101,7 +105,10 @@ class CachedSurface
      */
     void fastClear(std::uint32_t value);
 
-    /** Raw word access (no cache accounting; for tests/readback). */
+    /**
+     * Word access without cache accounting: the units read and write
+     * pixels here and log the cache access separately.
+     */
     std::uint32_t word(int x, int y) const;
     void setWord(int x, int y, std::uint32_t v);
 
@@ -119,6 +126,9 @@ class CachedSurface
      * line dirty with a zero-byte fill; victim writebacks still pay.
      */
     void accessQuadNoFetch(int x, int y);
+
+    /** Apply each access of @p log in order (its accessQuad* call). */
+    void replay(std::span<const SurfaceAccess> log);
 
     /**
      * Write back all dirty cache lines (end of frame). Writeback size

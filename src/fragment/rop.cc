@@ -19,10 +19,7 @@ ColorUnit::writeQuad(const BlendState &state, int x, int y,
                        state.dstFactor == BlendFactor::Zero &&
                        state.op == BlendOp::Add);
     // One cache access covers the quad's read-modify-write.
-    if (_sink)
-        _sink->surfaceAccess(x, y, /*is_write=*/true, /*no_fetch=*/false);
-    else
-        _surface->accessQuad(x, y, true);
+    _log->push_back({x, y, SurfaceAccess::Kind::Write});
 
     static const int offs[4][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
     for (int lane = 0; lane < 4; ++lane) {

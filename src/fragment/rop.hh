@@ -15,14 +15,21 @@
 
 namespace wc3d::frag {
 
-/** The colour write/blend unit operating on a colour CachedSurface. */
+/**
+ * The colour write/blend unit operating on a colour CachedSurface. Like
+ * ZStencilUnit it writes words directly and logs its cache accesses.
+ */
 class ColorUnit
 {
   public:
     explicit ColorUnit(CachedSurface *surface) : _surface(surface) {}
 
+    /** Append later cache accesses to @p log (must be set before use). */
+    void setLog(SurfaceLog *log) { _log = log; }
+
     /**
-     * Write a quad of shaded colours.
+     * Write a quad of shaded colours. Logs one Write access (the
+     * quad's read-modify-write) when the buffer is updated.
      *
      * @param state     blend state (including the colour write mask)
      * @param x,y       quad top-left pixel
@@ -33,12 +40,9 @@ class ColorUnit
     bool writeQuad(const BlendState &state, int x, int y,
                    const Vec4 colors[4], std::uint8_t live_mask);
 
-    /** Defer surface-cache accesses to @p sink (see ZStencilUnit). */
-    void setAccessSink(SurfaceAccessSink *sink) { _sink = sink; }
-
   private:
     CachedSurface *_surface;
-    SurfaceAccessSink *_sink = nullptr;
+    SurfaceLog *_log = nullptr;
 };
 
 } // namespace wc3d::frag

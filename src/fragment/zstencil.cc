@@ -109,10 +109,9 @@ ZStencilUnit::testQuad(const DepthStencilState &state, bool back_face,
     bool will_write =
         (state.depthTest && state.depthWrite) ||
         (state.stencilTest && DepthStencilState::faceWritesStencil(face));
-    if (_sink)
-        _sink->surfaceAccess(x, y, will_write, /*no_fetch=*/false);
-    else
-        _surface->accessQuad(x, y, will_write);
+    _log->push_back({x, y,
+                     will_write ? SurfaceAccess::Kind::Write
+                                : SurfaceAccess::Kind::Read});
 
     static const int offs[4][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
     std::uint8_t passed = 0;
@@ -197,12 +196,8 @@ ZStencilUnit::acceptQuad(const DepthStencilState &state, int x, int y,
 
     static const int offs[4][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
     bool writes = state.depthTest && state.depthWrite;
-    if (writes) {
-        if (_sink)
-            _sink->surfaceAccess(x, y, /*is_write=*/true, /*no_fetch=*/true);
-        else
-            _surface->accessQuadNoFetch(x, y);
-    }
+    if (writes)
+        _log->push_back({x, y, SurfaceAccess::Kind::WriteNoFetch});
 
     float max_stored = 0.0f;
     float min_stored = 1.0f;

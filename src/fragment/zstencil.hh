@@ -88,15 +88,22 @@ float unpackDepth(std::uint32_t word);
 std::uint8_t unpackStencil(std::uint32_t word);
 
 /**
- * The z & stencil test unit operating on a DepthStencilSurface.
+ * The z & stencil test unit operating on a depth/stencil surface. It reads
+ * and writes the surface's words directly and appends each quad's cache
+ * access to the log set with setLog(); the surface's cache sees the
+ * access only when the log is replayed.
  */
 class ZStencilUnit
 {
   public:
     explicit ZStencilUnit(CachedSurface *surface) : _surface(surface) {}
 
+    /** Append later cache accesses to @p log (must be set before use). */
+    void setLog(SurfaceLog *log) { _log = log; }
+
     /**
-     * Test a quad.
+     * Test a quad. Logs one access: Write when the state writes depth
+     * or the selected face's stencil ops write, else Read.
      *
      * @param state      depth/stencil render state
      * @param back_face  selects the back stencil face
@@ -122,7 +129,8 @@ class ZStencilUnit
      * Early-accept path (min/max HZ): the depth test is known to pass
      * for every live lane, so the stored depth is written without
      * reading the z buffer. Only valid for plain Less/LEqual depth
-     * states without stencil.
+     * states without stencil. Logs one WriteNoFetch access when the
+     * state writes depth, and nothing otherwise.
      *
      * @return the stored quad (min, max) after the writes.
      */
@@ -130,17 +138,9 @@ class ZStencilUnit
                                        int x, int y, const float z[4],
                                        std::uint8_t live_mask);
 
-    /**
-     * Defer surface-cache accesses to @p sink (null restores direct
-     * access). Word reads/writes still hit the surface immediately —
-     * only the cache/traffic accounting is rerouted, for tile workers
-     * whose accesses are replayed in submission order afterwards.
-     */
-    void setAccessSink(SurfaceAccessSink *sink) { _sink = sink; }
-
   private:
     CachedSurface *_surface;
-    SurfaceAccessSink *_sink = nullptr;
+    SurfaceLog *_log = nullptr;
 };
 
 } // namespace wc3d::frag

@@ -135,15 +135,6 @@ struct GpuSimulator::TiledTri
  */
 struct GpuSimulator::TileOutput
 {
-    /** One deferred framebuffer-cache access (the surface is implied
-     *  by the log it sits in). */
-    struct SurfEvent
-    {
-        std::int32_t x = 0;
-        std::int32_t y = 0;
-        std::uint8_t kind = 0;    ///< 0 read, 1 write, 2 no-fetch write
-    };
-
     /** Log index of `tex`; logs 0 and 1 are surf[0] and surf[1]. */
     static constexpr int kTexLog = 2;
 
@@ -159,7 +150,7 @@ struct GpuSimulator::TileOutput
 
     std::vector<std::uint32_t> bin; ///< triangle seqs, draw order
     std::vector<TileRun> runs;      ///< parallel to bin (filled by worker)
-    std::array<std::vector<SurfEvent>, 2> surf; ///< depth, colour
+    std::array<frag::SurfaceLog, 2> surf; ///< depth, colour
     std::vector<tex::BlockEvent> tex; ///< texture block accesses
     std::uint32_t cursor = 0;       ///< merge-phase run cursor
 
@@ -201,8 +192,7 @@ struct GpuSimulator::TileOutput
  */
 struct GpuSimulator::ReplayOrder
 {
-    std::array<std::vector<std::span<const TileOutput::SurfEvent>>, 2>
-        surf;
+    std::array<std::vector<std::span<const frag::SurfaceAccess>>, 2> surf;
     std::vector<std::span<const tex::BlockEvent>> tex;
 
     /** Append events [begin, end) of @p log to @p pieces. */
@@ -241,9 +231,9 @@ struct GpuSimulator::ReplayOrder
 /**
  * Per-worker-slot execution state for band work items: a private
  * interpreter and sampler whose texture-block accesses are logged, z and
- * colour units whose cache accesses are rerouted to the current band's
- * log, private counter and HZ stats shards, and a private rasterizer for
- * the band walk. The interpreter's and sampler's own statistics
+ * colour units that log their cache accesses to the current band's
+ * output, private counter and HZ stats shards, and a private rasterizer
+ * for the band walk. The interpreter's and sampler's own statistics
  * are shards too: the merge folds them into the counters. The word
  * reads/writes the units perform hit the shared surfaces directly —
  * safe, because a band's pixels belong to exactly one work item and a
@@ -252,26 +242,6 @@ struct GpuSimulator::ReplayOrder
 struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
                                       tex::TexelAccessListener
 {
-    struct DepthSink final : frag::SurfaceAccessSink
-    {
-        TileExec *exec = nullptr;
-        void
-        surfaceAccess(int x, int y, bool is_write, bool no_fetch) override
-        {
-            exec->logSurf(0, x, y, is_write, no_fetch);
-        }
-    };
-
-    struct ColorSink final : frag::SurfaceAccessSink
-    {
-        TileExec *exec = nullptr;
-        void
-        surfaceAccess(int x, int y, bool is_write, bool no_fetch) override
-        {
-            exec->logSurf(1, x, y, is_write, no_fetch);
-        }
-    };
-
     const tex::TextureCache &texCache; ///< line numbering only
     shader::Interpreter interp;
     tex::Sampler sampler;
@@ -279,8 +249,6 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     raster::Rasterizer raster;     ///< band traversal
     frag::ZStencilUnit zUnit;
     frag::ColorUnit colorUnit;
-    DepthSink depthSink;
-    ColorSink colorSink;
     PipelineCounters counters;     ///< fragment-stage counter shard
     raster::HzStats hzStats;
     const api::DrawCall *call = nullptr;
@@ -292,19 +260,15 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
           zUnit(&sim._depth), colorUnit(&sim._color)
     {
         sampler.setListener(this);
-        depthSink.exec = this;
-        colorSink.exec = this;
-        zUnit.setAccessSink(&depthSink);
-        colorUnit.setAccessSink(&colorSink);
     }
 
+    /** Log the next work item's accesses to @p band_out. */
     void
-    logSurf(std::uint8_t surface, int x, int y, bool is_write,
-            bool no_fetch)
+    beginBand(TileOutput &band_out)
     {
-        out->surf[surface].push_back(
-            {x, y,
-             static_cast<std::uint8_t>(no_fetch ? 2 : (is_write ? 1 : 0))});
+        out = &band_out;
+        zUnit.setLog(&band_out.surf[0]);
+        colorUnit.setLog(&band_out.surf[1]);
     }
 
     /** Sample through the draw's own texture and sampler bindings. */
@@ -616,9 +580,8 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
                 TileExec &exec = *_tileExec[slot];
                 TileOutput &out = _tileOut[band];
                 exec.call = info.call;
-                exec.out = &out;
+                exec.beginBand(out);
                 processTile(exec, out, static_cast<int>(band), info);
-                exec.out = nullptr;
             });
         }
         group.wait();
@@ -700,9 +663,6 @@ GpuSimulator::processTileQuad(TileExec &exec, const QuadContextInfo &info,
 
     // --- Colour-mask shortcut ----------------------------------------
     if (info.colorMaskOff && !info.usesKill) {
-        Vec4 dummy[4] = {};
-        exec.colorUnit.writeQuad(call.state.blend, quad.x, quad.y, dummy,
-                                 live);
         ++ctr.quadsRemovedColorMask;
         return;
     }
@@ -868,14 +828,8 @@ void
 GpuSimulator::replaySurface(int s)
 {
     frag::CachedSurface &surface = s ? _color : _depth;
-    for (const auto &piece : _order->surf[static_cast<std::size_t>(s)]) {
-        for (const TileOutput::SurfEvent &e : piece) {
-            if (e.kind == 2)
-                surface.accessQuadNoFetch(e.x, e.y);
-            else
-                surface.accessQuad(e.x, e.y, e.kind == 1);
-        }
-    }
+    for (const auto &piece : _order->surf[static_cast<std::size_t>(s)])
+        surface.replay(piece);
 }
 
 GpuSimulator::HzOutcome

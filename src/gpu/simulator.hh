@@ -24,13 +24,16 @@
  * rasterization, HZ, z & stencil, fragment shading and blending end to
  * end, each worker owning its band's framebuffer words, HZ entries and
  * depth/blend state exclusively (every lower structure nests inside
- * exactly one band). Accesses to the order-sensitive shared cache
- * models (z, colour, texture) and the memory controller are logged per
- * band; after the join the merge rebuilds submission order by
- * concatenation (each triangle's band runs, in band order, since the
- * rasterizer walks upper-tile rows outermost) and replays them on the
- * pool: the z and colour streams each in order on its own task, the
- * read-only texture levels in exact warm-started chunks. Counters,
+ * exactly one band). The order-sensitive shared cache models (z,
+ * colour, texture) and the memory controller are never touched by a
+ * band: the z/stencil and colour units append frag::SurfaceAccess
+ * records and the sampler texture block events to the band's logs.
+ * After the join the merge rebuilds submission order by concatenation
+ * (each triangle's band runs, in band order, since the rasterizer walks
+ * upper-tile rows outermost) and replays the logs on the pool: the z
+ * and colour streams each in order on its own task
+ * (CachedSurface::replay), the read-only texture levels in exact
+ * warm-started chunks. Counters,
  * cache statistics and traffic bytes are bit-identical at every thread
  * count (see DESIGN.md "Tile-parallel pipeline").
  * Vertex shading runs on the same pool: the vertex cache is replayed in

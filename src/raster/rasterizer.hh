@@ -52,35 +52,17 @@ class Rasterizer
     Rasterizer(int width, int height);
 
     /**
-     * Traverse one set-up triangle, invoking @p emit for every quad
-     * with at least one covered sample.
+     * Traverse the part of one set-up triangle inside the band of rows
+     * [@p y0, @p y1), which spans the full width, invoking @p emit for
+     * every quad with at least one covered sample. Both bounds must be
+     * multiples of kUpperTile (@p y1 may pass the screen edge). The walk
+     * visits upper tiles row by row, top to bottom, then column; inside
+     * an upper tile, lower tiles and then quads, each row-major. So the
+     * walks of bands cut at upper-tile rows, concatenated top to bottom,
+     * emit exactly the quads of one band covering the whole screen, in
+     * its order.
      *
      * @tparam Fn void(const RasterQuad &)
-     */
-    template <typename Fn>
-    void
-    rasterize(const TriangleSetup &tri, Fn &&emit)
-    {
-        if (!tri.valid)
-            return;
-        int tile_min_x = (tri.minX / kUpperTile) * kUpperTile;
-        int tile_min_y = (tri.minY / kUpperTile) * kUpperTile;
-        for (int ty = tile_min_y; ty <= tri.maxY; ty += kUpperTile) {
-            for (int tx = tile_min_x; tx <= tri.maxX; tx += kUpperTile) {
-                if (!tileOverlaps(tri, tx, ty, kUpperTile))
-                    continue;
-                traverseLower(tri, tx, ty, emit);
-            }
-        }
-    }
-
-    /**
-     * Traverse the part of one set-up triangle inside the band of rows
-     * [@p y0, @p y1), which spans the full width. Both bounds must be
-     * multiples of kUpperTile (@p y1 may pass the screen edge). The
-     * full rasterize() walk visits upper tiles row by row, so for
-     * bands cut at upper-tile rows, the per-band walks concatenated in
-     * band order emit exactly the quads of rasterize(), in its order.
      */
     template <typename Fn>
     void

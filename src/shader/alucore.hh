@@ -1,12 +1,12 @@
 /**
  * @file
- * The shared scalar arithmetic core of the shader ALU. Both executors
- * — the legacy field-by-field interpreter and the pre-decoded hot path
- * (shader/interp.cc) — compute instruction results through aluResult(),
- * so float special cases (RCP's zero guard, LG2's domain clamp, LIT's
- * exponent clamp, NaN propagation through MIN/MAX) are defined in
- * exactly one place and stay bit-identical across executors by
- * construction.
+ * The shared scalar arithmetic core of the shader ALU. The pre-decoded
+ * interpreter (shader/interp.cc) and the test-only field-by-field
+ * reference (tests/shader_reference.hh) compute instruction results
+ * through aluResult(), so float special cases (RCP's zero guard, LG2's
+ * domain clamp, LIT's exponent clamp, NaN propagation through MIN/MAX)
+ * are defined in exactly one place and stay bit-identical across
+ * executors by construction.
  */
 
 #ifndef WC3D_SHADER_ALUCORE_HH

@@ -22,8 +22,9 @@
  * The decoded form is cached on the Program (invalidated by emit) and
  * is immutable after construction, so one instance is shared by every
  * thread shading with that program. Results are bit-identical to the
- * legacy field-by-field interpreter (tests/test_shader_interp.cc and
- * tests/test_shader_fuzz.cc execute both and compare).
+ * field-by-field reference interpreter in tests/shader_reference.hh
+ * (tests/test_shader_decoded.cc and tests/test_shader_fuzz.cc execute
+ * both and compare).
  */
 
 #ifndef WC3D_SHADER_DECODED_HH
@@ -77,7 +78,7 @@ struct DecodedOp
 /**
  * The immutable execution form of one Program. Constants are *not*
  * captured: they may change after decoding (setConstant) and are read
- * live from the Program at execution time, exactly like the legacy
+ * live from the Program at execution time, exactly like the reference
  * interpreter.
  */
 class DecodedProgram
@@ -95,9 +96,6 @@ class DecodedProgram
 
     /** Temps that are (possibly partially) read before being written. */
     std::uint32_t tempClearMask() const { return _tempClearMask; }
-
-    /** Outputs not fully written by the program (externally read). */
-    std::uint32_t outputClearMask() const { return _outputClearMask; }
 
     /**
      * Reset @p lane so that executing this program on it produces the

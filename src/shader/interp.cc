@@ -11,102 +11,11 @@ namespace wc3d::shader {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy reference interpreter: decodes shader::Instruction operands
-// field-by-field on every execution. Kept bit-exact as the differential
-// baseline for the pre-decoded hot path below.
-// ---------------------------------------------------------------------------
-
-Vec4
-applySwizzle(Vec4 v, std::uint8_t swizzle)
-{
-    return {v[swizzleComp(swizzle, 0)], v[swizzleComp(swizzle, 1)],
-            v[swizzleComp(swizzle, 2)], v[swizzleComp(swizzle, 3)]};
-}
-
-Vec4
-readSrc(const LaneState &lane, const Vec4 *constants, const SrcOperand &src)
-{
-    Vec4 v;
-    switch (src.file) {
-      case RegFile::Input:
-        v = lane.inputs[src.index];
-        break;
-      case RegFile::Temp:
-        v = lane.temps[src.index];
-        break;
-      case RegFile::Const:
-        v = constants[src.index];
-        break;
-      case RegFile::Output:
-        v = lane.outputs[src.index];
-        break;
-    }
-    v = applySwizzle(v, src.swizzle);
-    if (src.absolute) {
-        v = {std::fabs(v.x), std::fabs(v.y), std::fabs(v.z),
-             std::fabs(v.w)};
-    }
-    if (src.negate)
-        v = v * -1.0f;
-    return v;
-}
-
-void
-writeDst(LaneState &lane, const DstOperand &dst, Vec4 value)
-{
-    Vec4 *reg = nullptr;
-    switch (dst.file) {
-      case RegFile::Temp:
-        reg = &lane.temps[dst.index];
-        break;
-      case RegFile::Output:
-        reg = &lane.outputs[dst.index];
-        break;
-      case RegFile::Input:
-      case RegFile::Const:
-        panic("shader: write to read-only register file");
-    }
-    if (dst.saturate) {
-        value = {clampf(value.x, 0.0f, 1.0f), clampf(value.y, 0.0f, 1.0f),
-                 clampf(value.z, 0.0f, 1.0f), clampf(value.w, 0.0f, 1.0f)};
-    }
-    if (dst.writeMask & kMaskX)
-        reg->x = value.x;
-    if (dst.writeMask & kMaskY)
-        reg->y = value.y;
-    if (dst.writeMask & kMaskZ)
-        reg->z = value.z;
-    if (dst.writeMask & kMaskW)
-        reg->w = value.w;
-}
-
-/** Execute a non-texture instruction on one lane; returns kill flag.
- *  Arithmetic semantics live in shader/alucore.hh (aluResult), shared
- *  with the decoded path below. */
-bool
-execAlu(const Instruction &in, LaneState &lane, const Vec4 *constants)
-{
-    Vec4 a, b, c;
-    const OpcodeInfo &info = opcodeInfo(in.op);
-    if (info.numSrcs >= 1)
-        a = readSrc(lane, constants, in.src[0]);
-    if (info.numSrcs >= 2)
-        b = readSrc(lane, constants, in.src[1]);
-    if (info.numSrcs >= 3)
-        c = readSrc(lane, constants, in.src[2]);
-
-    if (in.op == Opcode::KIL)
-        return a.x < 0.0f || a.y < 0.0f || a.z < 0.0f || a.w < 0.0f;
-
-    writeDst(lane, in.dst, aluResult(in.op, a, b, c));
-    return false;
-}
-
-// ---------------------------------------------------------------------------
-// Pre-decoded hot path. Register files are resolved at decode time into
-// direct table indices; swizzle/negate/abs/saturate/write-mask pay only
-// when the flag byte says they apply. Semantics (including float special
-// cases) are shared with the legacy path through aluResult().
+// Pre-decoded execution. Register files are resolved at decode time
+// into direct table indices; swizzle/negate/abs/saturate/write-mask pay
+// only when the flag byte says they apply. Semantics (including float
+// special cases) live in aluResult(), which the test-only reference
+// interpreter (tests/shader_reference.hh) shares.
 // ---------------------------------------------------------------------------
 
 /** Per-lane register tables, indexed by the RegFile value baked into
@@ -324,71 +233,6 @@ Interpreter::runQuad(const Program &program, QuadState &quad,
     _stats.instructionsExecuted += covered * dec.ops().size();
     _stats.textureInstructions += covered * tex_ops;
     _stats.programsRun += covered;
-}
-
-void
-Interpreter::runLegacy(const Program &program, LaneState &lane)
-{
-    const Vec4 *constants = program.constants().data();
-    for (const Instruction &in : program.code()) {
-        WC3D_ASSERT(!opcodeInfo(in.op).isTexture &&
-                    "texture sampling requires quad execution");
-        ++_stats.instructionsExecuted;
-        if (execAlu(in, lane, constants)) {
-            lane.killed = true;
-            ++_stats.killsTaken;
-        }
-    }
-    ++_stats.programsRun;
-}
-
-void
-Interpreter::runQuadLegacy(const Program &program, QuadState &quad,
-                           TextureSampleHandler *tex_handler)
-{
-    const Vec4 *constants = program.constants().data();
-    int covered = 0;
-    for (int l = 0; l < 4; ++l)
-        covered += quad.covered[l] ? 1 : 0;
-
-    for (const Instruction &in : program.code()) {
-        const OpcodeInfo &info = opcodeInfo(in.op);
-        _stats.instructionsExecuted +=
-            static_cast<std::uint64_t>(covered);
-        if (info.isTexture) {
-            _stats.textureInstructions +=
-                static_cast<std::uint64_t>(covered);
-            WC3D_ASSERT(tex_handler &&
-                        "texture instruction without a sampler handler");
-            Vec4 coords[4];
-            float lod_bias = 0.0f;
-            for (int l = 0; l < 4; ++l) {
-                Vec4 c =
-                    readSrc(quad.lanes[l], constants, in.src[0]);
-                if (in.op == Opcode::TXP && c.w != 0.0f) {
-                    c = {c.x / c.w, c.y / c.w, c.z / c.w, 1.0f};
-                } else if (in.op == Opcode::TXB) {
-                    // Per-quad bias comes from the first lane's w.
-                    if (l == 0)
-                        lod_bias = c.w;
-                }
-                coords[l] = c;
-            }
-            Vec4 out[4];
-            tex_handler->sampleQuad(in.sampler, coords, lod_bias, out);
-            for (int l = 0; l < 4; ++l)
-                writeDst(quad.lanes[l], in.dst, out[l]);
-        } else {
-            for (int l = 0; l < 4; ++l) {
-                if (execAlu(in, quad.lanes[l], constants)) {
-                    if (!quad.lanes[l].killed && quad.covered[l])
-                        ++_stats.killsTaken;
-                    quad.lanes[l].killed = true;
-                }
-            }
-        }
-    }
-    _stats.programsRun += static_cast<std::uint64_t>(covered);
 }
 
 } // namespace wc3d::shader

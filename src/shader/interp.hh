@@ -81,9 +81,9 @@ struct InterpStats
  *
  * run()/runQuad() execute the program's pre-decoded form
  * (shader/decoded.hh), triggering the decode lazily on first use. The
- * runLegacy()/runQuadLegacy() entry points execute the original
- * field-by-field interpreter over shader::Instruction; they are kept as
- * the bit-exact reference the decoded path is tested against.
+ * original field-by-field interpreter over shader::Instruction lives on
+ * in tests/shader_reference.hh as the bit-exact reference this one is
+ * tested against.
  */
 class Interpreter
 {
@@ -105,13 +105,6 @@ class Interpreter
      */
     void runQuad(const Program &program, QuadState &quad,
                  TextureSampleHandler *tex_handler);
-
-    /** Reference single-lane interpreter (pre-decode-free). */
-    void runLegacy(const Program &program, LaneState &lane);
-
-    /** Reference quad interpreter (pre-decode-free). */
-    void runQuadLegacy(const Program &program, QuadState &quad,
-                       TextureSampleHandler *tex_handler);
 
     const InterpStats &stats() const { return _stats; }
     void resetStats() { _stats = InterpStats(); }

@@ -1,9 +1,12 @@
 /**
  * @file
- * Unit tests for the fragment back-end: cached surfaces with fast clear
- * and compression, the z/stencil unit (incl. stencil-shadow patterns),
- * blending and the colour unit.
+ * Unit tests for the fragment back-end: cached surfaces with fast clear,
+ * compression and log replay, the z/stencil unit (incl. stencil-shadow
+ * patterns and the accesses it logs), blending and the colour unit.
  */
+
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,18 @@ namespace {
 constexpr int kTexIdx = static_cast<int>(Client::Texture);
 constexpr int kZIdx = static_cast<int>(Client::ZStencil);
 constexpr int kColIdx = static_cast<int>(Client::Color);
+
+using Kind = SurfaceAccess::Kind;
+
+/** @return the kinds of @p log's accesses, in order. */
+std::vector<Kind>
+kinds(const SurfaceLog &log)
+{
+    std::vector<Kind> out;
+    for (const SurfaceAccess &a : log)
+        out.push_back(a.kind);
+    return out;
+}
 
 } // namespace
 
@@ -174,11 +189,14 @@ TEST(ZStencil, StencilOps)
 
 namespace {
 
+/** A unit on @p s (cleared to depth 1) that logs to @p log. */
 ZStencilUnit
-makeUnit(CachedSurface &s)
+makeUnit(CachedSurface &s, SurfaceLog &log)
 {
     s.fastClear(packDepthStencil(1.0f, 0));
-    return ZStencilUnit(&s);
+    ZStencilUnit unit(&s);
+    unit.setLog(&log);
+    return unit;
 }
 
 } // namespace
@@ -187,7 +205,8 @@ TEST(ZStencilUnit, LessTestPassesCloserFragments)
 {
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
-    ZStencilUnit unit = makeUnit(s);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
     DepthStencilState st;
     st.depthFunc = CompareFunc::Less;
     float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
@@ -212,7 +231,8 @@ TEST(ZStencilUnit, EqualPassAfterPrepass)
     // shading passes with Equal and no write.
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
-    ZStencilUnit unit = makeUnit(s);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
     DepthStencilState prepass;
     prepass.depthFunc = CompareFunc::LEqual;
     float z[4] = {0.25f, 0.25f, 0.25f, 0.25f};
@@ -237,7 +257,8 @@ TEST(ZStencilUnit, PartialQuadOnlyLiveLanesTested)
 {
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
-    ZStencilUnit unit = makeUnit(s);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
     DepthStencilState st;
     float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
     std::uint8_t mask = 0x5; // lanes 0 and 2
@@ -262,7 +283,8 @@ TEST(ZStencilUnit, StencilShadowVolumeCarmacksReverse)
     // front faces decrement on depth fail.
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 8, 8,
                     SurfaceCacheConfig{}, nullptr);
-    ZStencilUnit unit = makeUnit(s);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
 
     // Scene geometry at depth 0.4 (prepass).
     DepthStencilState prepass;
@@ -298,7 +320,8 @@ TEST(ZStencilUnit, StencilEqualGatesLighting)
 {
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 8, 8,
                     SurfaceCacheConfig{}, nullptr);
-    ZStencilUnit unit = makeUnit(s);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
     // Mark pixel stencil = 1 (in shadow).
     s.setWord(0, 0, packDepthStencil(1.0f, 1));
     DepthStencilState light;
@@ -396,12 +419,16 @@ TEST(ColorUnit, MaskedQuadDoesNotTouchMemory)
     CachedSurface s(SurfaceKind::Color, Client::Color, 16, 16,
                     SurfaceCacheConfig{}, &mc);
     s.fastClear(0u);
+    SurfaceLog log;
     ColorUnit unit(&s);
+    unit.setLog(&log);
     BlendState st;
     st.colorWriteMask = false;
     Vec4 colors[4] = {{1, 0, 0, 1}, {1, 0, 0, 1}, {1, 0, 0, 1},
                       {1, 0, 0, 1}};
     EXPECT_FALSE(unit.writeQuad(st, 0, 0, colors, 0xf));
+    EXPECT_TRUE(log.empty());
+    s.replay(log);
     EXPECT_EQ(mc.traffic().total(), 0u);
     EXPECT_EQ(s.word(0, 0), 0u);
 }
@@ -411,11 +438,23 @@ TEST(ColorUnit, WritesLiveLanesOnly)
     CachedSurface s(SurfaceKind::Color, Client::Color, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
     s.fastClear(0u);
+    SurfaceLog log;
     ColorUnit unit(&s);
+    unit.setLog(&log);
     BlendState st;
     Vec4 colors[4] = {{1, 0, 0, 1}, {0, 1, 0, 1}, {0, 0, 1, 1},
                       {1, 1, 1, 1}};
     EXPECT_TRUE(unit.writeQuad(st, 0, 0, colors, 0x9)); // lanes 0 and 3
+    // One read-modify-write access per updated quad, at its corner.
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].x, 0);
+    EXPECT_EQ(log[0].y, 0);
+    EXPECT_EQ(log[0].kind, Kind::Write);
+    EXPECT_TRUE(unit.writeQuad(st, 6, 2, colors, 0x1));
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[1].x, 6);
+    EXPECT_EQ(log[1].y, 2);
+    EXPECT_EQ(log[1].kind, Kind::Write);
     EXPECT_EQ(Rgba8::fromPacked(s.word(0, 0)).r, 255);
     EXPECT_EQ(s.word(1, 0), 0u);
     EXPECT_EQ(s.word(0, 1), 0u);
@@ -427,7 +466,9 @@ TEST(ColorUnit, BlendsAgainstDestination)
     CachedSurface s(SurfaceKind::Color, Client::Color, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
     s.fastClear(packColor({0.0f, 1.0f, 0.0f, 1.0f}));
+    SurfaceLog log;
     ColorUnit unit(&s);
+    unit.setLog(&log);
     BlendState st;
     st.enabled = true;
     st.srcFactor = BlendFactor::One;
@@ -446,10 +487,13 @@ TEST(ColorUnit, EmptyMaskIsNoop)
     CachedSurface s(SurfaceKind::Color, Client::Color, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
     s.fastClear(0u);
+    SurfaceLog log;
     ColorUnit unit(&s);
+    unit.setLog(&log);
     BlendState st;
     Vec4 colors[4] = {};
     EXPECT_FALSE(unit.writeQuad(st, 0, 0, colors, 0x0));
+    EXPECT_TRUE(log.empty());
     for (int y = 0; y < 2; ++y)
         for (int x = 0; x < 2; ++x)
             EXPECT_EQ(s.word(x, y), 0u);
@@ -479,6 +523,29 @@ TEST(Surface, NoFetchWriteSkipsReadTraffic)
     std::uint64_t writes_before = mc.traffic().writeBytes[kZIdx];
     s.accessQuad(8, 0, false);
     EXPECT_GT(mc.traffic().writeBytes[kZIdx], writes_before);
+
+    // The same accesses replayed from a log, as the merge applies a
+    // band's accesses, give the same cache statistics and traffic. The
+    // words are scribbled first: only evictions read them, and the first
+    // one comes after the scribble in the calls above too.
+    memsys::MemoryController replay_mc;
+    CachedSurface r(SurfaceKind::DepthStencil, Client::ZStencil, 64, 64,
+                    cfg, &replay_mc);
+    r.fastClear(packDepthStencil(1.0f, 0));
+    for (int y = 0; y < 8; ++y)
+        for (int x = 0; x < 8; ++x)
+            r.setWord(x, y, s.word(x, y));
+    const SurfaceLog log = {{0, 0, Kind::Write},
+                            {8, 0, Kind::Read},
+                            {0, 0, Kind::WriteNoFetch},
+                            {8, 0, Kind::Read}};
+    r.replay(log);
+    EXPECT_EQ(r.cacheStats().accesses, s.cacheStats().accesses);
+    EXPECT_EQ(r.cacheStats().hits, s.cacheStats().hits);
+    EXPECT_EQ(r.cacheStats().misses, s.cacheStats().misses);
+    EXPECT_EQ(r.cacheStats().writebacks, s.cacheStats().writebacks);
+    EXPECT_EQ(replay_mc.traffic().readBytes, mc.traffic().readBytes);
+    EXPECT_EQ(replay_mc.traffic().writeBytes, mc.traffic().writeBytes);
 }
 
 TEST(ZStencilUnit, AcceptQuadWritesWithoutTest)
@@ -486,11 +553,15 @@ TEST(ZStencilUnit, AcceptQuadWritesWithoutTest)
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
     s.fastClear(packDepthStencil(1.0f, 42)); // nonzero stencil retained
+    SurfaceLog log;
     ZStencilUnit unit(&s);
+    unit.setLog(&log);
     DepthStencilState st;
     st.depthFunc = CompareFunc::Less;
     float z[4] = {0.25f, 0.3f, 0.35f, 0.4f};
     auto range = unit.acceptQuad(st, 0, 0, z, 0x5); // lanes 0 and 2
+    // Depth writes without a read: one no-fetch write access.
+    EXPECT_EQ(kinds(log), std::vector<Kind>{Kind::WriteNoFetch});
     EXPECT_NEAR(s.word(0, 0) >> 8,
                 packDepthStencil(0.25f, 0) >> 8, 1);
     EXPECT_EQ(unpackStencil(s.word(0, 0)), 42); // stencil untouched
@@ -507,12 +578,71 @@ TEST(ZStencilUnit, AcceptQuadNoWriteState)
     CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
                     SurfaceCacheConfig{}, nullptr);
     s.fastClear(packDepthStencil(0.9f, 0));
+    SurfaceLog log;
     ZStencilUnit unit(&s);
+    unit.setLog(&log);
     DepthStencilState st;
     st.depthFunc = CompareFunc::LEqual;
     st.depthWrite = false;
     float z[4] = {0.2f, 0.2f, 0.2f, 0.2f};
     unit.acceptQuad(st, 0, 0, z, 0xf);
-    // Nothing written.
+    // Nothing written, nothing logged.
     EXPECT_FLOAT_EQ(unpackDepth(s.word(0, 0)), 0.9f);
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(ZStencilUnit, LogsWriteOnlyWhenTheQuadMayWrite)
+{
+    CachedSurface s(SurfaceKind::DepthStencil, Client::ZStencil, 16, 16,
+                    SurfaceCacheConfig{}, nullptr);
+    SurfaceLog log;
+    ZStencilUnit unit = makeUnit(s, log);
+    float z[4] = {0.5f, 0.5f, 0.5f, 0.5f};
+    float zmin;
+    float zmax;
+    auto test = [&](const DepthStencilState &st, bool back_face) {
+        std::uint8_t mask = 0xf;
+        unit.testQuad(st, back_face, 0, 0, z, mask, zmin, zmax);
+    };
+
+    // A read-only state reads; the access names the quad's corner.
+    DepthStencilState read_only;
+    read_only.depthWrite = false;
+    ASSERT_TRUE(read_only.readOnly());
+    std::uint8_t mask = 0xf;
+    unit.testQuad(read_only, false, 4, 2, z, mask, zmin, zmax);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].x, 4);
+    EXPECT_EQ(log[0].y, 2);
+    EXPECT_EQ(log[0].kind, Kind::Read);
+    log.clear();
+
+    // Depth writes: Write, even when the test then fails every lane.
+    DepthStencilState depth;
+    depth.depthFunc = CompareFunc::Less;
+    test(depth, false);
+    test(depth, false); // the stored 0.5 is not Less than 0.5
+
+    // Stencil only, and only the back face's ops write (the shadow
+    // volume pattern): the face the quad selects decides.
+    DepthStencilState shadow;
+    shadow.depthWrite = false;
+    shadow.stencilTest = true;
+    shadow.back.zfail = StencilOp::IncrWrap;
+    test(shadow, false);
+    test(shadow, true);
+
+    // The mirror case: only the front face writes.
+    std::swap(shadow.front, shadow.back);
+    test(shadow, false);
+    test(shadow, true);
+
+    // A writing op behind a zero write mask writes nothing.
+    shadow.front.writeMask = 0;
+    test(shadow, false);
+
+    EXPECT_EQ(kinds(log),
+              (std::vector<Kind>{Kind::Write, Kind::Write, Kind::Read,
+                                 Kind::Write, Kind::Write, Kind::Read,
+                                 Kind::Read}));
 }

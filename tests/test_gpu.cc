@@ -34,6 +34,17 @@ const char *kTexturedFs =
     "TEX r0, v0, tex[0];\n"
     "MOV o0, r0;\n";
 
+/** kTexturedFs's colour plus three more fetches (TEX, TXB, TXP). */
+const char *kTextureHeavyFs =
+    "!!FP texture_heavy\n"
+    "CONST c0 = 2 2 1 1\n"
+    "TEX r0, v0, tex[0];\n"
+    "MUL r1, v0, c0;\n"
+    "TEX r1, r1, tex[0];\n"
+    "TXB r2, v0, tex[0];\n"
+    "TXP r3, v0, tex[0];\n"
+    "MOV o0, r0;\n";
+
 /** Device + simulator harness rendering clip-space geometry. */
 struct Rig
 {
@@ -182,56 +193,70 @@ TEST(Gpu, HzDisabledShiftsRemovalToZStage)
 TEST(Gpu, TexturedDrawSamplesTexture)
 {
     // The merge folds every worker slot's interpreter and sampler
-    // statistics into the counters; at 4 threads the draw's tiles may
-    // shade on several slots.
-    for (int threads : {1, 4}) {
-        ThreadPool::setGlobalThreads(threads);
-        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
-        Rig rig;
-        auto fs = rig.dev.createProgram(shader::ProgramKind::Fragment,
-                                        kTexturedFs);
-        rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
-        TextureSpec spec;
-        spec.kind = TextureSpec::Kind::Checker;
-        spec.size = 64;
-        spec.cell = 32;
-        spec.colorA = {255, 0, 0, 255};
-        spec.colorB = {0, 0, 255, 255};
-        spec.format = tex::TexFormat::RGBA8;
-        auto t = rig.dev.createTexture(spec);
-        tex::SamplerState ss;
-        ss.filter = tex::TexFilter::Bilinear;
-        rig.dev.bindTexture(0, t, ss);
-        rig.dev.clear();
-        auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 1, 1, 1});
-        rig.drawQuad(quad);
-        rig.dev.endFrame();
+    // statistics into the counters. At 4 threads the 64x64 draw's four
+    // band tasks may all run on one slot; the 512x512 draw's 32 longer
+    // ones spread over several, so a fold that misses a slot breaks the
+    // instruction and request laws below.
+    struct Case
+    {
+        int size;
+        const char *fs;
+    };
+    for (Case tc : {Case{64, kTexturedFs}, Case{512, kTextureHeavyFs}}) {
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            SCOPED_TRACE(std::to_string(tc.size) + "x" +
+                         std::to_string(tc.size) + " at " +
+                         std::to_string(threads) + " thread(s)");
+            Rig rig(tc.size, tc.size);
+            auto fs =
+                rig.dev.createProgram(shader::ProgramKind::Fragment, tc.fs);
+            rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
+            TextureSpec spec;
+            spec.kind = TextureSpec::Kind::Checker;
+            spec.size = 64;
+            spec.cell = 32;
+            spec.colorA = {255, 0, 0, 255};
+            spec.colorB = {0, 0, 255, 255};
+            spec.format = tex::TexFormat::RGBA8;
+            auto t = rig.dev.createTexture(spec);
+            tex::SamplerState ss;
+            ss.filter = tex::TexFilter::Bilinear;
+            rig.dev.bindTexture(0, t, ss);
+            rig.dev.clear();
+            auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 1, 1, 1});
+            rig.drawQuad(quad);
+            rig.dev.endFrame();
 
-        // The checker pattern must appear (uv(0,0) maps to NDC (-1,-1)
-        // = window bottom-left).
-        Image img = rig.sim->framebufferImage();
-        EXPECT_EQ(img.at(8, 56).r, 255);  // cell (0,0): red
-        EXPECT_EQ(img.at(40, 56).b, 255); // cell (1,0): blue
+            // The checker pattern must appear (uv(0,0) maps to NDC
+            // (-1,-1) = window bottom-left).
+            Image img = rig.sim->framebufferImage();
+            int row = tc.size * 7 / 8;
+            EXPECT_EQ(img.at(tc.size / 8, row).r, 255);     // cell (0,0): red
+            EXPECT_EQ(img.at(tc.size * 5 / 8, row).b, 255); // cell (1,0): blue
 
-        PipelineCounters c = rig.sim->counters();
-        // Every shaded fragment runs the whole program once.
-        const shader::Program &prog = *rig.dev.program(fs);
-        EXPECT_EQ(c.fragmentInstructions,
-                  c.shadedFragments *
-                      static_cast<std::uint64_t>(prog.instructionCount()));
-        EXPECT_EQ(c.fragmentTexInstructions,
-                  c.shadedFragments * static_cast<std::uint64_t>(
-                                          prog.textureInstructionCount()));
-        // The texture unit works per quad: all four lanes (covered or
-        // helper) issue requests.
-        EXPECT_EQ(c.textureRequests, c.shadedQuads * 4);
-        EXPECT_GE(c.textureRequests, 64u * 64u);
-        EXPECT_EQ(c.bilinearSamples, c.textureRequests); // bilinear: 1
-        EXPECT_GT(rig.sim->texL0Stats().accesses, 0u);
-        EXPECT_GT(rig.sim->texL0Stats().hitRate(), 0.8);
-        // Texture memory traffic happened.
-        EXPECT_GT(c.traffic.readBytes[static_cast<int>(
-                      memsys::Client::Texture)], 0u);
+            PipelineCounters c = rig.sim->counters();
+            // Every shaded fragment runs the whole program once.
+            const shader::Program &prog = *rig.dev.program(fs);
+            auto tex_ops =
+                static_cast<std::uint64_t>(prog.textureInstructionCount());
+            EXPECT_EQ(c.fragmentInstructions,
+                      c.shadedFragments * static_cast<std::uint64_t>(
+                                              prog.instructionCount()));
+            EXPECT_EQ(c.fragmentTexInstructions, c.shadedFragments * tex_ops);
+            // The texture unit works per quad: all four lanes (covered
+            // or helper) issue requests.
+            EXPECT_EQ(c.textureRequests, c.shadedQuads * 4 * tex_ops);
+            EXPECT_GE(c.textureRequests,
+                      static_cast<std::uint64_t>(tc.size * tc.size) *
+                          tex_ops);
+            EXPECT_EQ(c.bilinearSamples, c.textureRequests); // bilinear: 1
+            EXPECT_GT(rig.sim->texL0Stats().accesses, 0u);
+            EXPECT_GT(rig.sim->texL0Stats().hitRate(), 0.8);
+            // Texture memory traffic happened.
+            EXPECT_GT(c.traffic.readBytes[static_cast<int>(
+                          memsys::Client::Texture)], 0u);
+        }
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }

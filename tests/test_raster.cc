@@ -41,6 +41,19 @@ tri(ScreenVertex a, ScreenVertex b, ScreenVertex c)
     return {{a, b, c}};
 }
 
+/**
+ * The full-screen walk: one band covering every row of @p r's target
+ * (rounded up to whole upper-tile rows, as a band's end may pass the
+ * screen edge).
+ */
+template <typename Fn>
+void
+walkScreen(Rasterizer &r, const TriangleSetup &setup, Fn &&emit)
+{
+    int rows = (r.height() + kUpperTile - 1) / kUpperTile * kUpperTile;
+    r.rasterizeTile(setup, 0, rows, emit);
+}
+
 /** Collect covered pixels of one triangle. */
 std::set<std::pair<int, int>>
 coverage(const ScreenTriangle &t, int w, int h)
@@ -48,7 +61,7 @@ coverage(const ScreenTriangle &t, int w, int h)
     Rasterizer r(w, h);
     std::set<std::pair<int, int>> pixels;
     TriangleSetup setup = setupTriangle(t, w, h);
-    r.rasterize(setup, [&](const RasterQuad &q) {
+    walkScreen(r, setup, [&](const RasterQuad &q) {
         static const int offs[4][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
         for (int l = 0; l < 4; ++l) {
             if (q.covered(l)) {
@@ -61,7 +74,7 @@ coverage(const ScreenTriangle &t, int w, int h)
     return pixels;
 }
 
-/** Quad counts of rasterize() walks, taken in the emit callback. */
+/** Quad counts of full-screen walks, taken in the emit callback. */
 struct QuadTally
 {
     std::uint64_t quads = 0;
@@ -71,7 +84,7 @@ struct QuadTally
     void
     walk(Rasterizer &r, const TriangleSetup &setup)
     {
-        r.rasterize(setup, [this](const RasterQuad &q) {
+        walkScreen(r, setup, [this](const RasterQuad &q) {
             ++quads;
             fullQuads += q.full();
             fragments += static_cast<std::uint64_t>(q.coveredCount());
@@ -186,7 +199,7 @@ TEST(Raster, InvalidSetupEmitsNothing)
     ASSERT_FALSE(s.valid);
     int emitted = 0;
     auto count = [&](const RasterQuad &) { ++emitted; };
-    r.rasterize(s, count);
+    walkScreen(r, s, count);
     r.rasterizeTile(s, 0, kUpperTile, count);
     EXPECT_EQ(emitted, 0);
 }
@@ -285,7 +298,7 @@ TEST(Raster, HelperLanesCarryDepthAndBarycentrics)
     TriangleSetup s = setupTriangle(
         tri(sv(0, 0, 0.25f), sv(9, 0, 0.25f), sv(0, 9, 0.25f)), 16, 16);
     bool saw_partial = false;
-    r.rasterize(s, [&](const RasterQuad &q) {
+    walkScreen(r, s, [&](const RasterQuad &q) {
         if (!q.full()) {
             saw_partial = true;
             for (int l = 0; l < 4; ++l) {
@@ -390,8 +403,8 @@ operator<<(std::ostream &os, const EmittedQuad &q)
 /**
  * The invariant the back-end's ordered merge rests on: walking the
  * bands of kUpperTile rows one by one, top to bottom, and concatenating
- * what they emit gives exactly the full rasterize() walk — the same
- * quads (position and coverage), in the same order.
+ * what they emit gives exactly the full-screen walk — the same quads
+ * (position and coverage), in the same order.
  */
 void
 expectBandsConcatenateToFullWalk(const ScreenTriangle &t, int w, int h)
@@ -401,7 +414,7 @@ expectBandsConcatenateToFullWalk(const ScreenTriangle &t, int w, int h)
 
     Rasterizer r(w, h);
     std::vector<EmittedQuad> full;
-    r.rasterize(setup, [&](const RasterQuad &q) {
+    walkScreen(r, setup, [&](const RasterQuad &q) {
         full.push_back({q.x, q.y, q.coverage});
     });
     ASSERT_FALSE(full.empty());
@@ -460,8 +473,8 @@ TEST(TileRaster, FullTraversalKeysAscendGlobally)
 {
     // The walk order rasterizeTile() documents: upper tiles row by row
     // (the band index y / kUpperTile outermost), then column; inside an
-    // upper tile, lower tiles and then quads, each row-major. The whole
-    // rasterize() walk must emit quads in strictly ascending order of
+    // upper tile, lower tiles and then quads, each row-major. The
+    // full-screen walk must emit quads in strictly ascending order of
     // this key, or concatenating band walks would reorder them.
     auto key = [](const RasterQuad &q) {
         return std::tuple{q.y / kUpperTile, q.x / kUpperTile,
@@ -475,7 +488,7 @@ TEST(TileRaster, FullTraversalKeysAscendGlobally)
     ASSERT_TRUE(setup.valid);
     bool first = true;
     decltype(key(RasterQuad{})) prev{};
-    r.rasterize(setup, [&](const RasterQuad &q) {
+    walkScreen(r, setup, [&](const RasterQuad &q) {
         auto k = key(q);
         if (!first) {
             EXPECT_GT(k, prev) << "at quad (" << q.x << "," << q.y << ")";

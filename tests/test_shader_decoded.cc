@@ -2,12 +2,13 @@
  * @file
  * Tests for the pre-decoded shader execution path (shader/decoded.hh):
  * decode caching and invalidation, the register clear plan / arena
- * reuse, batched quad execution, and a full-ISA differential that pins
- * the pre-decoded interpreter bit-exactly to the legacy field-by-field
- * reference, including opcodes no current workload emits (DST, LIT,
- * XPD, ...), so operand-arity mismatches between the decoders cannot
- * hide, and float special values (NaN, signed zero, infinities), so
- * the shared ALU core's MIN/MAX and guard semantics stay pinned.
+ * reuse, quad execution with texture fetches, and a full-ISA
+ * differential that pins the pre-decoded interpreter bit-exactly to the
+ * legacy field-by-field reference (shader_reference.hh), including
+ * opcodes no current workload emits (DST, LIT, XPD, ...), so
+ * operand-arity mismatches between the decoders cannot hide, and float
+ * special values (NaN, signed zero, infinities), so the shared ALU
+ * core's MIN/MAX and guard semantics stay pinned.
  */
 
 #include <cmath>
@@ -19,6 +20,7 @@
 
 #include "shader/decoded.hh"
 #include "shader/interp.hh"
+#include "shader_reference.hh"
 
 using namespace wc3d;
 using namespace wc3d::shader;
@@ -157,13 +159,14 @@ expectLanesIdentical(const LaneState &a, const LaneState &b,
 TEST(Decoded, FullIsaMatchesLegacyBitExactly)
 {
     Program p = fullIsaAluProgram();
-    Interpreter legacy, decoded;
+    test::ReferenceInterpreter legacy;
+    Interpreter decoded;
     LaneState ref, hot;
     for (int i = 0; i < 3; ++i) {
         ref.inputs[i] = v4(i + 1);
         hot.inputs[i] = v4(i + 1);
     }
-    legacy.runLegacy(p, ref);
+    legacy.run(p, ref);
     decoded.run(p, hot);
     expectLanesIdentical(ref, hot, "full ISA");
     EXPECT_EQ(legacy.stats().instructionsExecuted,
@@ -202,8 +205,9 @@ TEST(Decoded, SpecialValuesMatchLegacy)
         LaneState ref, hot;
         ref.inputs[0] = hot.inputs[0] = specials[i];
         ref.inputs[1] = hot.inputs[1] = specials[i + 1];
-        Interpreter legacy, decoded;
-        legacy.runLegacy(p, ref);
+        test::ReferenceInterpreter legacy;
+        Interpreter decoded;
+        legacy.run(p, ref);
         decoded.run(p, hot);
         expectLanesIdentical(ref, hot, "special values");
     }
@@ -256,11 +260,12 @@ TEST(Decoded, KillMatchesLegacy)
     p.setConstant(0, {0.0f, 0.0f, 0.0f, 0.5f});
 
     for (float alpha : {0.25f, 0.75f}) {
-        Interpreter legacy, decoded;
+        test::ReferenceInterpreter legacy;
+        Interpreter decoded;
         LaneState ref, hot;
         ref.inputs[0] = hot.inputs[0] = {1, 1, 1, alpha};
         ref.inputs[1] = hot.inputs[1] = v4(9);
-        legacy.runLegacy(p, ref);
+        legacy.run(p, ref);
         decoded.run(p, hot);
         expectLanesIdentical(ref, hot, "kil lane");
         EXPECT_EQ(ref.killed, alpha < 0.5f);
@@ -287,8 +292,9 @@ TEST(Decoded, QuadTextureMatchesLegacy)
         }
     }
     HashTexture tex_ref, tex_hot;
-    Interpreter legacy, decoded;
-    legacy.runQuadLegacy(p, ref, &tex_ref);
+    test::ReferenceInterpreter legacy;
+    Interpreter decoded;
+    legacy.runQuad(p, ref, &tex_ref);
     decoded.runQuad(p, hot, &tex_hot);
     for (int l = 0; l < 4; ++l)
         expectLanesIdentical(ref.lanes[l], hot.lanes[l], "tex quad lane");

@@ -4,8 +4,9 @@
  * workload synthesizer can produce must assemble, disassemble
  * round-trip, and execute on random inputs without producing NaNs in
  * the colour output path. The differential fuzz runs each synthesized
- * program through the decoded interpreter and the legacy reference,
- * which must agree bit-for-bit on outputs, kill flags and statistics.
+ * program through the decoded interpreter and the legacy reference
+ * (shader_reference.hh), which must agree bit-for-bit on outputs, kill
+ * flags and statistics.
  */
 
 #include <cmath>
@@ -14,6 +15,7 @@
 
 #include "shader/assemble.hh"
 #include "shader/interp.hh"
+#include "shader_reference.hh"
 #include "workloads/shadersynth.hh"
 
 using namespace wc3d;
@@ -88,7 +90,8 @@ TEST_P(SynthFuzz, DecodedMatchesLegacyOnSynthPrograms)
     auto specs = planMaterialMix(16, 4.0 + 20.0 * rng.nextFloat(),
                                  4.0 * rng.nextFloat(),
                                  rng.nextFloat() * 0.5, rng);
-    Interpreter decoded, legacy;
+    Interpreter decoded;
+    test::ReferenceInterpreter legacy;
     HashTexture tex;
     for (const auto &spec : specs) {
         auto fp = assemble(synthFragmentProgram(spec));
@@ -104,7 +107,7 @@ TEST_P(SynthFuzz, DecodedMatchesLegacyOnSynthPrograms)
             ref.lanes[l].inputs[1] = hot.lanes[l].inputs[1];
         }
         decoded.runQuad(fp.program, hot, &tex);
-        legacy.runQuadLegacy(fp.program, ref, &tex);
+        legacy.runQuad(fp.program, ref, &tex);
         for (int l = 0; l < 4; ++l) {
             for (int k = 0; k < 4; ++k)
                 EXPECT_EQ(hot.lanes[l].outputs[0][k],
