@@ -46,9 +46,10 @@ main()
                               {0.3f, 0.3f + dv, 0, 1},
                               {0.3f + du, 0.3f + dv, 0, 1}};
             Vec4 out[4];
-            sampler.sampleQuad(texture, state, coords, 0.0f, out);
-            std::printf("  %11.2f",
-                        sampler.stats().bilinearsPerRequest());
+            // One request per lane: four per quad.
+            int bilinears =
+                sampler.sampleQuad(texture, state, coords, 0.0f, out);
+            std::printf("  %11.2f", bilinears / 4.0);
         }
         std::printf("\n");
     }

@@ -149,8 +149,6 @@ class CachedSurface
     void setMemory(memsys::MemoryController *memory) { _memory = memory; }
 
     const memsys::CacheStats &cacheStats() const { return _cache.stats(); }
-    const memsys::CacheModel &cache() const { return _cache; }
-    const memsys::BlockStateDirectory &directory() const { return _dir; }
 
     /** Convert a colour surface to an Image (for PPM dumps / tests). */
     Image toImage() const;

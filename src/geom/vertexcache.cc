@@ -14,12 +14,9 @@ int
 VertexCache::lookup(std::uint32_t index)
 {
     for (std::size_t i = 0; i < _slots.size(); ++i) {
-        if (_slots[i].valid && _slots[i].index == index) {
-            ++_hits;
+        if (_slots[i].valid && _slots[i].index == index)
             return static_cast<int>(i);
-        }
     }
-    ++_misses;
     return -1;
 }
 
@@ -38,21 +35,6 @@ VertexCache::invalidate()
     for (auto &s : _slots)
         s.valid = false;
     _nextVictim = 0;
-}
-
-double
-VertexCache::hitRate() const
-{
-    std::uint64_t total = _hits + _misses;
-    return total ? static_cast<double>(_hits) / static_cast<double>(total)
-                 : 0.0;
-}
-
-void
-VertexCache::resetStats()
-{
-    _hits = 0;
-    _misses = 0;
 }
 
 } // namespace wc3d::geom

@@ -19,7 +19,9 @@
 
 namespace wc3d::geom {
 
-/** FIFO post-transform vertex cache model with slot storage. */
+/** FIFO post-transform vertex cache model with slot storage. It keeps
+ *  no statistics: lookup() answers hit or miss, and the simulator
+ *  counts each answer in its pipeline counters. */
 class VertexCache
 {
   public:
@@ -28,7 +30,7 @@ class VertexCache
 
     /**
      * Look up vertex @p index.
-     * @return the cache slot holding it, or -1 on miss (stats updated).
+     * @return the cache slot holding it, or -1 on miss.
      */
     int lookup(std::uint32_t index);
 
@@ -44,15 +46,6 @@ class VertexCache
 
     int entries() const { return static_cast<int>(_slots.size()); }
 
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
-    std::uint64_t lookups() const { return _hits + _misses; }
-
-    /** Hit rate in [0,1]; 0 when no lookups. */
-    double hitRate() const;
-
-    void resetStats();
-
   private:
     struct Slot
     {
@@ -62,8 +55,6 @@ class VertexCache
 
     std::vector<Slot> _slots;
     int _nextVictim = 0;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
 };
 
 } // namespace wc3d::geom

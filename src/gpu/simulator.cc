@@ -29,10 +29,9 @@ void
 prepareQuadState(shader::QuadState &qs, const shader::DecodedProgram &dec,
                  std::uint32_t fp_input_mask,
                  const raster::TriangleSetup &setup,
-                 const raster::RasterQuad &quad, std::uint8_t live)
+                 const raster::RasterQuad &quad)
 {
     for (int l = 0; l < 4; ++l) {
-        qs.covered[l] = (live >> l) & 1;
         shader::LaneState &lane = qs.lanes[l];
         dec.prepareLane(lane);
         raster::TriangleSetup::VaryingBasis basis =
@@ -84,14 +83,14 @@ hzUsable(const frag::DepthStencilState &ds)
  */
 geom::TransformedVertex
 shadeVertex(const shader::Program &vp, const api::VertexData &v,
-            shader::Interpreter &interp, shader::LaneState &lane)
+            shader::LaneState &lane)
 {
     vp.decoded().prepareLane(lane);
     lane.inputs[0] = Vec4(v.position, 1.0f);
     lane.inputs[1] = Vec4(v.normal, 0.0f);
     lane.inputs[2] = {v.uv.x, v.uv.y, 0.0f, 1.0f};
     lane.inputs[3] = v.color;
-    interp.run(vp, lane);
+    shader::run(vp, lane);
 
     geom::TransformedVertex tv;
     tv.clip = lane.outputs[0];
@@ -230,27 +229,26 @@ struct GpuSimulator::ReplayOrder
 
 /**
  * Per-worker-slot execution state for band work items: a private
- * interpreter and sampler whose texture-block accesses are logged, z and
- * colour units that log their cache accesses to the current band's
- * output, private counter and HZ stats shards, and a private rasterizer
- * for the band walk. The interpreter's and sampler's own statistics
- * are shards too: the merge folds them into the counters. The word
- * reads/writes the units perform hit the shared surfaces directly —
- * safe, because a band's pixels belong to exactly one work item and a
- * slot runs one work item at a time.
+ * sampler whose texture-block accesses are logged, z and colour units
+ * that log their cache accesses to the current band's output, private
+ * counter and HZ stats shards, and a private rasterizer for the band
+ * walk. Every event is counted once, into these shards, at the site
+ * that sees it; the merge sums the shards. The word reads/writes the
+ * units perform hit the shared surfaces directly — safe, because a
+ * band's pixels belong to exactly one work item and a slot runs one
+ * work item at a time.
  */
 struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
                                       tex::TexelAccessListener
 {
     const tex::TextureCache &texCache; ///< line numbering only
-    shader::Interpreter interp;
     tex::Sampler sampler;
     shader::QuadState quad;        ///< reusable shading state
     raster::Rasterizer raster;     ///< band traversal
     frag::ZStencilUnit zUnit;
     frag::ColorUnit colorUnit;
     PipelineCounters counters;     ///< fragment-stage counter shard
-    raster::HzStats hzStats;
+    HzStats hzStats;
     const api::DrawCall *call = nullptr;
     TileOutput *out = nullptr;     ///< current work item's log
 
@@ -271,7 +269,12 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
         colorUnit.setLog(&band_out.surf[1]);
     }
 
-    /** Sample through the draw's own texture and sampler bindings. */
+    /**
+     * Sample through the draw's own texture and sampler bindings. A
+     * bound unit charges one request per lane, covered or helper, and
+     * the quad's bilinears; an unbound one samples opaque black and
+     * charges nothing.
+     */
     void
     sampleQuad(int unit, const Vec4 coords[4], float lod_bias,
                Vec4 out_colors[4]) override
@@ -284,10 +287,12 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
                 out_colors[l] = {0.0f, 0.0f, 0.0f, 1.0f};
             return;
         }
-        sampler.sampleQuad(*texture,
-                           call->state.samplers[static_cast<std::size_t>(
-                               unit)],
-                           coords, lod_bias, out_colors);
+        const tex::SamplerState &state =
+            call->state.samplers[static_cast<std::size_t>(unit)];
+        counters.textureRequests += 4;
+        counters.bilinearSamples += static_cast<std::uint64_t>(
+            sampler.sampleQuad(*texture, state, coords, lod_bias,
+                               out_colors));
     }
 
     void
@@ -440,12 +445,9 @@ GpuSimulator::shadeVertices(const api::DrawCall &call)
     parallelForRanges(
         ThreadPool::global(), job_vertex.size(),
         [&](int, std::size_t begin, std::size_t end) {
-            shader::Interpreter interp;
             shader::LaneState lane;
-            for (std::size_t j = begin; j < end; ++j) {
-                shaded[j] = shadeVertex(
-                    vp, vertices[job_vertex[j]], interp, lane);
-            }
+            for (std::size_t j = begin; j < end; ++j)
+                shaded[j] = shadeVertex(vp, vertices[job_vertex[j]], lane);
         });
 
     // Pass 3: scatter into the post-transform stream.
@@ -587,7 +589,7 @@ GpuSimulator::drawTiled(const api::DrawCall &call,
         group.wait();
     }
 
-    // --- Merge: fold the stat shards and replay the deferred cache
+    // --- Merge: sum the counter shards and replay the deferred cache
     // accesses into the shared models in submission order. ------------
     {
         WC3D_PROF_SCOPE("raster.merge");
@@ -668,15 +670,22 @@ GpuSimulator::processTileQuad(TileExec &exec, const QuadContextInfo &info,
     }
 
     // --- Fragment shading --------------------------------------------
+    // Every live fragment runs the whole program once (helper lanes
+    // execute too, for derivatives, but are not charged). Texture
+    // requests and bilinears are charged as the quad samples
+    // (TileExec::sampleQuad).
+    const shader::Program &fp = *call.fragmentProgram;
+    auto shaded = static_cast<std::uint64_t>(std::popcount(live));
     ++ctr.shadedQuads;
-    ctr.shadedFragments += static_cast<std::uint64_t>(std::popcount(live));
+    ctr.shadedFragments += shaded;
+    ctr.fragmentInstructions +=
+        shaded * static_cast<std::uint64_t>(fp.instructionCount());
+    ctr.fragmentTexInstructions +=
+        shaded * static_cast<std::uint64_t>(fp.textureInstructionCount());
 
     shader::QuadState &qs = exec.quad;
-    prepareQuadState(qs, call.fragmentProgram->decoded(), info.fpInputMask,
-                     setup, quad, live);
-    // Instruction and sampling counts accrue in exec.interp and
-    // exec.sampler; the merge folds them into the counters.
-    exec.interp.runQuad(*call.fragmentProgram, qs, &exec);
+    prepareQuadState(qs, fp.decoded(), info.fpInputMask, setup, quad);
+    shader::runQuad(fp, qs, &exec);
 
     // --- Alpha test (shader KIL) -------------------------------------
     for (int l = 0; l < 4; ++l) {
@@ -714,24 +723,15 @@ GpuSimulator::processTileQuad(TileExec &exec, const QuadContextInfo &info,
 void
 GpuSimulator::mergeTileResults()
 {
-    // Statistic shards are order-insensitive sums; fold them in
-    // ascending slot order. The slot's interpreter and sampler ran
-    // fragment programs only, so their statistics are the fragment
-    // stage's instruction and texture charge.
+    // The shards are order-insensitive sums: add each slot's counters
+    // and HZ pair, then zero them for the next draw.
     for (auto &exec_ptr : _tileExec) {
         TileExec &exec = *exec_ptr;
-        PipelineCounters &ctr = exec.counters;
-        ctr.fragmentInstructions += exec.interp.stats().instructionsExecuted;
-        ctr.fragmentTexInstructions +=
-            exec.interp.stats().textureInstructions;
-        ctr.textureRequests += exec.sampler.stats().requests;
-        ctr.bilinearSamples += exec.sampler.stats().bilinearSamples;
-        exec.interp.resetStats();
-        exec.sampler.resetStats();
-        _counters.add(ctr);
-        ctr = PipelineCounters{};
-        _hz.mergeStats(exec.hzStats);
-        exec.hzStats = raster::HzStats{};
+        _counters.add(exec.counters);
+        exec.counters = PipelineCounters{};
+        _hzStats.quadsTested += exec.hzStats.quadsTested;
+        _hzStats.quadsAccepted += exec.hzStats.quadsAccepted;
+        exec.hzStats = HzStats{};
     }
 
     orderAccesses();
@@ -835,11 +835,12 @@ GpuSimulator::replaySurface(int s)
 GpuSimulator::HzOutcome
 GpuSimulator::hzTestQuad(const QuadContextInfo &info,
                          const raster::RasterQuad &quad,
-                         raster::HzStats &hz_stats)
+                         HzStats &hz_stats)
 {
     if (!info.hzOk)
         return HzOutcome::Pass;
     const auto &ds = info.call->state.depthStencil;
+    ++hz_stats.quadsTested;
 
     float zmin = 1.0f;
     float zmax = 0.0f;
@@ -857,16 +858,17 @@ GpuSimulator::hzTestQuad(const QuadContextInfo &info,
         (ds.depthFunc == frag::CompareFunc::Less ||
          ds.depthFunc == frag::CompareFunc::LEqual);
     if (accept_ok) {
-        switch (_hz.testQuadRange(quad.x, quad.y, zmin, zmax, hz_stats)) {
+        switch (_hz.testQuadRange(quad.x, quad.y, zmin, zmax)) {
           case raster::HzResult::Culled:
             return HzOutcome::Culled;
           case raster::HzResult::Accepted:
+            ++hz_stats.quadsAccepted;
             return HzOutcome::Accepted;
           case raster::HzResult::Ambiguous:
             return HzOutcome::Pass;
         }
     }
-    if (!_hz.testQuad(quad.x, quad.y, zmin, hz_stats))
+    if (!_hz.testQuad(quad.x, quad.y, zmin))
         return HzOutcome::Culled;
     return HzOutcome::Pass;
 }

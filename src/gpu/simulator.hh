@@ -45,6 +45,7 @@
 #ifndef WC3D_GPU_SIMULATOR_HH
 #define WC3D_GPU_SIMULATOR_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -60,6 +61,23 @@
 #include "texture/texcache.hh"
 
 namespace wc3d::gpu {
+
+/** Hierarchical-Z tests and early accepts (the paper's suggested
+ *  min/max-HZ improvement). The quads HZ removes are
+ *  PipelineCounters::quadsRemovedHz. */
+struct HzStats
+{
+    std::uint64_t quadsTested = 0;
+    std::uint64_t quadsAccepted = 0;
+
+    double
+    acceptRate() const
+    {
+        return quadsTested
+            ? static_cast<double>(quadsAccepted) / quadsTested
+            : 0.0;
+    }
+};
 
 /** The simulated GPU. */
 class GpuSimulator : public api::DrawSink
@@ -108,10 +126,8 @@ class GpuSimulator : public api::DrawSink
     { return _texCache.l1Stats(); }
     /// @}
 
-    const memsys::MemoryController &memory() const { return _memory; }
-
-    /** Hierarchical-Z statistics (cull/early-accept rates). */
-    const raster::HzStats &hzStats() const { return _hz.stats(); }
+    /** Hierarchical-Z tests and early accepts. */
+    const HzStats &hzStats() const { return _hzStats; }
 
     /** Current colour buffer contents (PPM dumps, golden tests). */
     Image framebufferImage() const { return _color.toImage(); }
@@ -135,7 +151,7 @@ class GpuSimulator : public api::DrawSink
     /// @{
     HzOutcome hzTestQuad(const QuadContextInfo &info,
                          const raster::RasterQuad &quad,
-                         raster::HzStats &hz_stats);
+                         HzStats &hz_stats);
     bool zStencilQuad(const QuadContextInfo &info,
                       const raster::RasterQuad &quad, std::uint8_t &mask,
                       bool hz_accepted, frag::ZStencilUnit &z_unit,
@@ -168,6 +184,7 @@ class GpuSimulator : public api::DrawSink
     tex::TextureCache _texCache;
 
     PipelineCounters _counters;
+    HzStats _hzStats;
     PipelineCounters _frameStart;
     stats::FrameSeries _series;
     int _frames = 0;

@@ -81,14 +81,9 @@ HierarchicalZ::tileMax(int x, int y)
 }
 
 bool
-HierarchicalZ::testQuad(int x, int y, float quad_z_min, HzStats &stats)
+HierarchicalZ::testQuad(int x, int y, float quad_z_min)
 {
-    ++stats.quadsTested;
-    if (quad_z_min > tileMax(x, y)) {
-        ++stats.quadsCulled;
-        return false;
-    }
-    return true;
+    return !(quad_z_min > tileMax(x, y));
 }
 
 float
@@ -102,17 +97,12 @@ HierarchicalZ::tileMin(int x, int y)
 
 HzResult
 HierarchicalZ::testQuadRange(int x, int y, float quad_z_min,
-                             float quad_z_max, HzStats &stats)
+                             float quad_z_max)
 {
-    ++stats.quadsTested;
-    if (quad_z_min > tileMax(x, y)) {
-        ++stats.quadsCulled;
+    if (quad_z_min > tileMax(x, y))
         return HzResult::Culled;
-    }
-    if (quad_z_max < tileMin(x, y)) {
-        ++stats.quadsAccepted;
+    if (quad_z_max < tileMin(x, y))
         return HzResult::Accepted;
-    }
     return HzResult::Ambiguous;
 }
 

@@ -8,6 +8,10 @@
  *
  * The tile maxima are maintained from per-quad maxima fed back by the
  * z-stencil stage after depth writes; tile recomputation is lazy.
+ *
+ * The structure holds depths only, no statistics: each test returns its
+ * outcome and the GPU simulator counts it (quads removed in
+ * PipelineCounters, tests and early accepts in GpuSimulator::hzStats()).
  */
 
 #ifndef WC3D_RASTER_HZ_HH
@@ -24,30 +28,6 @@ enum class HzResult
     Culled,    ///< guaranteed occluded (quad zmin > tile max)
     Accepted,  ///< guaranteed visible (quad zmax < tile min)
     Ambiguous, ///< must run the full z test
-};
-
-/** HZ statistics (quad removal, Table IX; early accepts are the
- *  paper's suggested min/max-HZ improvement). */
-struct HzStats
-{
-    std::uint64_t quadsTested = 0;
-    std::uint64_t quadsCulled = 0;
-    std::uint64_t quadsAccepted = 0;
-
-    double
-    cullRate() const
-    {
-        return quadsTested ? static_cast<double>(quadsCulled) / quadsTested
-                           : 0.0;
-    }
-
-    double
-    acceptRate() const
-    {
-        return quadsTested
-            ? static_cast<double>(quadsAccepted) / quadsTested
-            : 0.0;
-    }
 };
 
 /** The on-die hierarchical depth structure. */
@@ -67,18 +47,9 @@ class HierarchicalZ
      * is @p quad_z_min against the covering tile.
      *
      * @return true when the quad may be visible (must continue);
-     *         false when it is guaranteed occluded (stats updated).
+     *         false when it is guaranteed occluded.
      */
-    bool testQuad(int x, int y, float quad_z_min)
-    { return testQuad(x, y, quad_z_min, _stats); }
-
-    /**
-     * As above, charging @p stats instead of the member statistics.
-     * Band workers pass a private HzStats (merged after the join):
-     * the depth arrays they touch are exclusively theirs by band
-     * ownership, but the counters are not.
-     */
-    bool testQuad(int x, int y, float quad_z_min, HzStats &stats);
+    bool testQuad(int x, int y, float quad_z_min);
 
     /**
      * Min/max test (the paper's "HZ storing maximum and minimum
@@ -87,12 +58,7 @@ class HierarchicalZ
      * read entirely.
      */
     HzResult testQuadRange(int x, int y, float quad_z_min,
-                           float quad_z_max)
-    { return testQuadRange(x, y, quad_z_min, quad_z_max, _stats); }
-
-    /** Stats-parameterised variant (see testQuad overload). */
-    HzResult testQuadRange(int x, int y, float quad_z_min,
-                           float quad_z_max, HzStats &stats);
+                           float quad_z_max);
 
     /**
      * Depth-write feedback from the z-stencil stage: the quad at
@@ -109,18 +75,6 @@ class HierarchicalZ
 
     /** Tile minimum covering pixel (x, y) (recomputes if stale). */
     float tileMin(int x, int y);
-
-    const HzStats &stats() const { return _stats; }
-    void resetStats() { _stats = HzStats(); }
-
-    /** Fold a worker-private stats shard into the member statistics. */
-    void
-    mergeStats(const HzStats &s)
-    {
-        _stats.quadsTested += s.quadsTested;
-        _stats.quadsCulled += s.quadsCulled;
-        _stats.quadsAccepted += s.quadsAccepted;
-    }
 
     /** On-die storage footprint in bytes (for reporting). */
     std::uint64_t storageBytes() const;
@@ -144,7 +98,6 @@ class HierarchicalZ
     std::vector<std::uint8_t> _tileDirty;
     std::vector<float> _quadMax;   ///< per 2x2 quad (feedback store)
     std::vector<float> _quadMin;
-    HzStats _stats;
 };
 
 } // namespace wc3d::raster

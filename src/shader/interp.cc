@@ -157,31 +157,25 @@ execKill(const DecodedOp &op, const RegTables &t)
 } // namespace
 
 void
-Interpreter::run(const Program &program, LaneState &lane)
+run(const Program &program, LaneState &lane)
 {
     const DecodedProgram &dec = program.decoded();
     WC3D_ASSERT(!dec.hasTexture() &&
                 "texture sampling requires quad execution");
     const RegTables t = laneTables(lane, program.constants().data());
-    std::uint64_t kills = 0;
     for (const DecodedOp &op : dec.ops()) {
         if (op.op == Opcode::KIL) [[unlikely]] {
-            if (execKill(op, t)) {
+            if (execKill(op, t))
                 lane.killed = true;
-                ++kills;
-            }
         } else {
             dispatchAlu<1>(op, &t);
         }
     }
-    _stats.instructionsExecuted += dec.ops().size();
-    _stats.killsTaken += kills;
-    ++_stats.programsRun;
 }
 
 void
-Interpreter::runQuad(const Program &program, QuadState &quad,
-                     TextureSampleHandler *tex_handler)
+runQuad(const Program &program, QuadState &quad,
+        TextureSampleHandler *tex_handler)
 {
     const DecodedProgram &dec = program.decoded();
     const Vec4 *constants = program.constants().data();
@@ -191,14 +185,8 @@ Interpreter::runQuad(const Program &program, QuadState &quad,
         laneTables(quad.lanes[2], constants),
         laneTables(quad.lanes[3], constants),
     };
-    std::uint64_t covered = 0;
-    for (int l = 0; l < 4; ++l)
-        covered += quad.covered[l] ? 1 : 0;
-
-    std::uint64_t tex_ops = 0;
     for (const DecodedOp &op : dec.ops()) {
         if (isTexOp(op.op)) [[unlikely]] {
-            ++tex_ops;
             WC3D_ASSERT(tex_handler &&
                         "texture instruction without a sampler handler");
             Vec4 coords[4];
@@ -220,19 +208,13 @@ Interpreter::runQuad(const Program &program, QuadState &quad,
                 storeDst(t[l], op, out[l]);
         } else if (op.op == Opcode::KIL) [[unlikely]] {
             for (int l = 0; l < 4; ++l) {
-                if (execKill(op, t[l])) {
-                    if (!quad.lanes[l].killed && quad.covered[l])
-                        ++_stats.killsTaken;
+                if (execKill(op, t[l]))
                     quad.lanes[l].killed = true;
-                }
             }
         } else {
             dispatchAlu<4>(op, t);
         }
     }
-    _stats.instructionsExecuted += covered * dec.ops().size();
-    _stats.textureInstructions += covered * tex_ops;
-    _stats.programsRun += covered;
 }
 
 } // namespace wc3d::shader

@@ -5,12 +5,22 @@
  * compute level-of-detail from coordinate differences between quad lanes
  * (the mechanism behind the paper's bilinear/aniso accounting) and what
  * makes quads "the working unit of the subsequent GPU pipeline stages".
+ *
+ * The interpreter is two free functions that keep no state and count
+ * nothing: a program's dynamic instruction count is its static length
+ * (one decoded op per instruction, no branches), so the GPU simulator
+ * charges Program::instructionCount() and textureInstructionCount() per
+ * shaded fragment where it shades the quad.
+ *
+ * run() and runQuad() execute the program's pre-decoded form
+ * (shader/decoded.hh), triggering the decode lazily on first use. The
+ * original field-by-field interpreter over shader::Instruction lives on
+ * in tests/shader_reference.hh as the bit-exact reference this one is
+ * tested against.
  */
 
 #ifndef WC3D_SHADER_INTERP_HH
 #define WC3D_SHADER_INTERP_HH
-
-#include <cstdint>
 
 #include "common/vecmath.hh"
 #include "shader/program.hh"
@@ -48,70 +58,27 @@ struct LaneState
     bool killed = false;
 };
 
-/** Register state for a 2x2 fragment quad (lane order: x-major). */
+/** Register state for a 2x2 fragment quad (lane order: x-major). All
+ *  four lanes execute, covered or not: helper lanes feed the texture
+ *  unit's derivatives, and the caller discards their results. */
 struct QuadState
 {
     LaneState lanes[4];
-    /** Rasterizer coverage per lane; uncovered (helper) lanes still
-     *  execute but their results are discarded downstream. */
-    bool covered[4] = {false, false, false, false};
-};
-
-/** Dynamic execution statistics accumulated by an Interpreter. */
-struct InterpStats
-{
-    std::uint64_t programsRun = 0;       ///< lane-invocations completed
-    std::uint64_t instructionsExecuted = 0;
-    std::uint64_t textureInstructions = 0;
-    std::uint64_t killsTaken = 0;        ///< lanes killed by KIL
-
-    std::uint64_t
-    aluInstructions() const
-    {
-        return instructionsExecuted - textureInstructions;
-    }
 };
 
 /**
- * Executes shader programs. Stateless between runs apart from the
- * accumulated statistics, which the owner reads and resets: the GPU
- * simulator gives each tile worker one interpreter, runs it on every
- * quad as the rasterizer emits it, and folds its statistics into the
- * pipeline counters when the draw's tiles are merged.
- *
- * run()/runQuad() execute the program's pre-decoded form
- * (shader/decoded.hh), triggering the decode lazily on first use. The
- * original field-by-field interpreter over shader::Instruction lives on
- * in tests/shader_reference.hh as the bit-exact reference this one is
- * tested against.
+ * Run @p program on a single lane (vertex shading).
+ * Texture instructions are not allowed in single-lane mode.
  */
-class Interpreter
-{
-  public:
-    /**
-     * Run @p program on a single lane (vertex shading).
-     * Texture instructions are not allowed in single-lane mode.
-     */
-    void run(const Program &program, LaneState &lane);
+void run(const Program &program, LaneState &lane);
 
-    /**
-     * Run @p program on a quad in lockstep. TEX/TXP/TXB issue one
-     * sampleQuad() per instruction to @p tex_handler (which may be null
-     * only if the program has no texture instructions).
-     *
-     * Instruction statistics are charged for covered lanes only: helper
-     * lanes execute for derivative correctness but the paper's
-     * instruction counts are per shaded fragment.
-     */
-    void runQuad(const Program &program, QuadState &quad,
-                 TextureSampleHandler *tex_handler);
-
-    const InterpStats &stats() const { return _stats; }
-    void resetStats() { _stats = InterpStats(); }
-
-  private:
-    InterpStats _stats;
-};
+/**
+ * Run @p program on a quad in lockstep. TEX/TXP/TXB issue one
+ * sampleQuad() per instruction to @p tex_handler (which may be null
+ * only if the program has no texture instructions).
+ */
+void runQuad(const Program &program, QuadState &quad,
+             TextureSampleHandler *tex_handler);
 
 } // namespace wc3d::shader
 

@@ -222,7 +222,6 @@ Sampler::nearestFetch(const FilterPlan &plan, Vec2 uv)
                       view.width, plan.wrap);
     int y = wrapCoord(floorToInt(uv.y * view.height),
                       view.height, plan.wrap);
-    ++_stats.texelReads;
     noteBlock(*plan.texture, plan.l0, x / kBlockDim, y / kBlockDim, 1);
     return toVec4(toFloat4(view.at(x, y)));
 }
@@ -244,8 +243,6 @@ Sampler::bilinearFetch(const FilterPlan &plan,
     int ya = wrapCoord(y0, h, plan.wrap);
     int yb = wrapCoord(y0 + 1, h, plan.wrap);
 
-    ++_stats.bilinearSamples;
-    _stats.texelReads += 4;
     noteFootprint(*plan.texture, level, xa, xb, ya, yb);
 
     Float4 c00 = toFloat4(view.at(xa, ya));
@@ -271,13 +268,12 @@ Vec4
 Sampler::sampleLod(const Texture2D &texture, const SamplerState &state,
                    Vec2 uv, float lod)
 {
-    ++_stats.requests;
     Vec4 r = fetch(resolvePlan(texture, state, lod), uv);
     flushBlockSet(texture);
     return r;
 }
 
-void
+int
 Sampler::sampleQuad(const Texture2D &texture, const SamplerState &state,
                     const Vec4 coords[4], float lod_bias, Vec4 out[4])
 {
@@ -307,8 +303,6 @@ Sampler::sampleQuad(const Texture2D &texture, const SamplerState &state,
             ratio = std::min(major / minor,
                              static_cast<float>(state.maxAniso));
         probes = std::max(1, static_cast<int>(std::ceil(ratio - 1e-4f)));
-        _stats.anisoRatioSum += probes;
-        ++_stats.anisoRequests;
         // Probe footprint: the major axis is split across the probes.
         float effective = probes > 1 ? major / static_cast<float>(probes)
                                      : major;
@@ -331,7 +325,6 @@ Sampler::sampleQuad(const Texture2D &texture, const SamplerState &state,
     FilterPlan plan = resolvePlan(texture, state, lod);
 
     for (int lane = 0; lane < 4; ++lane) {
-        ++_stats.requests;
         Vec2 uv{coords[lane].x, coords[lane].y};
         if (probes == 1) {
             out[lane] = fetch(plan, uv);
@@ -347,6 +340,10 @@ Sampler::sampleQuad(const Texture2D &texture, const SamplerState &state,
         }
     }
     flushBlockSet(texture);
+    // Every lane fetches each probe through the one plan: a bilinear
+    // footprint per level it reads, none for a nearest texel.
+    int per_fetch = plan.nearest ? 0 : plan.blend ? 2 : 1;
+    return 4 * probes * per_fetch;
 }
 
 } // namespace wc3d::tex

@@ -44,24 +44,6 @@ struct SamplerState
     float lodBias = 0.0f;
 };
 
-/** Cumulative sampling statistics. */
-struct SampleStats
-{
-    std::uint64_t requests = 0;        ///< per-lane texture requests
-    std::uint64_t bilinearSamples = 0; ///< bilinear footprints fetched
-    std::uint64_t texelReads = 0;      ///< individual texels read
-    double anisoRatioSum = 0.0;        ///< sum of per-request aniso N
-    std::uint64_t anisoRequests = 0;
-
-    /** Average bilinear samples per texture request (Table XIII). */
-    double
-    bilinearsPerRequest() const
-    {
-        return requests ? static_cast<double>(bilinearSamples) / requests
-                        : 0.0;
-    }
-};
-
 /** Receives the distinct 4x4 texel blocks touched by sampling
  *  (implemented by the texture cache). */
 class TexelAccessListener
@@ -82,8 +64,10 @@ class TexelAccessListener
 };
 
 /**
- * The filtering engine. Stateless apart from statistics; bindings are
- * supplied per call so one Sampler serves all texture units.
+ * The filtering engine. It keeps no statistics: sampleQuad() returns
+ * the quad's bilinear count and the caller charges it. Bindings are
+ * supplied per call so one Sampler serves all texture units; its only
+ * state is the listener and the per-quad block set.
  */
 class Sampler
 {
@@ -102,9 +86,12 @@ class Sampler
      * @param coords   four lane texture coordinates (u = x, v = y)
      * @param lod_bias extra per-instruction bias (TXB)
      * @param out      four sampled colours
+     * @return the bilinear footprints the quad's four requests fetched
+     *         (paper Table XIII): probes x levels per lane, 0 for a
+     *         nearest filter
      */
-    void sampleQuad(const Texture2D &texture, const SamplerState &state,
-                    const Vec4 coords[4], float lod_bias, Vec4 out[4]);
+    int sampleQuad(const Texture2D &texture, const SamplerState &state,
+                   const Vec4 coords[4], float lod_bias, Vec4 out[4]);
 
     /**
      * Sample a single coordinate at an explicit level of detail.
@@ -112,9 +99,6 @@ class Sampler
      */
     Vec4 sampleLod(const Texture2D &texture, const SamplerState &state,
                    Vec2 uv, float lod);
-
-    const SampleStats &stats() const { return _stats; }
-    void resetStats() { _stats = SampleStats(); }
 
   private:
     /**
@@ -161,7 +145,6 @@ class Sampler
     void flushBlockSet(const Texture2D &texture);
 
     TexelAccessListener *_listener = nullptr;
-    SampleStats _stats;
 
     // Per-quad distinct-block set: the texture unit coalesces the block
     // references of one quad before touching the cache, mirroring how

@@ -119,8 +119,6 @@ class TextureCache : public TexelAccessListener
 
     const memsys::CacheStats &l0Stats() const { return _l0.stats(); }
     const memsys::CacheStats &l1Stats() const { return _l1.stats(); }
-    const memsys::CacheModel &l0() const { return _l0; }
-    const memsys::CacheModel &l1() const { return _l1; }
 
     void resetStats();
 
@@ -176,11 +174,6 @@ class TextureUnit : public shader::TextureSampleHandler
 
     void sampleQuad(int sampler, const Vec4 coords[4], float lod_bias,
                     Vec4 out[4]) override;
-
-    Sampler &sampler() { return _sampler; }
-    TextureCache &cache() { return _cache; }
-    const Sampler &sampler() const { return _sampler; }
-    const TextureCache &cache() const { return _cache; }
 
   private:
     struct Binding

@@ -3,9 +3,10 @@
  * Test-only reference for tex::Sampler: the straightforward sampler.
  * Every fetch re-resolves the filter mode and mip level from the LOD,
  * wraps coordinates with a modulo, and notes each block in a per-quad
- * set that is searched linearly. The production sampler must reproduce
- * its colour bits, block stream and statistics exactly; the
- * differential test in test_sampler.cc checks that quad by quad.
+ * set that is searched linearly, counting each bilinear footprint as
+ * it fetches it. The production sampler must reproduce its colour bits,
+ * block stream and per-quad bilinear count exactly; the differential
+ * test in test_sampler.cc checks that quad by quad.
  */
 
 #ifndef WC3D_TESTS_SAMPLER_REFERENCE_HH
@@ -25,22 +26,21 @@ class ReferenceSampler
     void setListener(tex::TexelAccessListener *listener)
     { _listener = listener; }
 
-    const tex::SampleStats &stats() const { return _stats; }
-
     Vec4
     sampleLod(const tex::Texture2D &texture, const tex::SamplerState &state,
               Vec2 uv, float lod)
     {
-        ++_stats.requests;
         Vec4 r = filteredFetch(texture, state, uv, lod);
         flushBlockSet(texture);
         return r;
     }
 
-    void
+    /** @return the bilinear footprints the quad fetched. */
+    int
     sampleQuad(const tex::Texture2D &texture, const tex::SamplerState &state,
                const Vec4 coords[4], float lod_bias, Vec4 out[4])
     {
+        _bilinears = 0;
         float w = static_cast<float>(texture.width());
         float h = static_cast<float>(texture.height());
         Vec2 ddx{(coords[1].x - coords[0].x) * w,
@@ -66,8 +66,6 @@ class ReferenceSampler
                 ratio = std::min(major / minor,
                                  static_cast<float>(state.maxAniso));
             probes = std::max(1, static_cast<int>(std::ceil(ratio - 1e-4f)));
-            _stats.anisoRatioSum += probes;
-            ++_stats.anisoRequests;
             float effective = probes > 1 ? major / static_cast<float>(probes)
                                          : major;
             float footprint = std::max(minor, effective);
@@ -87,7 +85,6 @@ class ReferenceSampler
         lod += bias;
 
         for (int lane = 0; lane < 4; ++lane) {
-            ++_stats.requests;
             Vec2 uv{coords[lane].x, coords[lane].y};
             if (probes == 1) {
                 out[lane] = filteredFetch(texture, state, uv, lod);
@@ -104,6 +101,7 @@ class ReferenceSampler
             }
         }
         flushBlockSet(texture);
+        return _bilinears;
     }
 
   private:
@@ -202,7 +200,6 @@ class ReferenceSampler
         int h = texture.levelHeight(level);
         int x = wrapCoord(static_cast<int>(std::floor(uv.x * w)), w, wrap);
         int y = wrapCoord(static_cast<int>(std::floor(uv.y * h)), h, wrap);
-        ++_stats.texelReads;
         noteBlock(texture, level, x / tex::kBlockDim, y / tex::kBlockDim, 1);
         return toVec4(texture.texel(level, x, y));
     }
@@ -224,8 +221,7 @@ class ReferenceSampler
         int ya = wrapCoord(y0, h, wrap);
         int yb = wrapCoord(y0 + 1, h, wrap);
 
-        ++_stats.bilinearSamples;
-        _stats.texelReads += 4;
+        ++_bilinears;
         noteFootprint(texture, level, xa, xb, ya, yb);
 
         Vec4 c00 = toVec4(texture.texel(level, xa, ya));
@@ -271,7 +267,7 @@ class ReferenceSampler
     static constexpr int kMaxQuadBlocks = 128;
 
     tex::TexelAccessListener *_listener = nullptr;
-    tex::SampleStats _stats;
+    int _bilinears = 0; ///< fetched by the current sampleQuad
     std::uint64_t _blockSet[kMaxQuadBlocks];
     std::uint32_t _blockRefs[kMaxQuadBlocks];
     int _blockCount = 0;

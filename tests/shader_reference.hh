@@ -1,19 +1,18 @@
 /**
  * @file
- * Test-only reference for shader::Interpreter: the original
+ * Test-only reference for shader::run/runQuad: the original
  * field-by-field interpreter. It decodes each shader::Instruction's
  * operands on every execution and computes results through the shared
  * ALU core (shader/alucore.hh). The production interpreter runs the
  * pre-decoded form and must reproduce its register bits, kill flags and
- * statistics exactly; the differential tests in test_shader_decoded.cc
- * and test_shader_fuzz.cc check that.
+ * texture calls exactly; the differential tests in
+ * test_shader_decoded.cc and test_shader_fuzz.cc check that.
  */
 
 #ifndef WC3D_TESTS_SHADER_REFERENCE_HH
 #define WC3D_TESTS_SHADER_REFERENCE_HH
 
 #include <cmath>
-#include <cstdint>
 
 #include "shader/alucore.hh"
 #include "shader/interp.hh"
@@ -31,34 +30,21 @@ class ReferenceInterpreter
         for (const shader::Instruction &in : program.code()) {
             WC3D_ASSERT(!shader::opcodeInfo(in.op).isTexture &&
                         "texture sampling requires quad execution");
-            ++_stats.instructionsExecuted;
-            if (execAlu(in, lane, constants)) {
+            if (execAlu(in, lane, constants))
                 lane.killed = true;
-                ++_stats.killsTaken;
-            }
         }
-        ++_stats.programsRun;
     }
 
-    /** Run @p program on a quad in lockstep; statistics count covered
-     *  lanes only. */
+    /** Run @p program on a quad in lockstep. */
     void
     runQuad(const shader::Program &program, shader::QuadState &quad,
             shader::TextureSampleHandler *tex_handler)
     {
         using shader::Opcode;
         const Vec4 *constants = program.constants().data();
-        int covered = 0;
-        for (int l = 0; l < 4; ++l)
-            covered += quad.covered[l] ? 1 : 0;
-
         for (const shader::Instruction &in : program.code()) {
             const shader::OpcodeInfo &info = shader::opcodeInfo(in.op);
-            _stats.instructionsExecuted +=
-                static_cast<std::uint64_t>(covered);
             if (info.isTexture) {
-                _stats.textureInstructions +=
-                    static_cast<std::uint64_t>(covered);
                 WC3D_ASSERT(tex_handler &&
                             "texture instruction without a sampler handler");
                 Vec4 coords[4];
@@ -80,18 +66,12 @@ class ReferenceInterpreter
                     writeDst(quad.lanes[l], in.dst, out[l]);
             } else {
                 for (int l = 0; l < 4; ++l) {
-                    if (execAlu(in, quad.lanes[l], constants)) {
-                        if (!quad.lanes[l].killed && quad.covered[l])
-                            ++_stats.killsTaken;
+                    if (execAlu(in, quad.lanes[l], constants))
                         quad.lanes[l].killed = true;
-                    }
                 }
             }
         }
-        _stats.programsRun += static_cast<std::uint64_t>(covered);
     }
-
-    const shader::InterpStats &stats() const { return _stats; }
 
   private:
     static Vec4
@@ -186,8 +166,6 @@ class ReferenceInterpreter
         writeDst(lane, in.dst, shader::aluResult(in.op, a, b, c));
         return false;
     }
-
-    shader::InterpStats _stats;
 };
 
 } // namespace wc3d::test

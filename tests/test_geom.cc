@@ -21,9 +21,6 @@ TEST(VertexCache, MissThenHit)
     EXPECT_EQ(vc.lookup(7), -1);
     int slot = vc.insert(7);
     EXPECT_EQ(vc.lookup(7), slot);
-    EXPECT_EQ(vc.hits(), 1u);
-    EXPECT_EQ(vc.misses(), 1u);
-    EXPECT_DOUBLE_EQ(vc.hitRate(), 0.5);
 }
 
 TEST(VertexCache, FifoEviction)
@@ -60,27 +57,33 @@ TEST(VertexCache, StripLikeReuseApproaches66Percent)
     // Triangle list over a long strip-ordered mesh: triangle i uses
     // vertices (i, i+1, i+2). Steady state: 2 of 3 lookups hit.
     VertexCache vc(16);
+    int hits = 0;
     for (std::uint32_t tri = 0; tri < 10000; ++tri) {
         for (std::uint32_t k = 0; k < 3; ++k) {
             std::uint32_t idx = tri + k;
-            if (vc.lookup(idx) < 0)
+            if (vc.lookup(idx) >= 0)
+                ++hits;
+            else
                 vc.insert(idx);
         }
     }
-    EXPECT_NEAR(vc.hitRate(), 2.0 / 3.0, 0.01);
+    EXPECT_NEAR(hits / 30000.0, 2.0 / 3.0, 0.01);
 }
 
 TEST(VertexCache, RandomIndicesMostlyMiss)
 {
     VertexCache vc(16);
     std::uint32_t state = 12345;
+    int hits = 0;
     for (int i = 0; i < 30000; ++i) {
         state = state * 1664525u + 1013904223u;
         std::uint32_t idx = (state >> 8) % 100000;
-        if (vc.lookup(idx) < 0)
+        if (vc.lookup(idx) >= 0)
+            ++hits;
+        else
             vc.insert(idx);
     }
-    EXPECT_LT(vc.hitRate(), 0.01);
+    EXPECT_LT(hits / 30000.0, 0.01);
 }
 
 TEST(Assembly, TriangleCounts)

@@ -192,11 +192,11 @@ TEST(Gpu, HzDisabledShiftsRemovalToZStage)
 
 TEST(Gpu, TexturedDrawSamplesTexture)
 {
-    // The merge folds every worker slot's interpreter and sampler
-    // statistics into the counters. At 4 threads the 64x64 draw's four
-    // band tasks may all run on one slot; the 512x512 draw's 32 longer
-    // ones spread over several, so a fold that misses a slot breaks the
-    // instruction and request laws below.
+    // Band workers count shading and sampling into per-slot counter
+    // shards, and the merge sums the shards. At 4 threads the 64x64
+    // draw's four band tasks may all run on one slot; the 512x512
+    // draw's 32 longer ones spread over several, so a merge that misses
+    // a slot's shard breaks the instruction and request laws below.
     struct Case
     {
         int size;
@@ -257,6 +257,48 @@ TEST(Gpu, TexturedDrawSamplesTexture)
             EXPECT_GT(c.traffic.readBytes[static_cast<int>(
                           memsys::Client::Texture)], 0u);
         }
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(Gpu, UnboundTextureUnitShadesBlackAndCountsNoRequests)
+{
+    // A TEX from a unit with no bound texture samples opaque black. The
+    // fragments still run the whole program, so their instructions are
+    // charged, but the texture unit never sees a request: no requests,
+    // no bilinears, no texture cache access and no Texture traffic.
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        Rig rig;
+        auto fs = rig.dev.createProgram(shader::ProgramKind::Fragment,
+                                        kTexturedFs);
+        rig.dev.bindProgram(shader::ProgramKind::Fragment, fs);
+        ClearCmd clear;
+        clear.colorValue = 0xff00ff00u; // opaque green
+        rig.dev.clear(clear);
+        // One triangle of the quad: its diagonal edge leaves partly
+        // covered quads, whose helper lanes run but are not charged.
+        auto quad = rig.makeQuad(-1, -1, 1, 1, 0.0f, {1, 1, 1, 1});
+        rig.dev.draw(quad.first, quad.second, 0, 3,
+                     geom::PrimitiveType::TriangleList);
+        rig.dev.endFrame();
+
+        Image img = rig.sim->framebufferImage();
+        EXPECT_EQ(img.at(56, 56).packed(), 0xff000000u); // sampled black
+        EXPECT_EQ(img.at(8, 8).packed(), 0xff00ff00u);   // clear colour
+
+        PipelineCounters c = rig.sim->counters();
+        ASSERT_GT(c.shadedQuads, 0u);
+        ASSERT_LT(c.shadedFragments, 4 * c.shadedQuads);
+        EXPECT_EQ(c.fragmentInstructions, 2 * c.shadedFragments);
+        EXPECT_EQ(c.fragmentTexInstructions, c.shadedFragments);
+        EXPECT_EQ(c.textureRequests, 0u);
+        EXPECT_EQ(c.bilinearSamples, 0u);
+        EXPECT_EQ(rig.sim->texL0Stats().accesses, 0u);
+        int texture = static_cast<int>(memsys::Client::Texture);
+        EXPECT_EQ(c.traffic.readBytes[texture], 0u);
+        EXPECT_EQ(c.traffic.writeBytes[texture], 0u);
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }

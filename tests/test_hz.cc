@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the Hierarchical Z buffer: conservative culling,
- * feedback updates, lazy tile refresh.
+ * feedback updates, lazy tile refresh. The buffer counts nothing; each
+ * case checks the outcome a test returns.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,6 @@ TEST(Hz, FreshBufferCullsNothing)
     HierarchicalZ hz(64, 64);
     EXPECT_TRUE(hz.testQuad(0, 0, 0.999f));
     EXPECT_TRUE(hz.testQuad(32, 32, 0.0f));
-    EXPECT_EQ(hz.stats().quadsCulled, 0u);
-    EXPECT_EQ(hz.stats().quadsTested, 2u);
 }
 
 TEST(Hz, CullsBehindUpdatedTile)
@@ -30,7 +29,6 @@ TEST(Hz, CullsBehindUpdatedTile)
     // A quad behind 0.3 is culled; one in front passes.
     EXPECT_FALSE(hz.testQuad(2, 2, 0.5f));
     EXPECT_TRUE(hz.testQuad(2, 2, 0.2f));
-    EXPECT_EQ(hz.stats().quadsCulled, 1u);
 }
 
 TEST(Hz, ConservativeWhenTilePartiallyFar)
@@ -99,18 +97,6 @@ TEST(Hz, StorageIsOnDieScale)
     EXPECT_GT(hz.storageBytes(), 0u);
 }
 
-TEST(Hz, CullRateStat)
-{
-    HierarchicalZ hz(16, 16);
-    for (int y = 0; y < 8; y += 2)
-        for (int x = 0; x < 8; x += 2)
-            hz.updateQuad(x, y, 0.5f);
-    hz.resetStats();
-    hz.testQuad(0, 0, 0.6f); // culled
-    hz.testQuad(0, 0, 0.4f); // passes
-    EXPECT_DOUBLE_EQ(hz.stats().cullRate(), 0.5);
-}
-
 TEST(HzMinMax, RangeTestThreeWay)
 {
     HierarchicalZ hz(32, 32);
@@ -128,9 +114,6 @@ TEST(HzMinMax, RangeTestThreeWay)
     EXPECT_EQ(hz.testQuadRange(0, 0, 0.1f, 0.3f), HzResult::Accepted);
     // Overlapping the range: ambiguous.
     EXPECT_EQ(hz.testQuadRange(0, 0, 0.3f, 0.5f), HzResult::Ambiguous);
-    EXPECT_EQ(hz.stats().quadsCulled, 1u);
-    EXPECT_EQ(hz.stats().quadsAccepted, 1u);
-    EXPECT_DOUBLE_EQ(hz.stats().acceptRate(), 1.0 / 3.0);
 }
 
 TEST(HzMinMax, FreshTileNeverAccepts)

@@ -129,10 +129,9 @@ TEST(Assemble, AssembledProgramExecutes)
         "MUL r0, v0, c0;\n"
         "ADD o0, r0, v0;\n");
     ASSERT_TRUE(r.ok) << r.error;
-    Interpreter interp;
     LaneState lane;
     lane.inputs[0] = {1.0f, 2.0f, 3.0f, 4.0f};
-    interp.run(r.program, lane);
+    run(r.program, lane);
     EXPECT_FLOAT_EQ(lane.outputs[0].x, 3.0f);
     EXPECT_FLOAT_EQ(lane.outputs[0].w, 12.0f);
 }

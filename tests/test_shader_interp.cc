@@ -19,12 +19,11 @@ namespace {
 Vec4
 run1(Program &p, Vec4 in0 = {}, Vec4 in1 = {}, Vec4 in2 = {})
 {
-    Interpreter interp;
     LaneState lane;
     lane.inputs[0] = in0;
     lane.inputs[1] = in1;
     lane.inputs[2] = in2;
-    interp.run(p, lane);
+    run(p, lane);
     return lane.outputs[0];
 }
 
@@ -260,41 +259,20 @@ TEST(Interp, TempRegistersHoldIntermediates)
     EXPECT_FLOAT_EQ(run1(p, {3, 0, 0, 0}).x, 36.0f);
 }
 
-TEST(Interp, StatsCountInstructions)
-{
-    Program p(ProgramKind::Vertex, "t");
-    p.mov(dstTemp(0), srcInput(0));
-    p.add(dstOutput(0), srcTemp(0), srcTemp(0));
-    Interpreter interp;
-    LaneState lane;
-    interp.run(p, lane);
-    interp.run(p, lane);
-    EXPECT_EQ(interp.stats().programsRun, 2u);
-    EXPECT_EQ(interp.stats().instructionsExecuted, 4u);
-    EXPECT_EQ(interp.stats().textureInstructions, 0u);
-    EXPECT_EQ(interp.stats().aluInstructions(), 4u);
-    interp.resetStats();
-    EXPECT_EQ(interp.stats().programsRun, 0u);
-}
-
 TEST(InterpQuad, TextureDispatchAndResult)
 {
     Program p(ProgramKind::Fragment, "t");
     p.tex(dstOutput(0), srcInput(0), 2);
     StubTexture tex;
-    Interpreter interp;
     QuadState quad;
-    for (int l = 0; l < 4; ++l) {
-        quad.covered[l] = true;
+    for (int l = 0; l < 4; ++l)
         quad.lanes[l].inputs[0] = {0.1f * l, 0.2f * l, 0, 1};
-    }
-    interp.runQuad(p, quad, &tex);
+    runQuad(p, quad, &tex);
     EXPECT_EQ(tex.calls, 1);
     EXPECT_EQ(tex.lastSampler, 2);
     EXPECT_FLOAT_EQ(tex.lastCoords[3].x, 0.3f);
     for (int l = 0; l < 4; ++l)
         EXPECT_FLOAT_EQ(quad.lanes[l].outputs[0].y, 0.5f);
-    EXPECT_EQ(interp.stats().textureInstructions, 4u);
 }
 
 TEST(InterpQuad, TxpDividesByW)
@@ -302,11 +280,9 @@ TEST(InterpQuad, TxpDividesByW)
     Program p(ProgramKind::Fragment, "t");
     p.txp(dstOutput(0), srcInput(0), 0);
     StubTexture tex;
-    Interpreter interp;
     QuadState quad;
-    quad.covered[0] = true;
     quad.lanes[0].inputs[0] = {2.0f, 4.0f, 0.0f, 2.0f};
-    interp.runQuad(p, quad, &tex);
+    runQuad(p, quad, &tex);
     EXPECT_FLOAT_EQ(tex.lastCoords[0].x, 1.0f);
     EXPECT_FLOAT_EQ(tex.lastCoords[0].y, 2.0f);
 }
@@ -316,13 +292,10 @@ TEST(InterpQuad, TxbPassesBias)
     Program p(ProgramKind::Fragment, "t");
     p.txb(dstOutput(0), srcInput(0), 0);
     StubTexture tex;
-    Interpreter interp;
     QuadState quad;
-    for (int l = 0; l < 4; ++l) {
-        quad.covered[l] = true;
+    for (int l = 0; l < 4; ++l)
         quad.lanes[l].inputs[0] = {0, 0, 0, -1.5f};
-    }
-    interp.runQuad(p, quad, &tex);
+    runQuad(p, quad, &tex);
     EXPECT_FLOAT_EQ(tex.lastBias, -1.5f);
 }
 
@@ -330,46 +303,27 @@ TEST(InterpQuad, KilSetsKilledLanes)
 {
     Program p(ProgramKind::Fragment, "t");
     p.kil(srcInput(0));
-    Interpreter interp;
     QuadState quad;
-    for (int l = 0; l < 4; ++l)
-        quad.covered[l] = true;
     quad.lanes[0].inputs[0] = {1, 1, 1, 1};    // survives
     quad.lanes[1].inputs[0] = {-1, 1, 1, 1};   // killed
     quad.lanes[2].inputs[0] = {1, 1, 1, -0.1f}; // killed
     quad.lanes[3].inputs[0] = {0, 0, 0, 0};    // survives (not < 0)
-    interp.runQuad(p, quad, nullptr);
+    runQuad(p, quad, nullptr);
     EXPECT_FALSE(quad.lanes[0].killed);
     EXPECT_TRUE(quad.lanes[1].killed);
     EXPECT_TRUE(quad.lanes[2].killed);
     EXPECT_FALSE(quad.lanes[3].killed);
-    EXPECT_EQ(interp.stats().killsTaken, 2u);
-}
-
-TEST(InterpQuad, StatsChargeCoveredLanesOnly)
-{
-    Program p(ProgramKind::Fragment, "t");
-    p.mov(dstOutput(0), srcInput(0));
-    p.mov(dstOutput(0), srcInput(0));
-    Interpreter interp;
-    QuadState quad;
-    quad.covered[0] = true;
-    quad.covered[2] = true; // 2 of 4 covered
-    interp.runQuad(p, quad, nullptr);
-    EXPECT_EQ(interp.stats().instructionsExecuted, 4u); // 2 instr x 2 lanes
-    EXPECT_EQ(interp.stats().programsRun, 2u);
 }
 
 TEST(InterpQuad, HelperLanesStillComputeValues)
 {
-    // Uncovered lanes must still execute so a later TEX could compute
-    // derivatives; their outputs are written but ignored downstream.
+    // Helper (uncovered) lanes must still execute so a later TEX could
+    // compute derivatives; their outputs are written but ignored
+    // downstream.
     Program p(ProgramKind::Fragment, "t");
     p.add(dstOutput(0), srcInput(0), srcInput(0));
-    Interpreter interp;
     QuadState quad;
-    quad.covered[0] = true;
     quad.lanes[1].inputs[0] = {21, 0, 0, 0};
-    interp.runQuad(p, quad, nullptr);
+    runQuad(p, quad, nullptr);
     EXPECT_FLOAT_EQ(quad.lanes[1].outputs[0].x, 42.0f);
 }
